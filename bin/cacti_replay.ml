@@ -98,28 +98,14 @@ let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
             match trace with
             | "-" ->
                 (* stdin cannot be mapped or re-read: stream serially. *)
-                let r = Replayer.create cfg in
-                let buf = Buffer.create 65536 in
-                let seq = ref 0 in
-                let n =
-                  Trace_io.iter_channel ~path:"<stdin>"
-                    (Option.value format ~default:Trace_io.Text)
-                    stdin
-                    ~f:(fun ~tid ~write ~addr ->
-                      let o = Replayer.step r ~tid ~write ~addr in
-                      (match render with
-                      | Some rd ->
-                          rd buf ~seq:!seq ~tid ~write ~addr o;
-                          if Buffer.length buf >= 1 lsl 16 then begin
-                            emit (Buffer.contents buf);
-                            Buffer.clear buf
-                          end
-                      | None -> ());
-                      incr seq)
+                let records ~f =
+                  ignore
+                    (Trace_io.iter_channel ~path:"<stdin>"
+                       (Option.value format ~default:Trace_io.Text)
+                       stdin ~f
+                      : int)
                 in
-                if Buffer.length buf > 0 then emit (Buffer.contents buf);
-                ignore (n : int);
-                (Replayer.summary r, [])
+                (Replayer.run_serial ?render ~emit cfg records, [])
             | path ->
                 (* Files replay sharded on the low set-index bits: output
                    is byte-identical to serial for any --jobs. *)

@@ -448,18 +448,18 @@ let shard_plan cfg ~bits =
 
 let flush_bytes = 1 lsl 16
 
-(* The serial path, kept verbatim as the identity baseline: one replayer,
-   trace order, buffered row emission. *)
-let run_serial cfg source ~render ~emit =
+(* One replayer over [records] in trace order; rendered rows are buffered
+   and flushed through [emit] in [flush_bytes] slabs. *)
+let run_serial ?render ?(emit = fun (_ : string) -> ()) cfg records =
   let r = create cfg in
   (match render with
   | None ->
-      Trace_io.iter_source source ~f:(fun ~tid ~write ~addr ->
+      records ~f:(fun ~tid ~write ~addr ->
           ignore (step r ~tid ~write ~addr : outcome))
   | Some rd ->
       let buf = Buffer.create flush_bytes in
       let seq = ref 0 in
-      Trace_io.iter_source source ~f:(fun ~tid ~write ~addr ->
+      records ~f:(fun ~tid ~write ~addr ->
           let o = step r ~tid ~write ~addr in
           rd buf ~seq:!seq ~tid ~write ~addr o;
           incr seq;
@@ -559,7 +559,8 @@ let run_sharded ?jobs ?bits ?render ?(emit = fun (_ : string) -> ()) cfg
     | Ok m -> (m, [])
     | Error d -> (0, [ d ])
   in
-  if m = 0 then (run_serial cfg source ~render ~emit, diags)
+  if m = 0 then
+    (run_serial ?render ~emit cfg (Trace_io.iter_source source), diags)
   else begin
     let ns = 1 lsl m in
     let bk =

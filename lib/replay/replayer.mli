@@ -136,6 +136,18 @@ type render =
     is the original 0-based trace index.  [Report.append_csv_row] /
     [append_jsonl_row] partially applied fit this shape. *)
 
+val run_serial :
+  ?render:render ->
+  ?emit:(string -> unit) ->
+  config ->
+  (f:(tid:int -> write:bool -> addr:int -> unit) -> unit) ->
+  summary
+(** Replays the records that the iterator passes to [f], in order, through
+    one replayer; rendered rows are streamed through [emit] in ~64 KB
+    slabs.  This is the loop of {!run_sharded} at 0 shard bits, and the
+    only way to replay a trace that can be neither mapped nor re-read,
+    such as [Trace_io.iter_channel] over stdin. *)
+
 val run_sharded :
   ?jobs:int ->
   ?bits:int ->
@@ -150,7 +162,7 @@ val run_sharded :
     original trace order and streamed through [emit] in ~64 KB slabs, so
     output is byte-identical to a serial replay for {e any} [jobs]/[bits].
     When the plan resolves to 0 bits (including the [shard_unsupported]
-    fallback, returned in the diag list) the serial path runs verbatim. *)
+    fallback, returned in the diag list) {!run_serial} replays the trace. *)
 
 val replay_shard : t -> Trace_io.source -> Trace_io.buckets -> shard:int -> unit
 (** Replays only the records of one shard into [t] (no rendering).

@@ -19,58 +19,135 @@ let reason (o : Replayer.outcome) =
   then "cold"
   else "evict"
 
-let append_victims b ~line_bytes (o : Replayer.outcome) =
-  let any = ref false in
-  let one lvl packed =
-    if packed >= 0 then begin
-      if !any then Buffer.add_char b ';';
-      any := true;
-      Printf.bprintf b "%s:0x%x:%c" lvl
-        (victim_addr line_bytes packed)
-        (if victim_dirty packed then 'd' else 'c')
-    end
-  in
-  one "L1" o.Replayer.l1_victim;
-  one "L2" o.Replayer.l2_victim;
-  one "L3" o.Replayer.l3_victim;
-  if not !any then Buffer.add_char b '-'
+(* ---------------- allocation-free row encoding ----------------
+
+   A row is assembled in a per-domain scratch buffer (sharded replay
+   renders on several domains at once) and appended to the caller's
+   [Buffer.t] with one blit.  Each writer takes the write position and
+   returns the next one; none allocates. *)
+
+(* Widest possible row: JSONL with three victims, every [%d] field at its
+   20-character worst case ([min_int]) and every address at 16 hex digits,
+   is 337 bytes. *)
+let row_capacity = 512
+
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create row_capacity)
+
+let put_char s p c =
+  Bytes.unsafe_set s p c;
+  p + 1
+
+let put_string s p str =
+  let n = String.length str in
+  Bytes.unsafe_blit_string str 0 s p n;
+  p + n
+
+(* As [%d].  Digits come off the non-positive magnitude, so [min_int],
+   whose negation overflows, needs no special case. *)
+let put_dec s p n =
+  let p = if n < 0 then put_char s p '-' else p in
+  let m = ref (if n < 0 then n else -n) in
+  let len = ref 1 and t = ref (!m / 10) in
+  while !t <> 0 do
+    incr len;
+    t := !t / 10
+  done;
+  for i = p + !len - 1 downto p do
+    Bytes.unsafe_set s i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  p + !len
+
+(* As [%x], which prints the int's 63-bit pattern unsigned ([-1] is
+   [7fffffffffffffff]): [lsr] shifts in zeros, so negatives terminate. *)
+let put_hex s p n =
+  let len = ref 1 and t = ref (n lsr 4) in
+  while !t <> 0 do
+    incr len;
+    t := !t lsr 4
+  done;
+  let v = ref n in
+  for i = p + !len - 1 downto p do
+    Bytes.unsafe_set s i (String.unsafe_get "0123456789abcdef" (!v land 15));
+    v := !v lsr 4
+  done;
+  p + !len
+
+(* One victim after [sep] (unless it is the first, i.e. nothing was
+   written since [first]): [open_], the hex address, then the clean or
+   dirty suffix.  Absent victims ([packed < 0]) write nothing. *)
+let put_victim s ~first p ~sep ~open_ ~clean ~dirty ~line_bytes packed =
+  if packed < 0 then p
+  else begin
+    let p = if p > first then put_char s p sep else p in
+    let p = put_string s p open_ in
+    let p = put_hex s p (victim_addr line_bytes packed) in
+    put_string s p (if victim_dirty packed then dirty else clean)
+  end
+
+let csv_victim s ~first p open_ ~line_bytes packed =
+  put_victim s ~first p ~sep:';' ~open_ ~clean:":c" ~dirty:":d" ~line_bytes
+    packed
 
 let append_csv_row b ~seq ~tid ~write ~addr ~line_bytes
     (o : Replayer.outcome) =
-  Printf.bprintf b "%d,%d,%c,0x%x,%s,%d," seq tid
-    (if write then 'W' else 'R')
-    addr
-    (level_name o.Replayer.level)
-    o.Replayer.cycles;
-  append_victims b ~line_bytes o;
-  Buffer.add_char b ',';
-  Buffer.add_string b (reason o);
-  Buffer.add_char b '\n'
+  let s = Domain.DLS.get scratch in
+  let p = put_dec s 0 seq in
+  let p = put_char s p ',' in
+  let p = put_dec s p tid in
+  let p = put_string s p (if write then ",W,0x" else ",R,0x") in
+  let p = put_hex s p addr in
+  let p = put_char s p ',' in
+  let p = put_string s p (level_name o.Replayer.level) in
+  let p = put_char s p ',' in
+  let p = put_dec s p o.Replayer.cycles in
+  let first = put_char s p ',' in
+  let p = csv_victim s ~first first "L1:0x" ~line_bytes o.Replayer.l1_victim in
+  let p = csv_victim s ~first p "L2:0x" ~line_bytes o.Replayer.l2_victim in
+  let p = csv_victim s ~first p "L3:0x" ~line_bytes o.Replayer.l3_victim in
+  let p = if p = first then put_char s p '-' else p in
+  let p = put_char s p ',' in
+  let p = put_string s p (reason o) in
+  let p = put_char s p '\n' in
+  Buffer.add_subbytes b s 0 p
+
+let jsonl_victim s ~first p open_ ~line_bytes packed =
+  put_victim s ~first p ~sep:',' ~open_ ~clean:{|","dirty":false}|}
+    ~dirty:{|","dirty":true}|} ~line_bytes packed
 
 let append_jsonl_row b ~seq ~tid ~write ~addr ~line_bytes
     (o : Replayer.outcome) =
-  Printf.bprintf b
-    {|{"seq":%d,"tid":%d,"op":"%c","addr":"0x%x","level":"%s","cycles":%d,"victims":[|}
-    seq tid
-    (if write then 'W' else 'R')
-    addr
-    (level_name o.Replayer.level)
-    o.Replayer.cycles;
-  let any = ref false in
-  let one lvl packed =
-    if packed >= 0 then begin
-      if !any then Buffer.add_char b ',';
-      any := true;
-      Printf.bprintf b {|{"level":"%s","addr":"0x%x","dirty":%b}|} lvl
-        (victim_addr line_bytes packed)
-        (victim_dirty packed)
-    end
+  let s = Domain.DLS.get scratch in
+  let p = put_string s 0 {|{"seq":|} in
+  let p = put_dec s p seq in
+  let p = put_string s p {|,"tid":|} in
+  let p = put_dec s p tid in
+  let p =
+    put_string s p
+      (if write then {|,"op":"W","addr":"0x|} else {|,"op":"R","addr":"0x|})
   in
-  one "L1" o.Replayer.l1_victim;
-  one "L2" o.Replayer.l2_victim;
-  one "L3" o.Replayer.l3_victim;
-  Printf.bprintf b {|],"reason":"%s"}|} (reason o);
-  Buffer.add_char b '\n'
+  let p = put_hex s p addr in
+  let p = put_string s p {|","level":"|} in
+  let p = put_string s p (level_name o.Replayer.level) in
+  let p = put_string s p {|","cycles":|} in
+  let p = put_dec s p o.Replayer.cycles in
+  let first = put_string s p {|,"victims":[|} in
+  let p =
+    jsonl_victim s ~first first {|{"level":"L1","addr":"0x|} ~line_bytes
+      o.Replayer.l1_victim
+  in
+  let p =
+    jsonl_victim s ~first p {|{"level":"L2","addr":"0x|} ~line_bytes
+      o.Replayer.l2_victim
+  in
+  let p =
+    jsonl_victim s ~first p {|{"level":"L3","addr":"0x|} ~line_bytes
+      o.Replayer.l3_victim
+  in
+  let p = put_string s p {|],"reason":"|} in
+  let p = put_string s p (reason o) in
+  let p = put_string s p "\"}\n" in
+  Buffer.add_subbytes b s 0 p
 
 open Cacti_util
 

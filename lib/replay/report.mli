@@ -12,7 +12,18 @@
     [cycles], [victims] (the lines evicted by this access's fills, as
     [LEVEL:0xADDR:c|d] with [d] marking a dirty victim, joined with [;],
     or [-]), [reason] ([hit] — no fill; [cold] — filled without any
-    eviction; [evict] — at least one line was evicted). *)
+    eviction; [evict] — at least one line was evicted).
+
+    {b Encoding contract.}  The row appenders are allocation-free: each row
+    is assembled in a per-domain scratch buffer, so concurrent sharded
+    renders never share it, and appended to the caller's buffer with one
+    blit; only growing that buffer allocates.  (Two systhreads of one
+    domain share that scratch buffer and must not render at the same
+    time.)  Every int prints exactly as
+    [Printf]'s [%d] (decimal fields) or [%x] (addresses, after [0x]) would
+    print it, for every int including negatives, [min_int] and [max_int].
+    A qcheck property in [test/test_replay.ml] compares whole rows against
+    the Printf renderers kept in [test/oracle/report_printf.ml]. *)
 
 val csv_header : string
 (** ["seq,tid,op,addr,level,cycles,victims,reason"]. *)

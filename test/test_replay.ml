@@ -816,6 +816,188 @@ let prop_sharded_identity =
             [ 0; 1; 2; 3 ])
         [ 1; 2; 4 ])
 
+(* --------------------------- row encoding -------------------------- *)
+
+(* Every int a row field can hold: 0, the digit-count boundaries of
+   [%d] and [%x], negatives, [min_int] and [max_int], plus uniform draws
+   over the whole range. *)
+let gen_any_int =
+  let boundaries =
+    let around x = [ x - 1; x; x + 1 ] in
+    let rec pows base x =
+      if x > max_int / base then [ x ] else x :: pows base (x * base)
+    in
+    let pos =
+      0 :: 1 :: max_int :: List.concat_map around (pows 10 10 @ pows 16 16)
+    in
+    min_int :: pos @ List.map (fun x -> -x) pos
+  in
+  QCheck.Gen.(
+    frequency
+      [ (2, oneofl boundaries); (2, int); (1, small_signed_int) ])
+
+let gen_outcome =
+  QCheck.Gen.(
+    let* level = int_range 0 3 in
+    let* cycles = gen_any_int in
+    (* which of L1/L2/L3 carry a victim: all 8 subsets, so half the rows
+       have two or three *)
+    let* mask = int_range 0 7 in
+    (* any non-negative packed value: both state bits vary, so clean and
+       dirty victims both occur *)
+    let victim bit =
+      if mask land bit = 0 then return (-1)
+      else map (fun n -> n land max_int) gen_any_int
+    in
+    let* l1_victim = victim 1 in
+    let* l2_victim = victim 2 in
+    let* l3_victim = victim 4 in
+    return
+      {
+        Replayer.level; cycles; l1_victim; l2_victim; l3_victim;
+        writebacks = 0; invalidations = 0; c2c = false;
+      })
+
+type row = {
+  seq : int;
+  tid : int;
+  write : bool;
+  addr : int;
+  line_bytes : int;
+  o : Replayer.outcome;
+}
+
+let gen_row =
+  QCheck.Gen.(
+    let* seq = gen_any_int in
+    let* tid = gen_any_int in
+    let* write = bool in
+    let* addr = gen_any_int in
+    let* line_bytes = oneofl [ 32; 64; 128 ] in
+    let* o = gen_outcome in
+    return { seq; tid; write; addr; line_bytes; o })
+
+let print_row r =
+  Printf.sprintf
+    "seq=%d tid=%d write=%b addr=%d line_bytes=%d level=%d cycles=%d \
+     victims=%d,%d,%d"
+    r.seq r.tid r.write r.addr r.line_bytes r.o.Replayer.level
+    r.o.Replayer.cycles r.o.Replayer.l1_victim r.o.Replayer.l2_victim
+    r.o.Replayer.l3_victim
+
+let render_rows append rows =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun r ->
+      append b ~seq:r.seq ~tid:r.tid ~write:r.write ~addr:r.addr
+        ~line_bytes:r.line_bytes r.o)
+    rows;
+  Buffer.contents b
+
+(* The allocation-free encoder writes exactly the bytes of the Printf
+   renderers it replaced, row after row into one buffer. *)
+let prop_rows_match_oracle =
+  QCheck.Test.make ~name:"CSV/JSONL rows = Printf oracle" ~count:2000
+    (QCheck.make
+       ~print:(fun rows -> String.concat "\n" (List.map print_row rows))
+       QCheck.Gen.(list_size (int_range 1 4) gen_row))
+    (fun rows ->
+      String.equal
+        (render_rows Report.append_csv_row rows)
+        (render_rows Oracle.Report_printf.append_csv_row rows)
+      && String.equal
+           (render_rows Report.append_jsonl_row rows)
+           (render_rows Oracle.Report_printf.append_jsonl_row rows))
+
+(* The renderers as the replay binaries build them: fully applied. *)
+let csv_64 : Replayer.render =
+ fun b ~seq ~tid ~write ~addr o ->
+  Report.append_csv_row b ~seq ~tid ~write ~addr ~line_bytes:64 o
+
+let jsonl_64 : Replayer.render =
+ fun b ~seq ~tid ~write ~addr o ->
+  Report.append_jsonl_row b ~seq ~tid ~write ~addr ~line_bytes:64 o
+
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* 10k mixed rows -- hits, cold misses, and evictions with one to three
+   clean or dirty victims -- rendered into a pre-sized buffer must leave
+   the minor heap untouched. *)
+let test_render_no_alloc () =
+  let n = 10_000 in
+  let outcomes =
+    Array.init n (fun i ->
+        let level = i mod 4 in
+        let victims = if level = 0 then 0 else i / 4 mod 4 in
+        let v k =
+          if k < victims then ((i * 7919) + k) lsl 2 lor (1 + (i land 2))
+          else -1
+        in
+        {
+          Replayer.level; cycles = 4 + (60 * level); l1_victim = v 0;
+          l2_victim = v 1; l3_victim = v 2; writebacks = 0;
+          invalidations = 0; c2c = false;
+        })
+  in
+  let check name (append : Replayer.render) =
+    let b = Buffer.create (n * 400) in
+    let rows () =
+      for i = 0 to n - 1 do
+        append b ~seq:i ~tid:(i land 3) ~write:(i land 1 = 1)
+          ~addr:(0x7f0000000000 + (i * 64)) outcomes.(i)
+      done
+    in
+    (* the first row on a domain creates its scratch space *)
+    rows ();
+    Buffer.clear b;
+    let words = minor_words_during rows -. minor_words_during ignore in
+    Alcotest.(check (float 0.)) (name ^ " minor words per row") 0.
+      (words /. float_of_int n)
+  in
+  check "CSV" csv_64;
+  check "JSONL" jsonl_64
+
+(* The checked-in smoke trace through the skl preset on 2 cores must
+   reproduce both golden files byte for byte: serially, sharded, and
+   streamed from a channel as [cacti_replay run --trace -] does. *)
+let test_smoke_goldens () =
+  let trace = "data/replay_smoke.trc" in
+  let cfg =
+    match Mcsim.Policy.preset_of_string "skl" with
+    | Ok p ->
+        Replayer.with_preset p { Replayer.default_config with n_cores = 2 }
+    | Error d -> Alcotest.fail d.Cacti_util.Diag.message
+  in
+  let source = Trace_io.load_source trace in
+  let check_format name ~header golden (append : Replayer.render) =
+    let expected = In_channel.with_open_bin golden In_channel.input_all in
+    let replay name run =
+      let b = Buffer.create 65536 in
+      Buffer.add_string b header;
+      run ~render:append ~emit:(Buffer.add_string b);
+      Alcotest.(check string) name expected (Buffer.contents b)
+    in
+    let sharded ?bits jobs ~render ~emit =
+      let _, diags =
+        Replayer.run_sharded ~jobs ?bits ~render ~emit cfg source
+      in
+      Alcotest.(check int) (name ^ " diagnostics") 0 (List.length diags)
+    in
+    replay (name ^ " jobs 1") (sharded 1);
+    replay (name ^ " jobs 2 bits 1") (sharded ~bits:1 2);
+    replay (name ^ " streamed") (fun ~render ~emit ->
+        ignore
+          (Replayer.run_serial ~render ~emit cfg (fun ~f ->
+               ignore (Trace_io.iter_file trace ~f : int))
+            : Replayer.summary))
+  in
+  check_format "CSV" ~header:(Report.csv_header ^ "\n")
+    "data/replay_smoke.golden.csv" csv_64;
+  check_format "JSONL" ~header:"" "data/replay_smoke.golden.jsonl" jsonl_64
+
 let () =
   Alcotest.run "replay"
     [
@@ -876,5 +1058,12 @@ let () =
           Alcotest.test_case "all policies, all core counts" `Quick
             test_sharded_all_policies;
           QCheck_alcotest.to_alcotest prop_sharded_identity;
+        ] );
+      ( "report",
+        [
+          QCheck_alcotest.to_alcotest prop_rows_match_oracle;
+          Alcotest.test_case "rows allocate nothing" `Quick
+            test_render_no_alloc;
+          Alcotest.test_case "smoke trace goldens" `Quick test_smoke_goldens;
         ] );
     ]
