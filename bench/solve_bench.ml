@@ -20,11 +20,15 @@
    - warm: the same batch re-solved without clearing — every solve is a
      memo hit, measuring the solve-table lookup path.
 
-   - identity: the batch at jobs=1 vs jobs=2, with the memo tables
-     bypassed ([~memo:false]) and through the scalar reference path
-     ([~kernel:false]) must select bit-identical solutions (compared
-     with [compare], not [=]: solutions can carry NaN-valued fields,
-     e.g. unbounded DRAM timings).
+   - identity: the batch on shared warm tables at jobs=1 must select
+     bit-identical solutions to the batch from cold tables at jobs=2,
+     and to each solve run alone from empty tables ([Solve_cache.clear]
+     before every solve) — the check that no memo entry one spec leaves
+     behind can change another spec's solution.  Solutions are compared
+     with [compare], not [=]: they can carry NaN-valued fields, e.g.
+     unbounded DRAM timings.  Whether the sweep itself picks the right
+     bank is pinned by the naive reference solver in test/oracle, over
+     this same batch, under [dune runtest].
 
    - incremental: a cache re-solved after perturbing one spec axis
      (capacity, then technology) must match the same solve from a cold
@@ -75,16 +79,15 @@ let mainmem_chip =
 
 let batch_solves = List.length cache_specs + 1
 
-let solve_caches ?memo ?kernel ~jobs () =
-  List.map
-    (fun spec ->
-      match Cacti.Cache_model.solve_diag ~jobs ?memo ?kernel spec with
-      | Ok (c, s) -> (c, s)
-      | Error ds -> diag_fail ds)
-    cache_specs
+let solve_cache ~jobs spec =
+  match Cacti.Cache_model.solve_diag ~jobs spec with
+  | Ok (c, s) -> (c, s)
+  | Error ds -> diag_fail ds
 
-let solve_mainmem ?memo ?kernel ~jobs () =
-  match Cacti.Mainmem.solve_diag ~jobs ?memo ?kernel mainmem_chip with
+let solve_caches ~jobs () = List.map (solve_cache ~jobs) cache_specs
+
+let solve_mainmem ~jobs () =
+  match Cacti.Mainmem.solve_diag ~jobs mainmem_chip with
   | Ok (m, s) -> (m, s)
   | Error ds -> diag_fail ds
 
@@ -124,11 +127,7 @@ let bench_cold ~reps =
         counts := Cacti_util.Diag.add_counts !counts s.Cacti_util.Diag.sweeps
     in
     List.iter
-      (fun spec ->
-        timed (fun () ->
-            match Cacti.Cache_model.solve_diag ~jobs:1 spec with
-            | Ok r -> r
-            | Error ds -> diag_fail ds))
+      (fun spec -> timed (fun () -> solve_cache ~jobs:1 spec))
       cache_specs;
     timed (fun () -> solve_mainmem ~jobs:1 ());
     if record_counts then minor_words := Gc.minor_words () -. words0;
@@ -190,26 +189,31 @@ let bench_warm ~reps =
 let same a b = compare a b = 0
 
 type identity_result = {
-  jobs_identical : bool;
+  jobs_identical : bool;  (** warm jobs=1 batch vs cold jobs=2 batch *)
   memo_identical : bool;
-  kernel_identical : bool;  (** columnar kernel vs scalar reference path *)
+      (** shared-table batch vs every solve alone from empty tables *)
 }
 
 let check_identity () =
+  (* The tables are warm from the cold and warm sections: this batch
+     answers from entries the whole batch left behind. *)
   let c1 = List.map fst (solve_caches ~jobs:1 ()) in
-  let c2 = List.map fst (solve_caches ~jobs:2 ()) in
   let m1 = fst (solve_mainmem ~jobs:1 ()) in
+  Cacti.Solve_cache.clear ();
+  let c2 = List.map fst (solve_caches ~jobs:2 ()) in
   let m2 = fst (solve_mainmem ~jobs:2 ()) in
   let jobs_identical = List.for_all2 same c1 c2 && same m1 m2 in
-  let cn = List.map fst (solve_caches ~memo:false ~jobs:1 ()) in
-  let memo_identical = List.for_all2 same c1 cn in
-  (* Scalar path, table-free, against the (equally table-free) kernel
-     run above — the full-batch version of the qcheck property. *)
-  let ck = List.map fst (solve_caches ~memo:false ~kernel:false ~jobs:1 ()) in
-  let mk = fst (solve_mainmem ~memo:false ~kernel:false ~jobs:1 ()) in
-  let mn = fst (solve_mainmem ~memo:false ~jobs:1 ()) in
-  let kernel_identical = List.for_all2 same cn ck && same mn mk in
-  { jobs_identical; memo_identical; kernel_identical }
+  let alone solve =
+    Cacti.Solve_cache.clear ();
+    fst (solve ())
+  in
+  let ca =
+    List.map (fun spec -> alone (fun () -> solve_cache ~jobs:1 spec))
+      cache_specs
+  in
+  let ma = alone (solve_mainmem ~jobs:1) in
+  let memo_identical = List.for_all2 same c1 ca && same m1 ma in
+  { jobs_identical; memo_identical }
 
 (* --------------------------- incremental --------------------------- *)
 
@@ -297,7 +301,7 @@ let write_json path ~quick ~partition_ok (c : cold_result) (w : warm_result)
   let istats = inc.inc_stats in
   let fields =
     [
-      ("schema_version", Int 2);
+      ("schema_version", Int 3);
       ("quick", Bool quick);
       ("batch_solves", Int batch_solves);
       ( "cold",
@@ -309,11 +313,8 @@ let write_json path ~quick ~partition_ok (c : cold_result) (w : warm_result)
             ("p99_ms", num c.p99_ms);
           ] );
       ( "kernel",
-        Obj
-          [
-            ("identical_to_scalar", Bool i.kernel_identical);
-            ("minor_words_per_evaluated", num c.minor_words_per_evaluated);
-          ] );
+        Obj [ ("minor_words_per_evaluated", num c.minor_words_per_evaluated) ]
+      );
       ( "incremental",
         Obj
           [
@@ -343,7 +344,6 @@ let write_json path ~quick ~partition_ok (c : cold_result) (w : warm_result)
           [
             ("jobs_identical", Bool i.jobs_identical);
             ("memo_identical", Bool i.memo_identical);
-            ("kernel_identical", Bool i.kernel_identical);
           ] );
     ]
   in
@@ -457,10 +457,9 @@ let () =
     w.warm_solves_per_s w.mat_hits w.mat_misses;
   let i = check_identity () in
   Printf.printf
-    "identity: jobs 1 vs 2 %s, memo on vs off %s, kernel vs scalar %s\n%!"
+    "identity: jobs 1 vs 2 %s, shared tables vs empty tables %s\n%!"
     (if i.jobs_identical then "bit-identical" else "DIFFER")
-    (if i.memo_identical then "bit-identical" else "DIFFER")
-    (if i.kernel_identical then "bit-identical" else "DIFFER");
+    (if i.memo_identical then "bit-identical" else "DIFFER");
   let inc = check_incremental () in
   Printf.printf
     "incremental: perturbed re-solves %s cold (rows reuse %s, full reuse \
@@ -482,8 +481,8 @@ let () =
   in
   check partition_ok "sweep counts do not partition the candidate total";
   check i.jobs_identical "jobs=2 solutions differ from jobs=1";
-  check i.memo_identical "memo-off solutions differ from memoized ones";
-  check i.kernel_identical "scalar-path solutions differ from the kernel's";
+  check i.memo_identical
+    "solutions from empty tables differ from shared-table ones";
   check inc.inc_identical "incremental re-solves differ from cold solves";
   check inc.inc_rows_hit "size perturbation did not reuse the screen tree";
   check inc.inc_full_hit "tech perturbation did not reuse the survivors";

@@ -146,14 +146,6 @@ let profile_flag =
                  rejection/prune histogram and the memo-table counters \
                  on stderr after the run.")
 
-let no_kernel_flag =
-  Arg.(value & flag
-       & info [ "no-kernel" ]
-           ~doc:"Solve through the per-candidate scalar reference path \
-                 instead of the columnar batch kernel.  The solution is \
-                 bit-identical; the flag exists for timing comparisons \
-                 and for cross-checking the kernel.")
-
 (* ------------------------------------------------------------------ *)
 (* Error rendering and exit codes                                       *)
 (* ------------------------------------------------------------------ *)
@@ -276,7 +268,7 @@ let cache_cmd =
   in
   let sleep = Arg.(value & flag & info [ "sleep-tx" ] ~doc:"Model sleep transistors.") in
   let run size assoc block banks ram mode sleep tech params jobs strict
-      want_summary json profile no_kernel =
+      want_summary json profile =
     guarded ~json @@ fun () ->
     with_tech ~json tech @@ fun tech ->
     match
@@ -287,10 +279,7 @@ let cache_cmd =
     | Error ds -> invalid ~json ds
     | Ok spec -> (
         profile_start profile;
-        match
-          Cacti.Cache_model.solve_diag ?jobs ~params ~strict
-            ~kernel:(not no_kernel) spec
-        with
+        match Cacti.Cache_model.solve_diag ?jobs ~params ~strict spec with
         | Error ds -> solve_failed ~json ds
         | Ok (c, s) when json ->
             profile_report ~profile s;
@@ -335,7 +324,7 @@ let cache_cmd =
     Term.(
       const run $ size $ assoc $ block $ banks $ ram $ mode $ sleep
       $ tech_nm $ opt_params $ jobs $ strict $ summary $ json_flag
-      $ profile_flag $ no_kernel_flag)
+      $ profile_flag)
   in
   Cmd.v
     (Cmd.info "cache"
@@ -357,7 +346,7 @@ let ram_cmd =
     Arg.(value & opt ram_conv Cacti_tech.Cell.Sram & info [ "ram" ] ~doc:"Technology.")
   in
   let run size word banks ram tech params jobs strict want_summary json
-      profile no_kernel =
+      profile =
     guarded ~json @@ fun () ->
     with_tech ~json tech @@ fun tech ->
     match
@@ -374,10 +363,7 @@ let ram_cmd =
     | Error ds -> invalid ~json ds
     | Ok spec -> (
         profile_start profile;
-        match
-          Cacti.Ram_model.solve_diag ?jobs ~params ~strict
-            ~kernel:(not no_kernel) spec
-        with
+        match Cacti.Ram_model.solve_diag ?jobs ~params ~strict spec with
         | Error ds -> solve_failed ~json ds
         | Ok (r, s) when json ->
             profile_report ~profile s;
@@ -411,7 +397,7 @@ let ram_cmd =
   let term =
     Term.(
       const run $ size $ word $ banks $ ram $ tech_nm $ opt_params $ jobs
-      $ strict $ summary $ json_flag $ profile_flag $ no_kernel_flag)
+      $ strict $ summary $ json_flag $ profile_flag)
   in
   Cmd.v (Cmd.info "ram" ~doc:"Model a plain (non-cache) memory macro.") term
 
@@ -436,7 +422,7 @@ let mainmem_cmd =
          & info [ "interface" ] ~doc:"IO interface: ddr3 or ddr4.")
   in
   let run bits banks io page prefetch burst iface tech jobs strict
-      want_summary json profile no_kernel =
+      want_summary json profile =
     guarded ~json @@ fun () ->
     with_tech ~json tech @@ fun tech ->
     match
@@ -446,9 +432,7 @@ let mainmem_cmd =
     | Error ds -> invalid ~json ds
     | Ok chip -> (
         profile_start profile;
-        match
-          Cacti.Mainmem.solve_diag ?jobs ~strict ~kernel:(not no_kernel) chip
-        with
+        match Cacti.Mainmem.solve_diag ?jobs ~strict chip with
         | Error ds -> solve_failed ~json ds
         | Ok (m, s) when json ->
             profile_report ~profile s;
@@ -482,8 +466,7 @@ let mainmem_cmd =
   let term =
     Term.(
       const run $ bits $ banks $ io $ page $ prefetch $ burst $ iface
-      $ tech_nm $ jobs $ strict $ summary $ json_flag $ profile_flag
-      $ no_kernel_flag)
+      $ tech_nm $ jobs $ strict $ summary $ json_flag $ profile_flag)
   in
   Cmd.v
     (Cmd.info "mainmem" ~doc:"Model a main-memory DRAM chip (Section 2.1).")

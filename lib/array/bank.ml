@@ -34,10 +34,10 @@ type t = {
   pipeline_stages : int;
 }
 
-(* Materialize a [t] from a mat and its flat metrics record.  Both the
-   scalar path (via [assemble]) and the columnar kernel (after reading
-   the metrics back out of the result columns — a lossless float64
-   round-trip) build banks through this single constructor. *)
+(* Materialize a [t] from a mat and its flat metrics record.  Both
+   [assemble] (the per-candidate {!evaluate}) and the columnar sweep
+   (after reading the metrics back out of the result columns — a lossless
+   float64 round-trip) build banks through this single constructor. *)
 let bank_of_metrics ~(staged : Staged.t) ~spec ~(org : Org.t) (mat : Mat.t)
     (m : Soa_kernel.metrics) =
   let mats_x = Org.mats_x org and mats_y = Org.mats_y org in
@@ -129,14 +129,11 @@ let evaluate ~spec ~org =
    tied or beaten the eventual winner. *)
 type bounds = { b_area : float; b_time : float; b_energy : float }
 
-(* The scalar-input core of the bound evaluation: all per-spec constants
-   (including the staged sense-amp area/energy, hoisted into per-degree
-   arrays so the hot path does no association-list lookups) are closed
-   over once; each call is then pure float math over the candidate's
-   parameter scalars.  [lower_bounds] feeds it from the (org, geometry)
-   records; the columnar kernel feeds it from the {!Soa_kernel} parameter
-   columns — which store [float_of_int] of the same integer expressions,
-   so both callers are bit-identical. *)
+(* The bound evaluation: all per-spec constants (including the staged
+   sense-amp area/energy, hoisted into per-degree arrays so the hot path
+   does no association-list lookups) are closed over once; each call is
+   then pure float math over one candidate's {!Soa_kernel} parameter
+   columns. *)
 let bounds_of ~(staged : Staged.t) spec =
   let { Array_spec.n_rows; row_bits; output_bits; _ } = spec in
   let cell_w = staged.Staged.cell_w and cell_h = staged.Staged.cell_h in
@@ -215,33 +212,6 @@ let bounds_of ~(staged : Staged.t) spec =
     in
     { b_area; b_time; b_energy }
 
-let lower_bounds ~(staged : Staged.t) spec =
-  let f = bounds_of ~staged spec in
-  let is_dram = staged.Staged.is_dram in
-  fun (org : Org.t) (g : Mat.geometry) ->
-    let n_wordlines = g.Mat.g_rows_sub * g.Mat.g_vert in
-    let n_ctl = 60 + (2 * Cacti_util.Floatx.clog2 (max 2 n_wordlines)) in
-    let eff_deg = if is_dram then 1 else org.Org.deg_bl_mux in
-    let n_sa =
-      if is_dram then g.Mat.g_horiz * g.Mat.g_cols_sub else g.Mat.g_sensed
-    in
-    f ~eff_deg ~f_n_ctl:(float_of_int n_ctl)
-      ~f_out_bits:(float_of_int g.Mat.g_out_bits)
-      ~f_n_mats:(float_of_int (Org.n_mats org))
-      ~f_n_sa:(float_of_int n_sa)
-      ~f_wspan:
-        (float_of_int (Org.mats_x org * g.Mat.g_horiz * g.Mat.g_cols_sub))
-      ~f_hspan:
-        (float_of_int (Org.mats_y org * g.Mat.g_vert * g.Mat.g_rows_sub))
-      ~f_line_cells:(float_of_int (g.Mat.g_horiz * g.Mat.g_cols_sub))
-      ~f_rows:(float_of_int g.Mat.g_rows_sub)
-      ~f_sensed_pa:(float_of_int g.Mat.g_sensed_per_access)
-      ~f_mats_x:(float_of_int (Org.mats_x org))
-
-let area_lower_bound spec =
-  let lbs = lower_bounds ~staged:(Mat.staged_of_spec spec) spec in
-  fun org g -> (lbs org g).b_area
-
 (* The branch-and-bound champion: the metrics of the smallest-area
    candidate evaluated so far.  [ch_area] only shrinks, so any snapshot
    over-approximates the final best area, and because the final best-area
@@ -256,15 +226,12 @@ let no_champion =
   { ch_area = Float.infinity; ch_time = Float.infinity;
     ch_energy = Float.infinity }
 
-let rec note_champion_v cell ~area ~time ~energy =
+let rec note_champion cell ~area ~time ~energy =
   let cur = Atomic.get cell in
   if area < cur.ch_area then
     let next = { ch_area = area; ch_time = time; ch_energy = energy } in
     if not (Atomic.compare_and_set cell cur next) then
-      note_champion_v cell ~area ~time ~energy
-
-let note_champion cell (b : t) =
-  note_champion_v cell ~area:b.area ~time:b.t_access ~energy:b.e_read
+      note_champion cell ~area ~time ~energy
 
 type bound_policy = { acctime_pct : float; energy_only : bool }
 
@@ -276,22 +243,7 @@ let set_fault_hook h = fault_hook := Option.value h ~default:(fun _ -> None)
 (* Metric sanity at the array boundary: every quantity the optimizer or a
    downstream model consumes must be a finite non-negative number.  Raises
    [Floatx.Non_finite], which the sweep contains and counts. *)
-let check_metrics b =
-  let chk what v = ignore (Cacti_util.Floatx.finite_pos ~what v) in
-  chk "t_access" b.t_access;
-  chk "t_random_cycle" b.t_random_cycle;
-  chk "t_interleave" b.t_interleave;
-  chk "area" b.area;
-  chk "e_read" b.e_read;
-  chk "e_write" b.e_write;
-  chk "e_activate" b.e_activate;
-  chk "e_precharge" b.e_precharge;
-  chk "p_leakage" b.p_leakage;
-  chk "p_refresh" b.p_refresh
-
-(* The same checks, in the same order with the same messages, against the
-   flat metrics record — the kernel-path twin of [check_metrics]. *)
-let check_metrics_m (m : Soa_kernel.metrics) =
+let check_metrics (m : Soa_kernel.metrics) =
   let chk what v = ignore (Cacti_util.Floatx.finite_pos ~what v) in
   chk "t_access" m.Soa_kernel.m_t_access;
   chk "t_random_cycle" m.Soa_kernel.m_t_random_cycle;
@@ -331,8 +283,8 @@ let memoized ?cap mu tbl key compute =
    decoder designs read (cell kind, feature size, wire parasitics), so a
    (salt, dims) key identifies a design across sweeps exactly as
    [mat_cache] keys identify whole mats.  Consulted only on memoized
-   sweeps (when the caller supplies [mat_cache]); unmemoized sweeps get
-   fresh per-sweep tables so the reference path stays self-contained. *)
+   sweeps (when the caller supplies [mat_cache]); a sweep without one gets
+   fresh per-sweep tables and touches no shared state. *)
 let stage_memo_cap = 8192
 
 let g_sub_tbl : (string * (int * int * int), (Subarray.t, exn) result) Hashtbl.t
@@ -362,11 +314,13 @@ type sweep = {
   sw_counts : Cacti_util.Diag.counts;
 }
 
-type run_result = Banks of t list * Cacti_util.Diag.counts | Soa of sweep
-
+(* The sweep: survivors of the screen flow through {!Soa_kernel} columns —
+   bounds are evaluated branch-free over chunk ranges from the parameter
+   columns, solved metrics land in result columns, and nothing
+   materializes into a [t] record until a consumer asks for it. *)
 let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
-    ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl ?(strict = false)
-    ?(kernel = true) ?screened spec =
+    ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl ?(strict = false) ?screened
+    spec =
   Cacti_util.Profile.time "enumerate" @@ fun () ->
   Cacti_util.Cancel.check cancel;
   let staged = Mat.staged_of_spec spec in
@@ -412,240 +366,158 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
           `Bound
       | _ -> `Eval
   in
-  let counts () =
-    {
-      Cacti_util.Diag.candidates = n_total;
-      evaluated = Atomic.get n_ok;
-      geometry_rejected = n_geometry;
-      page_rejected = n_page;
-      area_pruned = Atomic.get n_area_pruned;
-      bound_pruned = Atomic.get n_bound_pruned;
-      nonviable = Atomic.get n_nonviable;
-      nonfinite = Atomic.get n_nonfinite;
-      raised = Atomic.get n_raised;
-    }
+  let soa =
+    Cacti_util.Profile.time "column_build" (fun () ->
+        Soa_kernel.build ~cancel ~is_dram survivors)
   in
-  if not kernel then begin
-    (* Scalar reference path: per-candidate record evaluation, kept
-       verbatim as the identity baseline for the columnar kernel. *)
-    let indexed = List.mapi (fun i cand -> (i, cand)) survivors in
-    let lbs =
-      if prune <> None || bound <> None then Some (lower_bounds ~staged spec)
-      else None
+  let n = soa.Soa_kernel.n in
+  let bounds_fn =
+    if prune <> None || bound <> None then Some (bounds_of ~staged spec)
+    else None
+  in
+  (* Sub-stage memo tables.  A sweep over ~2000 survivors has only ~300
+     distinct subarrays and ~125 distinct decoders (the decoder does not
+     depend on the bitline-mux degree — none of its subarray inputs do),
+     so each is solved once.  Memoized sweeps share the cross-sweep tables
+     keyed by salt: the same designs recur across a study matrix (sizes of
+     one config share most subarray shapes), and a decoder costs ~3 us to
+     design. *)
+  let sub_of, dec_of =
+    if mat_cache <> None then
+      ( (fun ~rows ~cols ~deg ->
+          memoized ~cap:stage_memo_cap g_sub_mu g_sub_tbl
+            (salt, (rows, cols, deg))
+            (fun () -> Mat.subarray_of ~staged ~rows ~cols ~deg)),
+        fun (sub : Subarray.t) ~horiz ~vert ->
+          memoized ~cap:stage_memo_cap g_dec_mu g_dec_tbl
+            (salt, (sub.Subarray.rows, sub.Subarray.cols, horiz, vert))
+            (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert) )
+    else
+      let sub_tbl = Hashtbl.create 512 and sub_mu = Mutex.create () in
+      let dec_tbl = Hashtbl.create 256 and dec_mu = Mutex.create () in
+      ( (fun ~rows ~cols ~deg ->
+          memoized sub_mu sub_tbl (rows, cols, deg) (fun () ->
+              Mat.subarray_of ~staged ~rows ~cols ~deg)),
+        fun (sub : Subarray.t) ~horiz ~vert ->
+          memoized dec_mu dec_tbl
+            (sub.Subarray.rows, sub.Subarray.cols, horiz, vert)
+            (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert) )
+  in
+  let solve_mat org g =
+    let build () =
+      Cacti_util.Profile.time "mat_solve" (fun () ->
+          Mat.eval_geometry ~staged ~sub_of ~dec_of ~org g)
     in
-    let prune_class org g =
-      match lbs with
-      | None -> `Eval
-      | Some lb ->
-          let b = lb org g in
-          decide b.b_area b.b_time b.b_energy
-    in
-    let solve_mat org g =
-      let build () =
-        Cacti_util.Profile.time "mat_solve" (fun () ->
-            Mat.make_staged ~staged ~spec ~org ())
-      in
-      match mat_cache with
-      | None -> build ()
-      | Some cache -> cache (Mat.fingerprint_key ~salt ~is_dram ~org g) build
-    in
-    let eval (i, (org, g)) =
-      (* Cancellation poll, outside the containment below: a fired token
-         must abort the sweep, not be counted as a candidate fault. *)
-      Cacti_util.Cancel.check cancel;
-      let injected = hook i in
-      (* Injected candidates bypass the (evaluation-order-dependent) prunes
-         so the fault counts are identical for every worker count — and so
-         [Fault_force] force-evaluates a candidate the prunes would skip. *)
-      match if injected = None then prune_class org g else `Eval with
-      | `Area ->
-          Atomic.incr n_area_pruned;
-          None
-      | `Bound ->
-          Atomic.incr n_bound_pruned;
-          None
-      | `Eval -> (
-          try
-            (match injected with
-            | Some Fault_exn -> failwith "Bank.enumerate: injected fault"
-            | _ -> ());
-            match (solve_mat org g, injected) with
-            | None, Some Fault_nan ->
-                raise
-                  (Cacti_util.Floatx.Non_finite "t_access is nan (injected)")
-            | None, _ ->
-                Atomic.incr n_nonviable;
-                None
-            | Some mat, inj ->
-                let b = assemble ~staged ~spec ~org mat in
-                let b =
-                  match inj with
-                  | Some Fault_nan -> { b with t_access = Float.nan }
-                  | _ -> b
-                in
-                check_metrics b;
-                note_champion champion b;
-                Atomic.incr n_ok;
-                Some b
-          with
-          | Cacti_util.Floatx.Non_finite _ when not strict ->
-              Atomic.incr n_nonfinite;
-              None
-          | (Out_of_memory | Stack_overflow) as e -> raise e
-          | _ when not strict ->
-              Atomic.incr n_raised;
-              None)
-    in
-    let banks =
-      Cacti_util.Pool.parallel_filter_map ~chunk:4 pool eval indexed
-    in
-    Banks (banks, counts ())
-  end
-  else begin
-    (* Columnar kernel path.  Identical decision structure to the scalar
-       path (same prune comparisons against the same champion cell, same
-       fault containment, same candidate order per worker count), but the
-       data flows through {!Soa_kernel} columns: bounds are evaluated
-       branch-free over chunk ranges from the parameter columns, solved
-       metrics land in result columns, and surviving candidates
-       materialize into [t] records once, after the sweep. *)
-    let soa =
-      Cacti_util.Profile.time "column_build" (fun () ->
-          Soa_kernel.build ~cancel ~is_dram survivors)
-    in
-    let n = soa.Soa_kernel.n in
-    let bounds_fn =
-      if prune <> None || bound <> None then Some (bounds_of ~staged spec)
-      else None
-    in
-    (* Sub-stage memo tables.  A sweep over ~2000 survivors has only
-       ~300 distinct subarrays and ~125 distinct decoders (the decoder
-       does not depend on the bitline-mux degree — none of its subarray
-       inputs do), so each is solved once.  Memoized sweeps share the
-       cross-sweep tables keyed by salt: the same designs recur across a
-       study matrix (sizes of one config share most subarray shapes), and
-       a decoder costs ~3 us to design. *)
-    let sub_of, dec_of =
-      if mat_cache <> None then
-        ( (fun ~rows ~cols ~deg ->
-            memoized ~cap:stage_memo_cap g_sub_mu g_sub_tbl
-              (salt, (rows, cols, deg))
-              (fun () -> Mat.subarray_of ~staged ~rows ~cols ~deg)),
-          fun (sub : Subarray.t) ~horiz ~vert ->
-            memoized ~cap:stage_memo_cap g_dec_mu g_dec_tbl
-              (salt, (sub.Subarray.rows, sub.Subarray.cols, horiz, vert))
-              (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert) )
+    match mat_cache with
+    | None -> build ()
+    | Some cache -> cache (Mat.fingerprint_key ~salt ~is_dram ~org g) build
+  in
+  let status = soa.Soa_kernel.status in
+  let eval_one i =
+    let org = soa.Soa_kernel.orgs.(i) and g = soa.Soa_kernel.geos.(i) in
+    let injected = hook i in
+    (* Injected candidates bypass the (evaluation-order-dependent) prunes
+       so the fault counts are identical for every worker count — and so
+       [Fault_force] force-evaluates a candidate the prunes would skip. *)
+    let cls =
+      if injected <> None || bounds_fn = None then `Eval
       else
-        let sub_tbl = Hashtbl.create 512 and sub_mu = Mutex.create () in
-        let dec_tbl = Hashtbl.create 256 and dec_mu = Mutex.create () in
-        ( (fun ~rows ~cols ~deg ->
-            memoized sub_mu sub_tbl (rows, cols, deg) (fun () ->
-                Mat.subarray_of ~staged ~rows ~cols ~deg)),
-          fun (sub : Subarray.t) ~horiz ~vert ->
-            memoized dec_mu dec_tbl
-              (sub.Subarray.rows, sub.Subarray.cols, horiz, vert)
-              (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert) )
+        decide soa.Soa_kernel.b_area.{i} soa.Soa_kernel.b_time.{i}
+          soa.Soa_kernel.b_energy.{i}
     in
-    let solve_mat org g =
-      let build () =
-        Cacti_util.Profile.time "mat_solve" (fun () ->
-            Mat.eval_geometry ~staged ~sub_of ~dec_of ~org g)
-      in
-      match mat_cache with
-      | None -> build ()
-      | Some cache -> cache (Mat.fingerprint_key ~salt ~is_dram ~org g) build
-    in
-    let status = soa.Soa_kernel.status in
-    let eval_one i =
-      let org = soa.Soa_kernel.orgs.(i) and g = soa.Soa_kernel.geos.(i) in
-      let injected = hook i in
-      let cls =
-        if injected <> None || bounds_fn = None then `Eval
-        else
-          decide soa.Soa_kernel.b_area.{i} soa.Soa_kernel.b_time.{i}
-            soa.Soa_kernel.b_energy.{i}
-      in
-      match cls with
-      | `Area ->
-          Atomic.incr n_area_pruned;
-          Bytes.set status i Soa_kernel.st_area_pruned
-      | `Bound ->
-          Atomic.incr n_bound_pruned;
-          Bytes.set status i Soa_kernel.st_bound_pruned
-      | `Eval -> (
-          try
-            (match injected with
-            | Some Fault_exn -> failwith "Bank.enumerate: injected fault"
-            | _ -> ());
-            match (solve_mat org g, injected) with
-            | None, Some Fault_nan ->
-                raise
-                  (Cacti_util.Floatx.Non_finite "t_access is nan (injected)")
-            | None, _ ->
-                Atomic.incr n_nonviable;
-                Bytes.set status i Soa_kernel.st_nonviable
-            | Some mat, inj ->
-                let m = Soa_kernel.metrics_of_mat ~staged ~spec ~org mat in
-                let m =
-                  match inj with
-                  | Some Fault_nan ->
-                      { m with Soa_kernel.m_t_access = Float.nan }
-                  | _ -> m
+    match cls with
+    | `Area ->
+        Atomic.incr n_area_pruned;
+        Bytes.set status i Soa_kernel.st_area_pruned
+    | `Bound ->
+        Atomic.incr n_bound_pruned;
+        Bytes.set status i Soa_kernel.st_bound_pruned
+    | `Eval -> (
+        try
+          (match injected with
+          | Some Fault_exn -> failwith "Bank.enumerate: injected fault"
+          | _ -> ());
+          match (solve_mat org g, injected) with
+          | None, Some Fault_nan ->
+              raise (Cacti_util.Floatx.Non_finite "t_access is nan (injected)")
+          | None, _ ->
+              Atomic.incr n_nonviable;
+              Bytes.set status i Soa_kernel.st_nonviable
+          | Some mat, inj ->
+              let m = Soa_kernel.metrics_of_mat ~staged ~spec ~org mat in
+              let m =
+                match inj with
+                | Some Fault_nan -> { m with Soa_kernel.m_t_access = Float.nan }
+                | _ -> m
+              in
+              Soa_kernel.set_metrics soa i m;
+              check_metrics m;
+              note_champion champion ~area:m.Soa_kernel.m_area
+                ~time:m.Soa_kernel.m_t_access ~energy:m.Soa_kernel.m_e_read;
+              Atomic.incr n_ok;
+              soa.Soa_kernel.mats.(i) <- Some mat;
+              Bytes.set status i Soa_kernel.st_ok
+        with
+        | Cacti_util.Floatx.Non_finite _ when not strict ->
+            Atomic.incr n_nonfinite;
+            Bytes.set status i Soa_kernel.st_nonfinite
+        | (Out_of_memory | Stack_overflow) as e -> raise e
+        | _ when not strict ->
+            Atomic.incr n_raised;
+            Bytes.set status i Soa_kernel.st_raised)
+  in
+  let chunk = 64 in
+  let n_chunks = (n + chunk - 1) / chunk in
+  Cacti_util.Profile.time "kernel_eval" (fun () ->
+      Cacti_util.Pool.run_chunked ~chunk:1 pool n_chunks (fun c ->
+          (* One cancellation poll per partition chunk, outside the
+             per-candidate containment: every pool domain observes a fired
+             token within one chunk and unwinds, so an expired solve aborts
+             in milliseconds. *)
+          Cacti_util.Cancel.check cancel;
+          let lo = c * chunk in
+          let hi = min n (lo + chunk) in
+          (match bounds_fn with
+          | Some f ->
+              for i = lo to hi - 1 do
+                let b =
+                  f ~eff_deg:soa.Soa_kernel.eff_deg.(i)
+                    ~f_n_ctl:soa.Soa_kernel.f_n_ctl.{i}
+                    ~f_out_bits:soa.Soa_kernel.f_out_bits.{i}
+                    ~f_n_mats:soa.Soa_kernel.f_n_mats.{i}
+                    ~f_n_sa:soa.Soa_kernel.f_n_sa.{i}
+                    ~f_wspan:soa.Soa_kernel.f_wspan.{i}
+                    ~f_hspan:soa.Soa_kernel.f_hspan.{i}
+                    ~f_line_cells:soa.Soa_kernel.f_line_cells.{i}
+                    ~f_rows:soa.Soa_kernel.f_rows.{i}
+                    ~f_sensed_pa:soa.Soa_kernel.f_sensed_pa.{i}
+                    ~f_mats_x:soa.Soa_kernel.f_mats_x.{i}
                 in
-                Soa_kernel.set_metrics soa i m;
-                check_metrics_m m;
-                note_champion_v champion ~area:m.Soa_kernel.m_area
-                  ~time:m.Soa_kernel.m_t_access ~energy:m.Soa_kernel.m_e_read;
-                Atomic.incr n_ok;
-                soa.Soa_kernel.mats.(i) <- Some mat;
-                Bytes.set status i Soa_kernel.st_ok
-          with
-          | Cacti_util.Floatx.Non_finite _ when not strict ->
-              Atomic.incr n_nonfinite;
-              Bytes.set status i Soa_kernel.st_nonfinite
-          | (Out_of_memory | Stack_overflow) as e -> raise e
-          | _ when not strict ->
-              Atomic.incr n_raised;
-              Bytes.set status i Soa_kernel.st_raised)
-    in
-    let chunk = 64 in
-    let n_chunks = (n + chunk - 1) / chunk in
-    Cacti_util.Profile.time "kernel_eval" (fun () ->
-        Cacti_util.Pool.run_chunked ~chunk:1 pool n_chunks (fun c ->
-            (* One cancellation poll per partition chunk, outside the
-               per-candidate containment: every pool domain observes a
-               fired token within one chunk and unwinds, so an expired
-               solve aborts in milliseconds. *)
-            Cacti_util.Cancel.check cancel;
-            let lo = c * chunk in
-            let hi = min n (lo + chunk) in
-            (match bounds_fn with
-            | Some f ->
-                for i = lo to hi - 1 do
-                  let b =
-                    f ~eff_deg:soa.Soa_kernel.eff_deg.(i)
-                      ~f_n_ctl:soa.Soa_kernel.f_n_ctl.{i}
-                      ~f_out_bits:soa.Soa_kernel.f_out_bits.{i}
-                      ~f_n_mats:soa.Soa_kernel.f_n_mats.{i}
-                      ~f_n_sa:soa.Soa_kernel.f_n_sa.{i}
-                      ~f_wspan:soa.Soa_kernel.f_wspan.{i}
-                      ~f_hspan:soa.Soa_kernel.f_hspan.{i}
-                      ~f_line_cells:soa.Soa_kernel.f_line_cells.{i}
-                      ~f_rows:soa.Soa_kernel.f_rows.{i}
-                      ~f_sensed_pa:soa.Soa_kernel.f_sensed_pa.{i}
-                      ~f_mats_x:soa.Soa_kernel.f_mats_x.{i}
-                  in
-                  soa.Soa_kernel.b_area.{i} <- b.b_area;
-                  soa.Soa_kernel.b_time.{i} <- b.b_time;
-                  soa.Soa_kernel.b_energy.{i} <- b.b_energy
-                done
-            | None -> ());
-            for i = lo to hi - 1 do
-              eval_one i
-            done));
-    Soa { sw_spec = spec; sw_staged = staged; sw_soa = soa;
-          sw_counts = counts () }
-  end
+                soa.Soa_kernel.b_area.{i} <- b.b_area;
+                soa.Soa_kernel.b_time.{i} <- b.b_time;
+                soa.Soa_kernel.b_energy.{i} <- b.b_energy
+              done
+          | None -> ());
+          for i = lo to hi - 1 do
+            eval_one i
+          done));
+  {
+    sw_spec = spec;
+    sw_staged = staged;
+    sw_soa = soa;
+    sw_counts =
+      {
+        Cacti_util.Diag.candidates = n_total;
+        evaluated = Atomic.get n_ok;
+        geometry_rejected = n_geometry;
+        page_rejected = n_page;
+        area_pruned = Atomic.get n_area_pruned;
+        bound_pruned = Atomic.get n_bound_pruned;
+        nonviable = Atomic.get n_nonviable;
+        nonfinite = Atomic.get n_nonfinite;
+        raised = Atomic.get n_raised;
+      };
+  }
 
 let sweep_bank sw i =
   let soa = sw.sw_soa in
@@ -665,26 +537,18 @@ let materialize_all sw =
   done;
   !banks
 
-let enumerate_counts ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl
-    ?max_ndbl ?strict ?kernel ?screened spec =
-  match
-    run ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl ?strict
-      ?kernel ?screened spec
-  with
-  | Banks (banks, counts) -> (banks, counts)
-  | Soa sw -> (materialize_all sw, sw.sw_counts)
+let enumerate_soa = run
 
-let enumerate_soa ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl
-    ?strict ?screened spec =
-  match
+let enumerate_counts ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl
+    ?max_ndbl ?strict ?screened spec =
+  let sw =
     run ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl ?strict
-      ~kernel:true ?screened spec
-  with
-  | Soa sw -> sw
-  | Banks _ -> assert false
+      ?screened spec
+  in
+  (materialize_all sw, sw.sw_counts)
 
 let enumerate ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl
-    ?strict ?kernel ?screened spec =
+    ?strict ?screened spec =
   fst
     (enumerate_counts ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl
-       ?max_ndbl ?strict ?kernel ?screened spec)
+       ?max_ndbl ?strict ?screened spec)

@@ -58,7 +58,7 @@ val bank_of_metrics :
   t
 (** Materialize a bank record from a solved mat and its flat metrics
     (see {!Soa_kernel.metrics_of_mat}); the single constructor behind
-    both the scalar path and the columnar kernel. *)
+    both {!evaluate} and the columnar sweep. *)
 
 val assemble :
   staged:Cacti_circuit.Staged.t ->
@@ -69,49 +69,35 @@ val assemble :
 (** The bank-level model on top of a solved mat:
     [bank_of_metrics ... (Soa_kernel.metrics_of_mat ...)]. *)
 
-type bounds = { b_area : float; b_time : float; b_energy : float }
-(** Admissible lower bounds on a candidate's final [area], [t_access] and
-    [e_read], computed from its geometry alone. *)
-
-val lower_bounds :
-  staged:Cacti_circuit.Staged.t ->
-  Array_spec.t ->
-  Org.t ->
-  Mat.geometry ->
-  bounds
-(** [lower_bounds ~staged spec] stages the per-spec constants and returns
-    the per-candidate bound function.  Each bound is provably [<=] the
-    metric {!evaluate} would report for that candidate: area counts the
-    cell matrix plus the sense-amp strip and control replication (the
-    cell matrix alone is organization-invariant, so the sense amps — per
-    active column on DRAM — carry all the discrimination); time counts
-    H-tree traversal over the minimum bank extent plus the closed-form
-    wordline flight and bitline development/charge-share RC; energy
-    counts H-tree link energy plus per-mat sensing and DRAM restore.
-    All kept strictly conservative against float rounding by a 0.999
-    factor. *)
-
-val area_lower_bound :
-  Array_spec.t -> Org.t -> Mat.geometry -> float
-(** [fun org g -> (lower_bounds ~staged spec org g).b_area] with freshly
-    staged constants. *)
-
 type bound_policy = { acctime_pct : float; energy_only : bool }
 (** Policy of the branch-and-bound prune (the [?bound] argument of
-    {!enumerate_counts}).  A candidate [c] is pruned when, against the
-    smallest-area candidate evaluated so far (the champion, of area [A],
-    access time [T] and read energy [E]):
+    {!enumerate_counts}).  Every screened candidate gets admissible lower
+    bounds [b_area], [b_time] and [b_energy] on its final [area],
+    [t_access] and [e_read], computed from its geometry alone (the
+    {!Soa_kernel.t} [b_*] columns): area counts the cell matrix plus the
+    sense-amp strip and control replication (the cell matrix alone is
+    organization-invariant, so the sense amps — per active column on DRAM
+    — carry all the discrimination); time counts H-tree traversal over the
+    minimum bank extent plus the closed-form wordline flight and bitline
+    development/charge-share RC; energy counts H-tree link energy plus
+    per-mat sensing and DRAM restore.  All are kept strictly conservative
+    against float rounding by a 0.999 factor.
+
+    A candidate [c] is pruned when, against the smallest-area candidate
+    evaluated so far (the champion, of area [A], access time [T] and read
+    energy [E]):
 
     - [c.b_area > A] and [c.b_time > T * (1 + acctime_pct)]; or
     - [energy_only] and [c.b_area > A] and [c.b_time > T] and
       [c.b_energy > E].
 
     Both rules are sound for the staged selection of Section 2.4
-    ({!Cacti.Optimizer.select_result} with the same [max_acctime_pct]): if
-    such a [c] survived the final area filter, so would the champion
-    (its area is strictly smaller), so the time filter's [best_t] is at
-    most [T], which [c] fails; [c] can neither lower [best_area] nor any
-    objective normalization it participates in.  The [energy_only] rule
+    ({!Cacti.Optimizer.select_soa_result} with the same
+    [max_acctime_pct]): if such a [c] survived the final area filter, so
+    would the champion (its area is strictly smaller), so the time
+    filter's [best_t] is at most [T], which [c] fails; [c] can neither
+    lower [best_area] nor any objective normalization it participates
+    in.  The [energy_only] rule
     additionally requires that the objective weighs nothing but dynamic
     read energy — with the champion inside the time filter, a candidate
     worse on area, time and read energy can never attain a strictly
@@ -150,7 +136,6 @@ val enumerate_counts :
   ?max_ndwl:int ->
   ?max_ndbl:int ->
   ?strict:bool ->
-  ?kernel:bool ->
   ?screened:((Org.t * Mat.geometry) list * int * int * int) ->
   Array_spec.t ->
   t list * Cacti_util.Diag.counts
@@ -176,14 +161,14 @@ val enumerate_counts :
     same technology).  The cached value is the same pure function of the
     key, so results are bit-identical with or without it.
 
-    [kernel] (default true) evaluates the sweep through the columnar
-    {!Soa_kernel} batch path: survivors are flattened into float64
-    parameter columns, bounds and metrics are computed over chunk ranges,
-    distinct subarray/decoder sub-stages are solved once per sweep, and
-    survivors materialize into records only at the end.  [~kernel:false]
-    selects the per-candidate scalar reference path.  Both paths are
-    bit-identical: same banks in the same order (at one worker; same
-    staged-selection winner at any worker count), same counts.
+    The sweep runs through the columnar {!Soa_kernel} store: survivors
+    are flattened into float64 parameter columns, bounds and metrics are
+    computed over chunk ranges, distinct subarray/decoder sub-stages are
+    solved once per sweep, and survivors materialize into records only at
+    the end.  Without prunes the result equals the naive per-candidate
+    reference in [test/oracle/solver_naive.ml] ({!evaluate} on every
+    candidate of {!Org.candidates} that passes {!Mat.classify}): same
+    banks in the same order, same counts.
 
     [screened] supplies a precomputed screen result
     ([(survivors, n_total, n_geometry, n_page)], as returned by
@@ -196,14 +181,13 @@ val enumerate_counts :
     killing the sweep.  [strict] (default false) disables the containment
     and lets the first such failure propagate.
 
-    [cancel] is polled at partition boundaries — once per evaluation chunk
-    on the kernel path, once per candidate on the scalar path, every few
-    hundred candidates inside the column build — {e outside} the fault
-    containment, so a fired token aborts the whole sweep with
-    {!Cacti_util.Cancel.Cancelled} within milliseconds instead of being
-    counted as a candidate fault.  A token that never fires changes
-    nothing: solutions and counts are bit-identical to a run without
-    one. *)
+    [cancel] is polled at partition boundaries — once per evaluation
+    chunk, every few hundred candidates inside the column build —
+    {e outside} the fault containment, so a fired token aborts the whole
+    sweep with {!Cacti_util.Cancel.Cancelled} within milliseconds instead
+    of being counted as a candidate fault.  A token that never fires
+    changes nothing: solutions and counts are bit-identical to a run
+    without one. *)
 
 val enumerate :
   ?pool:Cacti_util.Pool.t ->
@@ -214,7 +198,6 @@ val enumerate :
   ?max_ndwl:int ->
   ?max_ndbl:int ->
   ?strict:bool ->
-  ?kernel:bool ->
   ?screened:((Org.t * Mat.geometry) list * int * int * int) ->
   Array_spec.t ->
   t list
@@ -226,7 +209,7 @@ type sweep = {
   sw_soa : Soa_kernel.t;
   sw_counts : Cacti_util.Diag.counts;
 }
-(** A completed kernel sweep still in columnar form: every evaluated
+(** A completed sweep still in columnar form: every evaluated
     candidate's metrics live in the {!Soa_kernel.t} result columns, with
     records not yet materialized.  Consumers that only need an argmin
     (e.g. {!Cacti.Optimizer.select_soa_result}) can scan the columns and
@@ -244,14 +227,11 @@ val enumerate_soa :
   ?screened:((Org.t * Mat.geometry) list * int * int * int) ->
   Array_spec.t ->
   sweep
-(** {!enumerate_counts} with [~kernel:true], returning the sweep in
-    columnar form instead of materializing every surviving bank record.
-    [materialize_all]-ing the result (what {!enumerate_counts} does)
-    yields the exact list the scalar path produces. *)
+(** The sweep itself, in columnar form: {!enumerate_counts} is this
+    with every surviving bank record materialized. *)
 
 val sweep_bank : sweep -> int -> t
 (** Materialize candidate [i] of the sweep (its position in the screened
-    enumeration order) into a full bank record; bit-identical to the
-    record the scalar path builds for that candidate.  Raises
-    [Invalid_argument] if the candidate did not evaluate (status is not
-    [st_ok]). *)
+    enumeration order) into a full bank record; bit-identical to
+    {!evaluate} of that candidate.  Raises [Invalid_argument] if the
+    candidate did not evaluate (status is not [st_ok]). *)

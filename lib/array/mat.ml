@@ -366,11 +366,11 @@ let fingerprint ~spec ~(org : Org.t) (g : geometry) =
    sub-stages — the subarray (bitline RC + cell geometry, a function of
    (rows, cols, deg)) and the row decoder (a function of the subarray and
    (horiz, vert)) — plus the closed-form combination of both with the
-   staged sense amp and output muxes.  The scalar path instantiates the
-   sub-stages directly; the SoA kernel supplies memoizing providers so
+   staged sense amp and output muxes.  [make_staged] instantiates the
+   sub-stages directly; the SoA sweep supplies memoizing providers so
    that a 2000-survivor sweep solves each distinct subarray (~300) and
-   decoder (~125) once.  Both paths run the exact same expressions on the
-   exact same float inputs, so they are bit-identical. *)
+   decoder (~125) once.  Both run the exact same expressions on the exact
+   same float inputs, so they are bit-identical. *)
 
 let subarray_of ~(staged : Staged.t) ~rows ~cols ~deg =
   (* Sense amplifiers first (their input loading feeds the bitline). *)

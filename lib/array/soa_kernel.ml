@@ -14,8 +14,8 @@ open Cacti_circuit
 
    All parameter columns store [float_of_int] of exact integer quantities
    well inside the 2^53 mantissa, and all result columns round-trip IEEE
-   float64 values losslessly, so a kernel sweep is bit-identical to the
-   scalar reference path. *)
+   float64 values losslessly, so a bank read back out of the columns is
+   bit-identical to [Bank.evaluate] of the same candidate. *)
 
 type col = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -118,10 +118,8 @@ let build ?(cancel = Cacti_util.Cancel.never) ~is_dram survivors =
     if i land 511 = 0 then Cacti_util.Cancel.check cancel;
     let org = orgs.(i) and g = geos.(i) in
     let mats_x = Org.mats_x org and mats_y = Org.mats_y org in
-    (* Each scalar below is [float_of_int] of the exact integer expression
-       the record-based bound evaluation uses, so feeding the bounds
-       kernel from these columns is bit-identical to feeding it from the
-       (org, geometry) records. *)
+    (* Each value below is [float_of_int] of an exact integer expression
+       over the candidate's organization and geometry. *)
     let n_wordlines = g.Mat.g_rows_sub * g.Mat.g_vert in
     let n_ctl = 60 + (2 * Cacti_util.Floatx.clog2 (max 2 n_wordlines)) in
     t.eff_deg.(i) <- (if is_dram then 1 else org.Org.deg_bl_mux);
@@ -200,8 +198,8 @@ let get_metrics t i : metrics =
 (* The bank-level model on top of a solved mat: H-tree distribution,
    timings, energies, leakage, refresh and area.  Pure float math against
    the staged constants — no circuit design happens here.  This is the
-   single implementation behind both the scalar [Bank.assemble] and the
-   columnar kernel sweep. *)
+   single implementation behind both [Bank.assemble] and the columnar
+   sweep. *)
 let metrics_of_mat ~(staged : Staged.t) ~spec ~(org : Org.t) (mat : Mat.t) =
   let { Array_spec.output_bits; _ } = spec in
   let is_dram = staged.Staged.is_dram in

@@ -7,8 +7,8 @@
     branch-free float math over chunked ranges instead of per-candidate
     closures and records.  Parameter columns store [float_of_int] of
     exact integers (well inside the float64 mantissa) and result columns
-    round-trip losslessly, so kernel sweeps are bit-identical to the
-    scalar path. *)
+    round-trip losslessly, so a bank read back out of the columns is
+    bit-identical to {!Cacti_array.Bank.evaluate} of the same candidate. *)
 
 type col = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -83,11 +83,10 @@ type t = {
 val build :
   ?cancel:Cacti_util.Cancel.t -> is_dram:bool -> (Org.t * Mat.geometry) list -> t
 (** Flatten screened survivors into parameter columns (the column_build
-    phase).  Every scalar stored is [float_of_int] of the exact integer
-    expression the record-based bound evaluation computes, so feeding a
-    kernel from the columns is bit-identical to feeding it from the
-    records.  [cancel] is polled every few hundred candidates; a fired
-    token aborts the build with {!Cacti_util.Cancel.Cancelled}. *)
+    phase).  Every value stored is [float_of_int] of an exact integer
+    expression over the candidate's organization and geometry.  [cancel]
+    is polled every few hundred candidates; a fired token aborts the
+    build with {!Cacti_util.Cancel.Cancelled}. *)
 
 val set_metrics : t -> int -> metrics -> unit
 val get_metrics : t -> int -> metrics
@@ -118,5 +117,5 @@ val metrics_of_mat :
   metrics
 (** The bank-level model on top of a solved mat: H-tree distribution,
     timings, energies, leakage, refresh and area.  The single
-    implementation behind both the scalar [Bank.assemble] and the
-    columnar kernel sweep. *)
+    implementation behind both {!Cacti_array.Bank.assemble} and the
+    columnar sweep. *)

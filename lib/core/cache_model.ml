@@ -119,7 +119,7 @@ let describe_array (s : Cache_spec.t) part =
     part s.Cache_spec.capacity_bytes s.Cache_spec.assoc
 
 let solve_diag ?jobs ?cancel ?(params = Opt_params.default) ?(strict = false)
-    ?memo ?kernel s =
+    s =
   let open Cacti_util in
   match (Cache_spec.validate s, Opt_params.validate params) with
   | Error d1, Error d2 -> Error (d1 @ d2)
@@ -134,7 +134,7 @@ let solve_diag ?jobs ?cancel ?(params = Opt_params.default) ?(strict = false)
       | dspec, tspec -> (
           let pool = Pool.create ?jobs () in
           let solve_one part spec =
-            Solve_cache.select_bank_result ~pool ?cancel ~strict ?memo ?kernel
+            Solve_cache.select_bank_result ~pool ?cancel ~strict
               ~what:(describe_array s part) ~params spec
           in
           match solve_one "data array" dspec with
@@ -159,27 +159,27 @@ let solve_diag ?jobs ?cancel ?(params = Opt_params.default) ?(strict = false)
                         (make_comparator s),
                       summary ))))
 
-let solve ?jobs ?(params = Opt_params.default) ?(strict = false) ?kernel s =
+let solve ?jobs ?(params = Opt_params.default) ?(strict = false) s =
   let pool = Cacti_util.Pool.create ?jobs () in
   let dspec = with_repeater_penalty params (data_spec s) in
   let tspec = with_repeater_penalty params (tag_spec s) in
   let data =
-    Solve_cache.select_bank ~pool ~strict ?kernel
+    Solve_cache.select_bank ~pool ~strict
       ~what:(describe_array s "data array") ~params dspec
   in
   let tag =
-    Solve_cache.select_bank ~pool ~strict ?kernel
+    Solve_cache.select_bank ~pool ~strict
       ~what:(describe_array s "tag array") ~params tspec
   in
   combine s data tag (make_comparator s)
 
-let solve_space ?jobs ?(params = Opt_params.default) ?kernel s =
+let solve_space ?jobs ?(params = Opt_params.default) s =
   let pool = Cacti_util.Pool.create ?jobs () in
   let dspec = with_repeater_penalty params (data_spec s) in
   let tspec = with_repeater_penalty params (tag_spec s) in
   let tag =
-    Solve_cache.select_bank ~pool ?kernel
-      ~what:(describe_array s "tag array") ~params tspec
+    Solve_cache.select_bank ~pool ~what:(describe_array s "tag array") ~params
+      tspec
   in
   let cmp = make_comparator s in
   let open Opt_params in
@@ -189,7 +189,7 @@ let solve_space ?jobs ?(params = Opt_params.default) ?kernel s =
      point solves and cannot change any candidate. *)
   let candidates =
     Bank.enumerate ~pool ~prune:params.max_area_pct
-      ~mat_cache:(Solve_cache.mat_memo_here ()) ?kernel
+      ~mat_cache:(Solve_cache.mat_memo_here ())
       ~screened:(Solve_cache.screened_for dspec) dspec
   in
   if candidates = [] then []

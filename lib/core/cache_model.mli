@@ -25,8 +25,6 @@ val solve_diag :
   ?cancel:Cacti_util.Cancel.t ->
   ?params:Opt_params.t ->
   ?strict:bool ->
-  ?memo:bool ->
-  ?kernel:bool ->
   Cache_spec.t ->
   (t * Cacti_util.Diag.summary, Cacti_util.Diag.t list) result
 (** Fault-contained solve with structured diagnostics: validates the spec
@@ -35,21 +33,15 @@ val solve_diag :
     the sweeps (candidates considered, rejections by reason, memo hits).
     [Error] carries the validation or no-solution diagnostics.  [strict]
     (default false) disables the sweep's per-candidate fault containment so
-    the first NaN or exception propagates.  [memo] (default true) is
-    {!Solve_cache.select_bank_result}'s escape hatch: [false] bypasses both
-    memo tables; the solution is bit-identical either way.  [kernel]
-    (default true) selects the columnar batch sweep; [~kernel:false] the
-    scalar reference path — also bit-identical (see
-    {!Cacti_array.Bank.enumerate_counts}).  [cancel] is threaded into both
+    the first NaN or exception propagates.  Both arrays are solved through
+    {!Solve_cache.select_bank_result}.  [cancel] is threaded into both
     sweeps; a fired token aborts the solve with
-    {!Cacti_util.Cancel.Cancelled} (see
-    {!Solve_cache.select_bank_result}). *)
+    {!Cacti_util.Cancel.Cancelled}. *)
 
 val solve :
   ?jobs:int ->
   ?params:Opt_params.t ->
   ?strict:bool ->
-  ?kernel:bool ->
   Cache_spec.t ->
   t
 (** Optimizer-selected solution.  [jobs] caps the worker domains used to
@@ -58,7 +50,6 @@ val solve :
     worker count.  Data and tag solves are memoized in {!Solve_cache}.
     Raises {!Optimizer.No_solution} when no valid organization exists. *)
 
-val solve_space :
-  ?jobs:int -> ?params:Opt_params.t -> ?kernel:bool -> Cache_spec.t -> t list
+val solve_space : ?jobs:int -> ?params:Opt_params.t -> Cache_spec.t -> t list
 (** All combined solutions passing the staged constraints with the tag array
     fixed to its optimum — the population behind the Figure 1 bubbles. *)

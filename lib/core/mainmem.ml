@@ -182,7 +182,7 @@ let assemble params (c : chip) (bank : Bank.t) =
   }
 
 let solve_diag ?jobs ?cancel ?(params = Opt_params.area_optimal)
-    ?(strict = false) ?memo ?kernel (c : chip) =
+    ?(strict = false) (c : chip) =
   let open Cacti_util in
   match (validate c, Opt_params.validate params) with
   | Error d1, Error d2 -> Error (d1 @ d2)
@@ -195,8 +195,7 @@ let solve_diag ?jobs ?cancel ?(params = Opt_params.area_optimal)
       | spec -> (
           match
             Solve_cache.select_bank_result ~pool ?cancel ~max_ndwl:128
-              ~max_ndbl:256 ~strict ?memo ?kernel ~what:(describe_bank c)
-              ~params spec
+              ~max_ndbl:256 ~strict ~what:(describe_bank c) ~params spec
           with
           | Error ds -> Error ds
           | Ok o ->
@@ -209,12 +208,12 @@ let solve_diag ?jobs ?cancel ?(params = Opt_params.area_optimal)
               in
               Ok (assemble params c o.Solve_cache.bank, summary)))
 
-let solve ?jobs ?(params = Opt_params.area_optimal) ?(strict = false) ?kernel
+let solve ?jobs ?(params = Opt_params.area_optimal) ?(strict = false)
     (c : chip) =
   let pool = Cacti_util.Pool.create ?jobs () in
   let spec = bank_spec params c in
   let bank =
-    Solve_cache.select_bank ~pool ~max_ndwl:128 ~max_ndbl:256 ~strict ?kernel
+    Solve_cache.select_bank ~pool ~max_ndwl:128 ~max_ndbl:256 ~strict
       ~what:(describe_bank c) ~params spec
   in
   assemble params c bank

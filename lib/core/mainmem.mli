@@ -90,25 +90,20 @@ val solve_diag :
   ?cancel:Cacti_util.Cancel.t ->
   ?params:Opt_params.t ->
   ?strict:bool ->
-  ?memo:bool ->
-  ?kernel:bool ->
   chip ->
   (t * Cacti_util.Diag.summary, Cacti_util.Diag.t list) result
 (** Fault-contained solve with structured diagnostics: validates the chip
     and the optimization parameters, then solves the bank, returning the
     chip model plus the sweep summary.  [strict] disables the sweep's
-    per-candidate fault containment.  [memo] (default true) consults the
-    {!Solve_cache} tables; [~memo:false] solves table-free (bit-identical,
-    for determinism tests).  [kernel] (default true) selects the columnar
-    batch sweep; [~kernel:false] the bit-identical scalar path.  [cancel]
-    aborts the sweep with {!Cacti_util.Cancel.Cancelled} when the token
-    fires (see {!Solve_cache.select_bank_result}). *)
+    per-candidate fault containment.  The bank is solved through
+    {!Solve_cache.select_bank_result} on a 128x256 partition grid.
+    [cancel] aborts the sweep with {!Cacti_util.Cancel.Cancelled} when the
+    token fires. *)
 
 val solve :
   ?jobs:int ->
   ?params:Opt_params.t ->
   ?strict:bool ->
-  ?kernel:bool ->
   chip ->
   t
 (** Default parameters emphasize area efficiency (price per bit), like the

@@ -2,86 +2,16 @@ open Cacti_array
 
 exception No_solution of string
 
-let min_by f = function
-  | [] -> invalid_arg "Optimizer.min_by: empty candidate list"
-  | x :: rest ->
-      (* A NaN key would compare false against everything and silently
-         vanish from (or win) the minimization depending on list position;
-         reject it loudly instead. *)
-      let key y =
-        let k = f y in
-        if Float.is_nan k then invalid_arg "Optimizer.min_by: NaN key" else k
-      in
-      ignore (key x);
-      List.fold_left (fun acc y -> if key y < f acc then y else acc) x rest
-
 let safe_div x m = if m > 0. then x /. m else 1.
 
-let objective ~weights ~norm (b : Bank.t) =
-  let open Opt_params in
-  let obj =
-    (weights.w_dynamic *. safe_div b.Bank.e_read norm.Bank.e_read)
-    +. (weights.w_leakage
-       *. safe_div
-            (b.Bank.p_leakage +. b.Bank.p_refresh)
-            (norm.Bank.p_leakage +. norm.Bank.p_refresh))
-    +. (weights.w_cycle
-       *. safe_div b.Bank.t_random_cycle norm.Bank.t_random_cycle)
-    +. (weights.w_interleave
-       *. safe_div b.Bank.t_interleave norm.Bank.t_interleave)
-  in
-  if Float.is_nan obj then
-    invalid_arg "Optimizer.objective: NaN objective (NaN metric or weight)"
-  else obj
-
-let norm_of candidates =
-  let m f = List.fold_left (fun acc b -> min acc (f b)) Float.infinity candidates in
-  let proto = List.hd candidates in
-  {
-    proto with
-    Bank.e_read = m (fun b -> b.Bank.e_read);
-    p_leakage = m (fun b -> b.Bank.p_leakage);
-    p_refresh = m (fun b -> b.Bank.p_refresh);
-    t_random_cycle = m (fun b -> b.Bank.t_random_cycle);
-    t_interleave = m (fun b -> b.Bank.t_interleave);
-  }
-
-let select_result ?(what = "array") ~params candidates =
-  let open Opt_params in
-  match candidates with
-  | [] ->
-      Error
-        (Printf.sprintf
-           "%s: no valid organization in the enumerated design space" what)
-  | _ ->
-      let best_area = (min_by (fun b -> b.Bank.area) candidates).Bank.area in
-      let within_area =
-        List.filter
-          (fun b -> b.Bank.area <= best_area *. (1. +. params.max_area_pct))
-          candidates
-      in
-      let best_t =
-        (min_by (fun b -> b.Bank.t_access) within_area).Bank.t_access
-      in
-      let within_t =
-        List.filter
-          (fun b -> b.Bank.t_access <= best_t *. (1. +. params.max_acctime_pct))
-          within_area
-      in
-      let norm = norm_of within_t in
-      Ok (min_by (objective ~weights:params.weights ~norm) within_t)
-
-let select ?what ~params candidates =
-  match select_result ?what ~params candidates with
-  | Ok b -> b
-  | Error msg -> raise (No_solution msg)
-
-(* The staged selection of [select_result] fused over a kernel sweep's
-   metric columns, without materializing candidate records.  Bit-identical
-   to [select_result (Bank.materialize_all sw)]: the filters and argmins
-   read the very float64 column values the records are built from, the
-   ascending-index scans with strict [<] reproduce [min_by]'s first-wins
-   tie-breaking over the (ascending-order) materialized list, and the NaN
+(* The staged selection of Section 2.4 run over a sweep's metric
+   columns, without materializing candidate records: max-area filter,
+   then max-access-time filter, then the weighted objective normalized by
+   the per-metric minima of the survivors.  It crowns exactly the bank
+   the list-based reference in test/oracle/solver_naive.ml picks from the
+   materialized sweep: the filters and argmins read the very float64
+   column values the records are built from, the ascending-index scans
+   with strict [<] keep the earliest candidate on ties, and the NaN
    guards raise the same exceptions at the same points. *)
 let select_soa_result ?(what = "array") ~params (soa : Soa_kernel.t) =
   let open Opt_params in
@@ -94,8 +24,8 @@ let select_soa_result ?(what = "array") ~params (soa : Soa_kernel.t) =
   let e_read = Soa_kernel.col_e_read soa in
   let p_leakage = Soa_kernel.col_p_leakage soa in
   let p_refresh = Soa_kernel.col_p_refresh soa in
-  (* [min_by key] over the candidates passing [pass], with the same NaN
-     guard and empty-set error as the list version. *)
+  (* The minimum of [key] over the candidates passing [pass]; a NaN key
+     or an empty set is an error rather than a silent pick. *)
   let min_key pass (key : Soa_kernel.col) =
     let best = ref Float.nan and found = ref false in
     for i = 0 to n - 1 do
@@ -130,7 +60,8 @@ let select_soa_result ?(what = "array") ~params (soa : Soa_kernel.t) =
     for i = 0 to n - 1 do
       if ok i && in_t i then any_t := true
     done;
-    (* [norm_of []] dies on [List.hd]; keep the failure identical. *)
+    (* Unreachable for validated parameters (the access-time argmin always
+       passes its own filter); fails as the list reference does. *)
     if not !any_t then failwith "hd";
     let col_min (c : Soa_kernel.col) =
       let acc = ref Float.infinity in

@@ -2,53 +2,27 @@
     candidate organizations of one array. *)
 
 exception No_solution of string
-(** Raised by {!select} when the candidate list is empty; the message names
-    the array being solved, so a failing [solve] is diagnosable. *)
-
-val min_by : ('a -> float) -> 'a list -> 'a
-(** First element minimizing [f] (ties keep the earliest).  Raises
-    [Invalid_argument] on an empty list, and on a NaN key — NaN compares
-    false against everything, so it would otherwise silently vanish from or
-    win the minimization depending on list position. *)
-
-val objective :
-  weights:Opt_params.weights ->
-  norm:Cacti_array.Bank.t ->
-  Cacti_array.Bank.t ->
-  float
-(** Normalized weighted objective of a candidate against per-metric
-    minima collected in [norm].  Raises [Invalid_argument] if the result is
-    NaN (a NaN metric or weight slipped past the upstream guards). *)
-
-val select_result :
-  ?what:string ->
-  params:Opt_params.t ->
-  Cacti_array.Bank.t list ->
-  (Cacti_array.Bank.t, string) result
-(** Applies max-area filter, then max-acctime filter, then the weighted
-    objective.  [Error] names [what] (default ["array"]) on an empty
-    candidate list.  Ties on the objective keep the earliest candidate in
-    list order, so the choice is deterministic for a fixed enumeration
-    order regardless of how the evaluations were scheduled. *)
-
-val select :
-  ?what:string ->
-  params:Opt_params.t ->
-  Cacti_array.Bank.t list ->
-  Cacti_array.Bank.t
-(** Like {!select_result} but raises {!No_solution} on an empty list. *)
+(** Raised by {!Solve_cache.select_bank} and the model [solve] functions
+    when the design space holds no valid organization; the message names
+    the array being solved, so a failing solve is diagnosable. *)
 
 val select_soa_result :
   ?what:string ->
   params:Opt_params.t ->
   Cacti_array.Soa_kernel.t ->
   (int, string) result
-(** {!select_result} fused over a kernel sweep's metric columns: returns
-    the winning candidate's sweep index without materializing the losing
-    candidates' records.  Bit-identical to running {!select_result} on
-    [Bank.materialize_all] of the sweep — same winner (materialize it
-    with {!Cacti_array.Bank.sweep_bank}), same [Error] on an empty
-    evaluated set, same exceptions on NaN metrics. *)
+(** The staged selection over a sweep's metric columns: applies the
+    max-area filter, then the max-acctime filter, then the weighted
+    objective (each metric normalized by its minimum over the survivors of
+    both filters), and returns the winning candidate's sweep index
+    without materializing any record (materialize it with
+    {!Cacti_array.Bank.sweep_bank}).  Ties keep the earliest candidate in
+    sweep order, so the choice is deterministic whatever the evaluation
+    schedule.  [Error] names [what] (default ["array"]) when no candidate
+    evaluated.  Raises [Invalid_argument] on a NaN metric or objective.
+    The contract is the list-based reference in
+    [test/oracle/solver_naive.ml]: same winner, same [Error], same
+    exceptions. *)
 
 val pareto_access_area :
   Cacti_array.Bank.t list -> Cacti_array.Bank.t list

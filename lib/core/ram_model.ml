@@ -84,7 +84,7 @@ let assemble (s : spec) (bank : Bank.t) =
   }
 
 let solve_diag ?jobs ?cancel ?(params = Opt_params.default) ?(strict = false)
-    ?kernel s =
+    s =
   let open Cacti_util in
   match (validate s, Opt_params.validate params) with
   | Error d1, Error d2 -> Error (d1 @ d2)
@@ -96,7 +96,7 @@ let solve_diag ?jobs ?cancel ?(params = Opt_params.default) ?(strict = false)
           Error [ Diag.error ~component:"ram_model" ~reason:"derived_spec" msg ]
       | aspec -> (
           match
-            Solve_cache.select_bank_result ~pool ?cancel ~strict ?kernel
+            Solve_cache.select_bank_result ~pool ?cancel ~strict
               ~what:(describe s) ~params aspec
           with
           | Error ds -> Error ds
@@ -110,10 +110,10 @@ let solve_diag ?jobs ?cancel ?(params = Opt_params.default) ?(strict = false)
               in
               Ok (assemble s o.Solve_cache.bank, summary)))
 
-let solve ?jobs ?(params = Opt_params.default) ?(strict = false) ?kernel s =
+let solve ?jobs ?(params = Opt_params.default) ?(strict = false) s =
   let pool = Cacti_util.Pool.create ?jobs () in
   let bank =
-    Solve_cache.select_bank ~pool ~strict ?kernel ~what:(describe s) ~params
+    Solve_cache.select_bank ~pool ~strict ~what:(describe s) ~params
       (bank_spec params s)
   in
   assemble s bank

@@ -46,22 +46,19 @@ val solve_diag :
   ?cancel:Cacti_util.Cancel.t ->
   ?params:Opt_params.t ->
   ?strict:bool ->
-  ?kernel:bool ->
   spec ->
   (t * Cacti_util.Diag.summary, Cacti_util.Diag.t list) result
 (** Fault-contained solve with structured diagnostics: validates the spec
     and the optimization parameters, then solves the bank, returning the
     macro model plus the sweep summary.  [strict] disables the sweep's
-    per-candidate fault containment.  [kernel] (default true) selects the
-    columnar batch sweep; [~kernel:false] the bit-identical scalar path.
-    [cancel] aborts the sweep with {!Cacti_util.Cancel.Cancelled} when the
-    token fires (see {!Solve_cache.select_bank_result}). *)
+    per-candidate fault containment.  [cancel] aborts the sweep with
+    {!Cacti_util.Cancel.Cancelled} when the token fires (see
+    {!Solve_cache.select_bank_result}). *)
 
 val solve :
   ?jobs:int ->
   ?params:Opt_params.t ->
   ?strict:bool ->
-  ?kernel:bool ->
   spec ->
   t
 (** [jobs] caps the worker domains of the design-space sweep; solves are

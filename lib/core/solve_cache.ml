@@ -199,8 +199,7 @@ let bound_policy (params : Opt_params.t) =
   }
 
 let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
-    ?(max_ndwl = 64) ?(max_ndbl = 64) ?(strict = false) ?(memo = true)
-    ?(kernel = true) ?what ~params spec =
+    ?(max_ndwl = 64) ?(max_ndbl = 64) ?(strict = false) ?what ~params spec =
   let open Cacti_util in
   match (Array_spec.validate spec, Opt_params.validate params) with
   | Error d1, Error d2 -> Error (d1 @ d2)
@@ -210,8 +209,7 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
          closures below run inside pool domains and must not re-resolve. *)
       let sh = current_shard () in
       let key = fingerprint ~max_ndwl ~max_ndbl ~params spec in
-      let cached = if memo then Lru.find sh.sh_banks key else None in
-      match cached with
+      match Lru.find sh.sh_banks key with
       | Some (b, counts) -> Ok { bank = b; counts; from_cache = true }
       | None -> (
           (* Enumerate outside the lock: it is the expensive, internally
@@ -219,47 +217,21 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
              the (identical, deterministic) solution; the first store wins
              so later hits share one value. *)
           let what = match what with Some w -> w | None -> describe spec in
-          let mat_cache =
-            if memo then
-              Some (fun key compute -> Lru.memoize sh.sh_mats key compute)
-            else None
+          let screened = screened_for_shard sh ~max_ndwl ~max_ndbl spec in
+          (* Select over the sweep's metric columns and materialize only
+             the winning record (see {!Optimizer.select_soa_result}). *)
+          let sw =
+            Bank.enumerate_soa ~pool ?cancel
+              ~prune:params.Opt_params.max_area_pct
+              ~bound:(bound_policy params)
+              ~mat_cache:(fun k compute -> Lru.memoize sh.sh_mats k compute)
+              ~max_ndwl ~max_ndbl ~strict ~screened spec
           in
-          (* The incremental screen context rides on [memo] too: with
-             [memo:false] the solve must not touch any shared table, so
-             the determinism tests can prove table-free identity. *)
-          let screened =
-            if memo then Some (screened_for_shard sh ~max_ndwl ~max_ndbl spec)
-            else None
-          in
-          let selected, counts =
-            if kernel then
-              (* Fused kernel path: select over the sweep's metric columns
-                 and materialize only the winning record.  Bit-identical to
-                 materializing every survivor and selecting over the list
-                 (see {!Optimizer.select_soa_result}). *)
-              let sw =
-                Bank.enumerate_soa ~pool ?cancel
-                  ~prune:params.Opt_params.max_area_pct
-                  ~bound:(bound_policy params) ?mat_cache ~max_ndwl
-                  ~max_ndbl ~strict ?screened spec
-              in
-              ( Result.map (Bank.sweep_bank sw)
-                  (Profile.time "optimize" (fun () ->
-                       Optimizer.select_soa_result ~what ~params
-                         sw.Bank.sw_soa)),
-                sw.Bank.sw_counts )
-            else
-              let candidates, counts =
-                Bank.enumerate_counts ~pool ?cancel
-                  ~prune:params.Opt_params.max_area_pct
-                  ~bound:(bound_policy params) ?mat_cache ~max_ndwl
-                  ~max_ndbl ~strict ~kernel:false ?screened spec
-              in
-              ( Profile.time "optimize" (fun () ->
-                    Optimizer.select_result ~what ~params candidates),
-                counts )
-          in
-          match selected with
+          let counts = sw.Bank.sw_counts in
+          match
+            Profile.time "optimize" (fun () ->
+                Optimizer.select_soa_result ~what ~params sw.Bank.sw_soa)
+          with
           | Error msg ->
               (* Failed solves are not memoized: the failure is cheap to
                  reproduce and the histogram may matter to the caller. *)
@@ -269,18 +241,16 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
                   Diag.info ~component:"solver" ~reason:"sweep_counts"
                     (Diag.counts_to_string counts);
                 ]
-          | Ok selected ->
+          | Ok i ->
               let bank, counts =
-                if memo then Lru.publish sh.sh_banks key (selected, counts)
-                else (selected, counts)
+                Lru.publish sh.sh_banks key (Bank.sweep_bank sw i, counts)
               in
               Ok { bank; counts; from_cache = false }))
 
-let select_bank ?pool ?cancel ?max_ndwl ?max_ndbl ?strict ?memo ?kernel ?what
-    ~params spec =
+let select_bank ?pool ?cancel ?max_ndwl ?max_ndbl ?strict ?what ~params spec =
   match
-    select_bank_result ?pool ?cancel ?max_ndwl ?max_ndbl ?strict ?memo
-      ?kernel ?what ~params spec
+    select_bank_result ?pool ?cancel ?max_ndwl ?max_ndbl ?strict ?what ~params
+      spec
   with
   | Ok o -> o.bank
   | Error (d :: _ as ds) ->

@@ -62,32 +62,26 @@ val select_bank_result :
   ?max_ndwl:int ->
   ?max_ndbl:int ->
   ?strict:bool ->
-  ?memo:bool ->
-  ?kernel:bool ->
   ?what:string ->
   params:Opt_params.t ->
   Cacti_array.Array_spec.t ->
   (outcome, Cacti_util.Diag.t list) result
-(** [Optimizer.select_result ~params (Bank.enumerate_counts spec)] with
-    area and branch-and-bound pruning (see
-    {!Cacti_array.Bank.bound_policy}; the energy rule engages only for
-    dynamic-energy-only weightings), memoized.  Validates the spec and the
-    optimization parameters first; an invalid input or an empty surviving
-    design space returns structured diagnostics ([reason] ["no_solution"]
-    carries a ["sweep_counts"] info note with the rejection histogram).
-    Failed solves are not memoized.  [strict] disables the sweep's
-    per-candidate fault containment.
+(** The staged selection of Section 2.4 over the spec's design space,
+    memoized: {!Optimizer.select_soa_result} over
+    {!Cacti_array.Bank.enumerate_soa} with area and branch-and-bound
+    pruning (see {!Cacti_array.Bank.bound_policy}; the energy rule engages
+    only for dynamic-energy-only weightings), materializing only the
+    selected bank.  The sweep reads and fills the mat sub-solution memo
+    and the incremental screen context; the result is published to the
+    selected-bank memo.  Every table holds pure functions of its keys, so
+    the selected bank is the one the naive per-candidate reference in
+    [test/oracle/solver_naive.ml] picks from empty tables.
 
-    [memo] (default true): when false, no memo table is consulted or
-    written — the solve-level table is bypassed and the sweep runs without
-    the mat sub-solution cache or the incremental screen context.  The
-    selected bank is bit-identical either way (the escape hatch exists so
-    the determinism tests can prove that).
-
-    [kernel] (default true) selects the columnar {!Cacti_array.Soa_kernel}
-    sweep; [~kernel:false] the per-candidate scalar reference path.  Both
-    are bit-identical (see {!Cacti_array.Bank.enumerate_counts}), so the
-    flag does not participate in the memo fingerprint.
+    Validates the spec and the optimization parameters first; an invalid
+    input or an empty surviving design space returns structured
+    diagnostics ([reason] ["no_solution"] carries a ["sweep_counts"] info
+    note with the rejection histogram).  Failed solves are not memoized.
+    [strict] disables the sweep's per-candidate fault containment.
 
     [cancel] is threaded into the sweep and polled at partition
     boundaries (see {!Cacti_array.Bank.enumerate_counts}); a fired token
@@ -101,8 +95,6 @@ val select_bank :
   ?max_ndwl:int ->
   ?max_ndbl:int ->
   ?strict:bool ->
-  ?memo:bool ->
-  ?kernel:bool ->
   ?what:string ->
   params:Opt_params.t ->
   Cacti_array.Array_spec.t ->
@@ -175,8 +167,8 @@ val set_mat_capacity : int option -> unit
     differs only in size re-runs just the rows-per-subarray division over
     the prebuilt tree (a {e rows hit}) — only specs with a genuinely new
     shape (cell kind, associativity/row bits, port width, page size, grid
-    bounds) pay a full grid screen.  Consulted only on the memoized solve
-    path ([memo = true], after a bank-memo miss). *)
+    bounds) pay a full grid screen.  Consulted by every solve that misses
+    the selected-bank memo. *)
 
 type incremental = {
   full_hits : int;  (** screened survivors reused outright *)

@@ -284,15 +284,18 @@ let test_screen_tree_instantiation () =
         (compare fresh (Mat.screen_of_tree dtree ~n_rows:rows) = 0))
     [ 2048; 8192 ]
 
-let test_kernel_scalar_identity () =
-  (* The columnar SoA kernel and the per-record scalar path must be
-     observationally indistinguishable: same banks (same order), same
+let test_enumerate_oracle_identity () =
+  (* The columnar sweep must be observationally indistinguishable from the
+     naive per-candidate reference: same banks (same order), same
      rejection histogram.  [compare], not [=]: DRAM timing fields can
      hold NaN. *)
   let check name s =
-    let k = Bank.enumerate_counts ~max_ndwl:16 ~max_ndbl:16 ~kernel:true s in
-    let sc = Bank.enumerate_counts ~max_ndwl:16 ~max_ndbl:16 ~kernel:false s in
-    Alcotest.(check bool) (name ^ ": kernel = scalar") true (compare k sc = 0)
+    let fast = Bank.enumerate_counts ~max_ndwl:16 ~max_ndbl:16 s in
+    let naive =
+      Oracle.Solver_naive.enumerate_counts ~max_ndwl:16 ~max_ndbl:16 s
+    in
+    Alcotest.(check bool) (name ^ ": sweep = oracle") true
+      (compare fast naive = 0)
   in
   check "sram" small_sram;
   check "lp-dram" (spec ~ram:Cell.Lp_dram ~rows:2048 ~row_bits:4096 ~out:512 ());
@@ -300,9 +303,8 @@ let test_kernel_scalar_identity () =
     (spec ~ram:Cell.Comm_dram ~page_bits:8192 ~rows:4096 ~row_bits:8192
        ~out:64 ())
 
-let prop_kernel_scalar_identity =
-  QCheck.Test.make ~name:"random specs: kernel = scalar bit-identical"
-    ~count:10
+let prop_enumerate_oracle_identity =
+  QCheck.Test.make ~name:"random specs: enumerate = oracle" ~count:10
     QCheck.(
       triple (int_range 8 13) (int_range 9 13)
         (oneofl [ Cell.Sram; Cell.Lp_dram; Cell.Comm_dram ]))
@@ -312,37 +314,43 @@ let prop_kernel_scalar_identity =
         spec ~ram ~rows:(1 lsl log_rows) ~row_bits ~out:(min row_bits 64) ()
       in
       compare
-        (Bank.enumerate_counts ~max_ndwl:8 ~max_ndbl:8 ~kernel:true s)
-        (Bank.enumerate_counts ~max_ndwl:8 ~max_ndbl:8 ~kernel:false s)
+        (Bank.enumerate_counts ~max_ndwl:8 ~max_ndbl:8 s)
+        (Oracle.Solver_naive.enumerate_counts ~max_ndwl:8 ~max_ndbl:8 s)
       = 0)
 
 let test_lower_bounds_admissible () =
-  (* Every admissible bound must sit at or below the metric the full
-     evaluation reports — over every survivor of the grid, not just the
-     winners. *)
+  (* Every bound the sweep prunes on must sit at or below the metric the
+     full evaluation reports — over every survivor of the grid, not just
+     the winners.  Infinite slack computes the bound columns without
+     letting them prune anything, so every candidate is checked. *)
   let check name s =
-    let staged = Mat.staged_of_spec s in
-    let survivors, _, _, _ = Mat.screen ~max_ndwl:16 ~max_ndbl:16 ~spec:s () in
+    let sw =
+      Bank.enumerate_soa ~max_ndwl:16 ~max_ndbl:16 ~prune:Float.infinity
+        ~bound:{ Bank.acctime_pct = Float.infinity; energy_only = false }
+        s
+    in
+    let soa = sw.Bank.sw_soa and c = sw.Bank.sw_counts in
+    Alcotest.(check int) (name ^ ": nothing pruned") 0
+      (c.Cacti_util.Diag.area_pruned + c.Cacti_util.Diag.bound_pruned);
+    let area = Soa_kernel.col_area soa
+    and t_access = Soa_kernel.col_t_access soa
+    and e_read = Soa_kernel.col_e_read soa in
     let n = ref 0 in
-    List.iter
-      (fun (org, g) ->
-        match Bank.evaluate_staged ~staged ~spec:s ~org with
-        | None -> ()
-        | Some b ->
-            incr n;
-            let { Bank.b_area; b_time; b_energy } =
-              Bank.lower_bounds ~staged s org g
-            in
-            if b_area > b.Bank.area then
-              Alcotest.failf "%s %s: area bound %g > %g" name
-                (Org.to_string org) b_area b.Bank.area;
-            if b_time > b.Bank.t_access then
-              Alcotest.failf "%s %s: time bound %g > %g" name
-                (Org.to_string org) b_time b.Bank.t_access;
-            if b_energy > b.Bank.e_read then
-              Alcotest.failf "%s %s: energy bound %g > %g" name
-                (Org.to_string org) b_energy b.Bank.e_read)
-      survivors;
+    for i = 0 to soa.Soa_kernel.n - 1 do
+      if Bytes.get soa.Soa_kernel.status i = Soa_kernel.st_ok then begin
+        incr n;
+        let org = Org.to_string soa.Soa_kernel.orgs.(i) in
+        let bound what b v =
+          if not (b <= v) then
+            Alcotest.failf "%s %s: %s bound %g > %g" name org what b v
+        in
+        bound "area" soa.Soa_kernel.b_area.{i} area.{i};
+        bound "time" soa.Soa_kernel.b_time.{i} t_access.{i};
+        bound "energy" soa.Soa_kernel.b_energy.{i} e_read.{i}
+      end
+    done;
+    Alcotest.(check int) (name ^ ": every evaluated candidate checked")
+      c.Cacti_util.Diag.evaluated !n;
     Alcotest.(check bool) (name ^ ": evaluated some") true (!n > 10)
   in
   check "sram" small_sram;
@@ -423,9 +431,9 @@ let () =
           Alcotest.test_case "capacity vs area" `Slow test_capacity_monotone_area;
           Alcotest.test_case "density ordering" `Slow test_dram_denser_than_sram;
           Alcotest.test_case "comm leakage" `Slow test_comm_lowest_leakage;
-          Alcotest.test_case "kernel = scalar" `Slow
-            test_kernel_scalar_identity;
-          QCheck_alcotest.to_alcotest prop_kernel_scalar_identity;
+          Alcotest.test_case "enumerate = oracle" `Slow
+            test_enumerate_oracle_identity;
+          QCheck_alcotest.to_alcotest prop_enumerate_oracle_identity;
           QCheck_alcotest.to_alcotest prop_bank_energy_scales_with_output;
         ] );
     ]

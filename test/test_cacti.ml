@@ -83,17 +83,25 @@ let test_fast_mode_ships_all_ways () =
   Alcotest.(check bool) "fast costs more energy" true
     (f.Cache_model.e_read > n.Cache_model.e_read)
 
+(* The production selection over a fresh sweep: the fused column argmin,
+   materializing only the winner. *)
+let select_sweep ~params sw =
+  match Optimizer.select_soa_result ~params sw.Bank.sw_soa with
+  | Ok i -> Bank.sweep_bank sw i
+  | Error msg -> Alcotest.fail msg
+
 let test_optimizer_staged_filters () =
   let spec =
     Array_spec.create ~ram:Cacti_tech.Cell.Sram ~tech:t32 ~n_rows:1024
       ~row_bits:4096 ~output_bits:512 ()
   in
+  let sw = Bank.enumerate_soa ~max_ndwl:16 ~max_ndbl:16 spec in
   let cands = Bank.enumerate ~max_ndwl:16 ~max_ndbl:16 spec in
   let best_area =
     List.fold_left (fun acc b -> min acc b.Bank.area) Float.infinity cands
   in
   let params = { Opt_params.default with max_area_pct = 0.2 } in
-  let chosen = Optimizer.select ~params cands in
+  let chosen = select_sweep ~params sw in
   Alcotest.(check bool) "area constraint respected" true
     (chosen.Bank.area <= best_area *. 1.2 +. 1e-15);
   (* And the access-time constraint relative to the area-feasible subset. *)
@@ -113,7 +121,7 @@ let test_optimizer_weights_steer () =
     Array_spec.create ~ram:Cacti_tech.Cell.Sram ~tech:t32 ~n_rows:1024
       ~row_bits:4096 ~output_bits:512 ()
   in
-  let cands = Bank.enumerate ~max_ndwl:16 ~max_ndbl:16 spec in
+  let sw = Bank.enumerate_soa ~max_ndwl:16 ~max_ndbl:16 spec in
   let loose = { Opt_params.default with max_area_pct = 1.0; max_acctime_pct = 1.5 } in
   let energy_first =
     {
@@ -129,8 +137,8 @@ let test_optimizer_weights_steer () =
         { w_dynamic = 0.1; w_leakage = 0.1; w_cycle = 10.; w_interleave = 10. };
     }
   in
-  let e = Optimizer.select ~params:energy_first cands in
-  let c = Optimizer.select ~params:cycle_first cands in
+  let e = select_sweep ~params:energy_first sw in
+  let c = select_sweep ~params:cycle_first sw in
   Alcotest.(check bool) "energy pick no worse on energy" true
     (e.Bank.e_read <= c.Bank.e_read +. 1e-15);
   Alcotest.(check bool) "cycle pick no worse on cycle" true
@@ -308,30 +316,52 @@ let test_solve_cache_hit_same_value () =
   Solve_cache.clear ()
 
 let test_select_empty_is_typed_error () =
-  (match Optimizer.select_result ~what:"17-row oddball" ~params:Opt_params.default [] with
-  | Ok _ -> Alcotest.fail "empty candidate list must not select"
-  | Error msg ->
-      Alcotest.(check bool) "message names the spec" true
-        (String.length msg > 0
-        && String.sub msg 0 (String.length "17-row oddball") = "17-row oddball"));
-  Alcotest.check_raises "select raises No_solution"
-    (Optimizer.No_solution
-       "17-row oddball: no valid organization in the enumerated design space")
-    (fun () ->
-      ignore (Optimizer.select ~what:"17-row oddball" ~params:Opt_params.default []));
-  Alcotest.check_raises "min_by rejects empty input"
-    (Invalid_argument "Optimizer.min_by: empty candidate list") (fun () ->
-      ignore (Optimizer.min_by (fun (b : Bank.t) -> b.Bank.area) []))
+  (* A valid spec whose design space is empty: every organization of a
+     1 KB 8-way data array fails the tiling screen.  The structured path
+     names the array and carries the sweep histogram; the raising path
+     turns the same message into [No_solution]. *)
+  let spec = Cache_spec.create ~tech:t32 ~capacity_bytes:1024 () in
+  let msg =
+    "SRAM data array of 1024B 8-way cache: no valid organization in the \
+     enumerated design space"
+  in
+  Solve_cache.clear ();
+  (match Cache_model.solve_diag spec with
+  | Ok _ -> Alcotest.fail "1 KB cache must not solve"
+  | Error ds ->
+      Alcotest.(check (list string)) "no_solution, then the sweep counts"
+        [
+          "error[solver/no_solution]: " ^ msg;
+          "info[solver/sweep_counts]: 62720 candidates: 0 evaluated; \
+           rejected: geometry 62720, page 0, area-pruned 0, bound-pruned 0, \
+           nonviable 0, nonfinite 0, raised 0";
+        ]
+        (List.map Cacti_util.Diag.to_string ds));
+  Alcotest.check_raises "solve raises No_solution" (Optimizer.No_solution msg)
+    (fun () -> ignore (Cache_model.solve spec));
+  Alcotest.(check int) "failed solves are not memoized" 0 (Solve_cache.size ());
+  Solve_cache.clear ()
 
 (* --- diagnostics, validation results, fault containment ------------- *)
 
 let test_min_by_rejects_nan () =
+  (* A NaN metric must stop the selection loudly: under [<] it would
+     compare false against everything and silently drop out of (or win)
+     the argmin depending on its position. *)
+  let spec =
+    Array_spec.create ~ram:Cacti_tech.Cell.Sram ~tech:t32 ~n_rows:512
+      ~row_bits:2048 ~output_bits:256 ()
+  in
+  let sw = Bank.enumerate_soa ~max_ndwl:8 ~max_ndbl:8 spec in
+  let soa = sw.Bank.sw_soa in
+  let rec first_ok i =
+    if Bytes.get soa.Soa_kernel.status i = Soa_kernel.st_ok then i
+    else first_ok (i + 1)
+  in
+  (Soa_kernel.col_area soa).{first_ok 0} <- Float.nan;
   Alcotest.check_raises "NaN key is loud"
     (Invalid_argument "Optimizer.min_by: NaN key") (fun () ->
-      ignore
-        (Optimizer.min_by
-           (fun x -> if x = 2 then Float.nan else float_of_int x)
-           [ 1; 2; 3 ]))
+      ignore (Optimizer.select_soa_result ~params:Opt_params.default soa))
 
 let test_validate_results () =
   (match
@@ -495,27 +525,63 @@ let test_mat_memo_hits () =
   Alcotest.(check bool) "mat memo populated" true (Solve_cache.mat_size () > 0);
   Solve_cache.clear ()
 
-let test_memo_off_identity () =
-  (* [~memo:false] must bypass both tables entirely and still pick the
-     bit-identical design. *)
-  Solve_cache.clear ();
-  let spec = Cache_spec.create ~tech:t32 ~capacity_bytes:(128 * 1024) () in
-  let a =
-    match Cache_model.solve_diag ~memo:false spec with
-    | Ok (c, _) -> c
-    | Error ds -> Alcotest.fail (Cacti_util.Diag.render ds)
+(* Whether a selected bank is the naive reference solver's pick over its
+   own spec's design space (the spec already carries the repeater-penalty
+   parameter). *)
+let same_as_oracle ?max_ndwl ?max_ndbl ~params (b : Bank.t) =
+  compare b
+    (Oracle.Solver_naive.select_bank ?max_ndwl ?max_ndbl ~params b.Bank.spec)
+  = 0
+
+let test_bench_batch_oracle () =
+  (* The 7-solve batch of bench/solve_bench.ml, solved on shared tables as
+     the bench and the service do (each solve reuses the mat memo, stage
+     memo and screen contexts the previous ones filled): every selected
+     bank — data and tag of six caches at the 64x64 grid, the main-memory
+     bank at 128x256 — must be the naive reference's pick. *)
+  let t45 = Cacti_tech.Technology.at_nm 45. in
+  let caches =
+    [
+      Cache_spec.create ~tech:t32 ~capacity_bytes:(32 * 1024) ~assoc:4 ();
+      Cache_spec.create ~tech:t32 ~capacity_bytes:(1024 * 1024) ~assoc:8 ();
+      Cache_spec.create ~tech:t32 ~capacity_bytes:(8 * 1024 * 1024) ~assoc:16
+        ();
+      Cache_spec.create ~tech:t32 ~capacity_bytes:(8 * 1024 * 1024) ~assoc:16
+        ~ram:Cacti_tech.Cell.Lp_dram ();
+      Cache_spec.create ~tech:t32 ~capacity_bytes:(8 * 1024 * 1024) ~assoc:16
+        ~ram:Cacti_tech.Cell.Comm_dram ();
+      Cache_spec.create ~tech:t45 ~capacity_bytes:(512 * 1024) ~assoc:8 ();
+    ]
   in
-  let s = Solve_cache.stats () and ms = Solve_cache.mat_stats () in
-  Alcotest.(check int) "no bank-table traffic" 0
-    (s.Solve_cache.hits + s.Solve_cache.misses);
-  Alcotest.(check int) "bank table empty" 0 (Solve_cache.size ());
-  Alcotest.(check int) "no mat-memo traffic" 0
-    (ms.Solve_cache.hits + ms.Solve_cache.misses);
-  Alcotest.(check int) "mat memo empty" 0 (Solve_cache.mat_size ());
-  let b = Cache_model.solve spec in
-  Alcotest.(check bool) "memo off = memo on, bit for bit" true
-    (compare a b = 0);
-  Solve_cache.clear ()
+  let chip =
+    Mainmem.create ~tech:(Cacti_tech.Technology.at_nm 78.)
+      ~capacity_bits:(1024 * 1024 * 1024 * 8)
+      ()
+  in
+  Fun.protect ~finally:Solve_cache.clear @@ fun () ->
+  Solve_cache.clear ();
+  List.iter
+    (fun spec ->
+      match Cache_model.solve_diag spec with
+      | Error ds -> Alcotest.fail (Cacti_util.Diag.render ds)
+      | Ok (c, _) ->
+          let name part =
+            Printf.sprintf "%dB %s %s = oracle" spec.Cache_spec.capacity_bytes
+              (Cacti_tech.Cell.ram_kind_to_string spec.Cache_spec.ram)
+              part
+          in
+          let params = Opt_params.default in
+          Alcotest.(check bool) (name "data") true
+            (same_as_oracle ~params c.Cache_model.data);
+          Alcotest.(check bool) (name "tag") true
+            (same_as_oracle ~params c.Cache_model.tag))
+    caches;
+  match Mainmem.solve_diag chip with
+  | Error ds -> Alcotest.fail (Cacti_util.Diag.render ds)
+  | Ok (m, _) ->
+      Alcotest.(check bool) "main-memory bank = oracle" true
+        (same_as_oracle ~max_ndwl:128 ~max_ndbl:256
+           ~params:Opt_params.area_optimal m.Mainmem.bank)
 
 (* The branch-and-bound policy the staged selection path uses for the
    given optimizer parameters (mirrors Solve_cache's derivation). *)
@@ -529,18 +595,20 @@ let policy_of (p : Opt_params.t) =
   }
 
 let test_prune_identity_and_soundness () =
-  (* Three views of the same design space must crown the same winner:
-     (1) the full, unpruned enumeration;
-     (2) the pruned enumeration (area + branch-and-bound);
+  (* Three views of the same design space must agree:
+     (1) the naive reference's full, unpruned enumeration and its pick;
+     (2) the pruned sweep (area + branch-and-bound) and the fused
+         selection over it, which must crown the same bank;
      (3) the pruned code path with every candidate force-evaluated via the
-         fault hook — i.e. the would-have-been-pruned candidates made to
-         compete, proving none of them beats the winner. *)
+         fault hook, which must evaluate exactly the reference's
+         population — the would-have-been-pruned candidates included. *)
   let check name ?(expect_fired = false) params s =
     let pol = policy_of params in
-    let full = Bank.enumerate s in
-    let pruned, c =
-      Bank.enumerate_counts ~prune:params.Opt_params.max_area_pct ~bound:pol s
+    let full = Oracle.Solver_naive.enumerate s in
+    let pruned =
+      Bank.enumerate_soa ~prune:params.Opt_params.max_area_pct ~bound:pol s
     in
+    let c = pruned.Bank.sw_counts in
     let forced =
       Fun.protect
         ~finally:(fun () -> Bank.set_fault_hook None)
@@ -551,14 +619,11 @@ let test_prune_identity_and_soundness () =
     if expect_fired then
       Alcotest.(check bool) (name ^ ": bound prune fired") true
         (c.Cacti_util.Diag.bound_pruned > 0);
-    Alcotest.(check int) (name ^ ": forced run evaluates everything")
-      (List.length full) (List.length forced);
-    let sel l = Optimizer.select ~params l in
-    let w_full = sel full and w_pruned = sel pruned and w_forced = sel forced in
-    Alcotest.(check bool) (name ^ ": pruned winner = full winner") true
-      (compare w_full w_pruned = 0);
-    Alcotest.(check bool) (name ^ ": no forced candidate beats it") true
-      (compare w_full w_forced = 0)
+    Alcotest.(check bool) (name ^ ": forced run = unpruned oracle") true
+      (compare full forced = 0);
+    let w_full = Oracle.Solver_naive.select ~params full in
+    Alcotest.(check bool) (name ^ ": pruned winner = oracle winner") true
+      (compare w_full (select_sweep ~params pruned) = 0)
   in
   let sram =
     Array_spec.create ~ram:Cacti_tech.Cell.Sram ~tech:t32 ~n_rows:2048
@@ -585,10 +650,11 @@ let test_prune_identity_and_soundness () =
     (Array_spec.create ~ram:Cacti_tech.Cell.Comm_dram ~tech:t32 ~n_rows:8192
        ~row_bits:8192 ~output_bits:64 ())
 
-let prop_memo_identity =
-  (* Random valid cache specs: the memoized staged path and the bare
-     [~memo:false] path must select bit-identical designs. *)
-  QCheck.Test.make ~name:"random solves: memo on/off bit-identical" ~count:6
+let prop_solve_oracle =
+  (* Random valid cache specs, solved one after another on shared tables:
+     the data and tag banks the memoized staged path selects must be the
+     naive reference's picks over the same array specs. *)
+  QCheck.Test.make ~name:"random solves: data and tag = oracle" ~count:6
     QCheck.(
       triple (int_range 12 18) (oneofl [ 32; 64 ]) (oneofl [ 1; 2; 4; 8 ]))
     (fun (log2_cap, block, assoc) ->
@@ -596,36 +662,27 @@ let prop_memo_identity =
         Cache_spec.create ~tech:t32 ~capacity_bytes:(1 lsl log2_cap)
           ~block_bytes:block ~assoc ()
       in
-      Solve_cache.clear ();
-      match
-        (Cache_model.solve_diag ~memo:false spec, Cache_model.solve_diag spec)
-      with
-      | Ok (a, _), Ok (b, _) ->
-          Solve_cache.clear ();
-          compare a b = 0
-      | Error a, Error b ->
+      let params = Opt_params.default in
+      match Cache_model.solve_diag spec with
+      | Ok (c, _) ->
+          same_as_oracle ~params c.Cache_model.data
+          && same_as_oracle ~params c.Cache_model.tag
+      | Error ds ->
           (* A structured no-solution outcome (e.g. a degenerate tag array
-             with too few sets) is legitimate — but both paths must agree
-             on it. *)
-          Solve_cache.clear ();
-          List.map (fun d -> d.Cacti_util.Diag.reason) a
-          = List.map (fun d -> d.Cacti_util.Diag.reason) b
-      | Error ds, Ok _ | Ok _, Error ds ->
-          Solve_cache.clear ();
-          QCheck.Test.fail_report
-            ("one path failed, the other solved: " ^ Cacti_util.Diag.render ds))
+             with too few sets) is legitimate. *)
+          List.map (fun d -> d.Cacti_util.Diag.reason) ds
+          = [ "no_solution"; "sweep_counts" ])
 
 let test_fused_selection_identity () =
-  (* The fused columnar argmin must crown exactly the candidate the
-     list-based selection picks from the materialized records — area and
-     access-time filters, per-metric normalization and the weighted
-     objective included. *)
+  (* The fused columnar argmin must crown exactly the candidate the naive
+     reference's list selection picks — area and access-time filters,
+     per-metric normalization and the weighted objective included. *)
   let check name params s =
     let sw = Bank.enumerate_soa ~max_ndwl:16 ~max_ndbl:16 s in
-    let banks = Bank.enumerate ~max_ndwl:16 ~max_ndbl:16 s in
+    let banks = Oracle.Solver_naive.enumerate ~max_ndwl:16 ~max_ndbl:16 s in
     match
       ( Optimizer.select_soa_result ~params sw.Bank.sw_soa,
-        Optimizer.select_result ~params banks )
+        Oracle.Solver_naive.select_result ~params banks )
     with
     | Ok i, Ok w ->
         Alcotest.(check bool) (name ^ ": fused winner = list winner") true
@@ -697,26 +754,38 @@ let test_incremental_resolve_identity () =
         (compare warm_tech cold_tech = 0))
 
 let test_kernel_forced_invalidation () =
-  (* [Fault_force] through the full staged solve on the kernel path:
-     every candidate the area/bound prunes would skip is force-evaluated
-     through the columnar pipeline, and none of them may displace the
-     winner — the prunes invalidated no viable design. *)
+  (* [Fault_force] through the full staged solve: every candidate the
+     area/bound prunes skip is force-evaluated instead, and none of them
+     may displace the winner — the prunes invalidated no viable design.
+     The 8 MB LP-DRAM cache is a spec whose sweep does prune; each solve
+     starts from empty tables so neither is a memo hit. *)
   let spec =
-    Cache_spec.create ~tech:t32 ~capacity_bytes:(256 * 1024) ~assoc:8 ()
+    Cache_spec.create ~tech:t32 ~capacity_bytes:(8 * 1024 * 1024) ~assoc:16
+      ~ram:Cacti_tech.Cell.Lp_dram ()
   in
   let solve () =
-    match Cache_model.solve_diag ~memo:false spec with
-    | Ok (c, _) -> c
+    Solve_cache.clear ();
+    match Cache_model.solve_diag spec with
+    | Ok (c, s) -> (c, s.Cacti_util.Diag.sweeps)
     | Error ds -> Alcotest.failf "solve failed: %s" (Cacti_util.Diag.render ds)
   in
-  let normal = solve () in
-  let forced =
+  let pruned (k : Cacti_util.Diag.counts) =
+    k.Cacti_util.Diag.area_pruned + k.Cacti_util.Diag.bound_pruned
+  in
+  Fun.protect ~finally:Solve_cache.clear @@ fun () ->
+  let normal, kn = solve () in
+  let forced, kf =
     Fun.protect
       ~finally:(fun () -> Bank.set_fault_hook None)
       (fun () ->
         Bank.set_fault_hook (Some (fun _ -> Some Bank.Fault_force));
         solve ())
   in
+  Alcotest.(check bool) "normal solve pruned candidates" true (pruned kn > 0);
+  Alcotest.(check int) "forced solve pruned none" 0 (pruned kf);
+  Alcotest.(check int) "every pruned candidate was evaluated instead"
+    (kn.Cacti_util.Diag.evaluated + pruned kn)
+    kf.Cacti_util.Diag.evaluated;
   Alcotest.(check bool) "forced evaluation crowns the same design" true
     (compare normal forced = 0)
 
@@ -867,7 +936,8 @@ let () =
       ( "staged solver",
         [
           Alcotest.test_case "mat memo hits" `Slow test_mat_memo_hits;
-          Alcotest.test_case "memo off identity" `Slow test_memo_off_identity;
+          Alcotest.test_case "bench batch = oracle" `Slow
+            test_bench_batch_oracle;
           Alcotest.test_case "prune identity + soundness" `Slow
             test_prune_identity_and_soundness;
           Alcotest.test_case "fused selection identity" `Slow
@@ -876,7 +946,7 @@ let () =
             test_incremental_resolve_identity;
           Alcotest.test_case "kernel forced invalidation" `Slow
             test_kernel_forced_invalidation;
-          QCheck_alcotest.to_alcotest prop_memo_identity;
+          QCheck_alcotest.to_alcotest prop_solve_oracle;
         ] );
       ( "diagnostics",
         [
