@@ -296,7 +296,7 @@ let run_seed ~quick ~seed =
        (List.length ids));
   (* Deterministic deadline exercise on the quiet server (the chaos mix's
      deadline requests can all be flood-refused before ever queueing, and
-     a warm mat memo can beat even a tight budget): a guaranteed 50 ms
+     a warm stage memo can beat even a tight budget): a guaranteed 50 ms
      slow-solve injection pushes both requests past their 5 ms budgets,
      so they must come back refused as deadline_exceeded, never solved. *)
   Chaos.arm "service.slow_solve" (Chaos.Delay 0.05);

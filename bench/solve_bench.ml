@@ -35,16 +35,19 @@
      start, and the screen-context counters must show the re-solves
      actually took the incremental path (rows-only and full reuse).
 
-   - allocation: minor words allocated per evaluated candidate over one
-     cold batch, gated against [minor_words_per_evaluated_ceiling] when
-     the floor file carries one — a leak into the kernel's per-candidate
-     loop fails the run even when wall clock hides it.
+   - allocation and retention: minor words allocated, and words the
+     minor GC promoted to the major heap, per evaluated candidate over
+     one cold batch, gated against [minor_words_per_evaluated_ceiling]
+     and [promoted_words_per_evaluated_ceiling] when the floor file
+     carries them.  Both are deterministic counts: a leak into the
+     kernel's per-candidate loop, or a sweep that keeps per-candidate
+     values alive past the minor heap, fails the run even when wall clock
+     hides it.
 
    Results are written as JSON (schema in EXPERIMENTS.md).  With
    [--floor FILE] the run fails (exit 1) if cold solves/s drops more
-   than 30% below the checked-in [cold_solves_per_s_floor], if the
-   allocation ceiling is exceeded, or if any identity or partition
-   check fails. *)
+   than 30% below the checked-in [cold_solves_per_s_floor], if either
+   ceiling is exceeded, or if any identity or partition check fails. *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -102,6 +105,9 @@ type cold_result = {
   minor_words_per_evaluated : float;
       (** minor-heap words allocated per evaluated candidate over the
           counted cold batch *)
+  promoted_words_per_evaluated : float;
+      (** words promoted from the minor to the major heap per evaluated
+          candidate over the counted cold batch *)
 }
 
 let percentile sorted p =
@@ -112,10 +118,11 @@ let percentile sorted p =
 let bench_cold ~reps =
   let lats = ref [] in
   let counts = ref Cacti_util.Diag.zero_counts in
-  let minor_words = ref 0. in
+  let minor_words = ref 0. and promoted_words = ref 0. in
+  let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
   let one_batch ~record_counts =
     Cacti.Solve_cache.clear ();
-    let words0 = Gc.minor_words () in
+    let words0 = Gc.minor_words () and promoted0 = promoted () in
     let total = ref 0. in
     let timed f =
       let t0 = Unix.gettimeofday () in
@@ -130,7 +137,10 @@ let bench_cold ~reps =
       (fun spec -> timed (fun () -> solve_cache ~jobs:1 spec))
       cache_specs;
     timed (fun () -> solve_mainmem ~jobs:1 ());
-    if record_counts then minor_words := Gc.minor_words () -. words0;
+    if record_counts then begin
+      minor_words := Gc.minor_words () -. words0;
+      promoted_words := promoted () -. promoted0
+    end;
     !total
   in
   ignore (one_batch ~record_counts:false);
@@ -143,26 +153,23 @@ let bench_cold ~reps =
   done;
   let sorted = Array.of_list !lats in
   Array.sort compare sorted;
+  let per_evaluated words =
+    let ev = !counts.Cacti_util.Diag.evaluated in
+    if ev = 0 then 0. else words /. float_of_int ev
+  in
   {
     wall_s = !best;
     solves_per_s = float_of_int batch_solves /. !best;
     p50_ms = 1e3 *. percentile sorted 0.50;
     p99_ms = 1e3 *. percentile sorted 0.99;
     counts = !counts;
-    minor_words_per_evaluated =
-      (let ev = !counts.Cacti_util.Diag.evaluated in
-       if ev = 0 then 0. else !minor_words /. float_of_int ev);
+    minor_words_per_evaluated = per_evaluated !minor_words;
+    promoted_words_per_evaluated = per_evaluated !promoted_words;
   }
 
 (* ------------------------------ warm ------------------------------ *)
 
-type warm_result = {
-  wall_s_per_batch : float;
-  warm_solves_per_s : float;
-  mat_hits : int;  (** mat sub-solution memo traffic since the cold pass *)
-  mat_misses : int;
-  mat_size : int;
-}
+type warm_result = { wall_s_per_batch : float; warm_solves_per_s : float }
 
 let bench_warm ~reps =
   (* The table is warm from the cold section's last batch. *)
@@ -172,13 +179,9 @@ let bench_warm ~reps =
     ignore (solve_mainmem ~jobs:1 ())
   done;
   let per_batch = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-  let ms = Cacti.Solve_cache.mat_stats () in
   {
     wall_s_per_batch = per_batch;
     warm_solves_per_s = float_of_int batch_solves /. per_batch;
-    mat_hits = ms.Cacti.Solve_cache.hits;
-    mat_misses = ms.Cacti.Solve_cache.misses;
-    mat_size = Cacti.Solve_cache.mat_size ();
   }
 
 (* ---------------------------- identity ---------------------------- *)
@@ -277,6 +280,8 @@ type baseline = {
   floor : float;  (** checked-in cold solves/s floor *)
   alloc_ceiling : float option;
       (** checked-in minor-words-per-evaluated-candidate ceiling *)
+  retain_ceiling : float option;
+      (** checked-in promoted-words-per-evaluated-candidate ceiling *)
 }
 
 let counts_json (c : Cacti_util.Diag.counts) ~partition_ok =
@@ -295,13 +300,23 @@ let counts_json (c : Cacti_util.Diag.counts) ~partition_ok =
       ("partition_ok", Cacti_util.Jsonx.Bool partition_ok);
     ]
 
+(* A ceiling and this run's ratio to it, when the floor file has one. *)
+let ceiling_json what ceiling measured =
+  match ceiling with
+  | None -> []
+  | Some ceil ->
+      [
+        (what ^ "_per_evaluated_ceiling", Cacti_util.Jsonx.num ceil);
+        (what ^ "_vs_ceiling", Cacti_util.Jsonx.num (measured /. ceil));
+      ]
+
 let write_json path ~quick ~partition_ok (c : cold_result) (w : warm_result)
     (i : identity_result) (inc : incremental_result) baseline =
   let open Cacti_util.Jsonx in
   let istats = inc.inc_stats in
   let fields =
     [
-      ("schema_version", Int 3);
+      ("schema_version", Int 4);
       ("quick", Bool quick);
       ("batch_solves", Int batch_solves);
       ( "cold",
@@ -313,8 +328,11 @@ let write_json path ~quick ~partition_ok (c : cold_result) (w : warm_result)
             ("p99_ms", num c.p99_ms);
           ] );
       ( "kernel",
-        Obj [ ("minor_words_per_evaluated", num c.minor_words_per_evaluated) ]
-      );
+        Obj
+          [
+            ("minor_words_per_evaluated", num c.minor_words_per_evaluated);
+            ("promoted_words_per_evaluated", num c.promoted_words_per_evaluated);
+          ] );
       ( "incremental",
         Obj
           [
@@ -330,13 +348,6 @@ let write_json path ~quick ~partition_ok (c : cold_result) (w : warm_result)
           [
             ("wall_s_per_batch", num w.wall_s_per_batch);
             ("solves_per_s", num w.warm_solves_per_s);
-            ( "mat_memo",
-              Obj
-                [
-                  ("hits", Int w.mat_hits);
-                  ("misses", Int w.mat_misses);
-                  ("size", Int w.mat_size);
-                ] );
           ] );
       ("sweep", counts_json c.counts ~partition_ok);
       ( "identity",
@@ -360,15 +371,10 @@ let write_json path ~quick ~partition_ok (c : cold_result) (w : warm_result)
                  ("cold_solves_per_s_floor", num b.floor);
                  ("cold_vs_floor", num (c.solves_per_s /. b.floor));
                ]
-              @
-              match b.alloc_ceiling with
-              | None -> []
-              | Some ceil ->
-                  [
-                    ("minor_words_per_evaluated_ceiling", num ceil);
-                    ( "minor_words_vs_ceiling",
-                      num (c.minor_words_per_evaluated /. ceil) );
-                  ]) );
+              @ ceiling_json "minor_words" b.alloc_ceiling
+                  c.minor_words_per_evaluated
+              @ ceiling_json "promoted_words" b.retain_ceiling
+                  c.promoted_words_per_evaluated) );
         ]
   in
   let oc = open_out path in
@@ -391,7 +397,11 @@ let read_floor path =
         | Some f -> f
         | None -> fail "%s: missing cold_solves_per_s_floor" path
       in
-      { floor; alloc_ceiling = get "minor_words_per_evaluated_ceiling" }
+      {
+        floor;
+        alloc_ceiling = get "minor_words_per_evaluated_ceiling";
+        retain_ceiling = get "promoted_words_per_evaluated_ceiling";
+      }
 
 (* ------------------------------ main ------------------------------ *)
 
@@ -401,8 +411,9 @@ let usage () =
   print_endline "--quick: fewer cold/warm repetitions";
   print_endline
     "--floor FILE: read cold_solves_per_s_floor from FILE and fail if \
-     cold throughput drops more than 30% below it (or if any identity \
-     or partition check fails)"
+     cold throughput drops more than 30% below it, if a per-candidate \
+     allocation or promotion ceiling in FILE is exceeded, or if any \
+     identity or partition check fails"
 
 let () =
   let quick = ref false in
@@ -453,8 +464,7 @@ let () =
   in
   Printf.printf "warm: %d batches from the memo tables...\n%!" warm_reps;
   let w = bench_warm ~reps:warm_reps in
-  Printf.printf "warm: %.0f solves/s (mat memo: %d hits / %d misses)\n%!"
-    w.warm_solves_per_s w.mat_hits w.mat_misses;
+  Printf.printf "warm: %.0f solves/s\n%!" w.warm_solves_per_s;
   let i = check_identity () in
   Printf.printf
     "identity: jobs 1 vs 2 %s, shared tables vs empty tables %s\n%!"
@@ -467,8 +477,9 @@ let () =
     (if inc.inc_identical then "match" else "DIFFER FROM")
     (if inc.inc_rows_hit then "observed" else "MISSING")
     (if inc.inc_full_hit then "observed" else "MISSING");
-  Printf.printf "alloc: %.0f minor words per evaluated candidate\n%!"
-    c.minor_words_per_evaluated;
+  Printf.printf
+    "alloc: %.0f minor words, %.1f promoted words per evaluated candidate\n%!"
+    c.minor_words_per_evaluated c.promoted_words_per_evaluated;
   let baseline = Option.map read_floor !floor_file in
   write_json !out ~quick:!quick ~partition_ok c w i inc baseline;
   Printf.printf "wrote %s\n%!" !out;
@@ -496,14 +507,16 @@ let () =
           (Printf.sprintf
              "%.1f cold solves/s is more than 30%% below the floor of %.1f"
              c.solves_per_s b.floor);
-      Option.iter
-        (fun ceil ->
-          if c.minor_words_per_evaluated > ceil then
-            check false
-              (Printf.sprintf
-                 "%.0f minor words per evaluated candidate exceeds the \
-                  ceiling of %.0f"
-                 c.minor_words_per_evaluated ceil))
-        b.alloc_ceiling
+      let ceiling key measured =
+        Option.iter (fun ceil ->
+            if measured > ceil then
+              check false
+                (Printf.sprintf "%s = %.1f exceeds the ceiling of %.1f" key
+                   measured ceil))
+      in
+      ceiling "minor_words_per_evaluated" c.minor_words_per_evaluated
+        b.alloc_ceiling;
+      ceiling "promoted_words_per_evaluated" c.promoted_words_per_evaluated
+        b.retain_ceiling
   | None -> ());
   if !failed then exit 1

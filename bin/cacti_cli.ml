@@ -197,9 +197,6 @@ let profile_report ~profile s =
       (Profile.summary ());
     Format.eprintf "  sweep            %s@."
       (Diag.counts_to_string s.Diag.sweeps);
-    let m = Cacti.Solve_cache.mat_stats () in
-    Format.eprintf "  mat memo         %d hit(s), %d miss(es)@."
-      m.Cacti.Solve_cache.hits m.Cacti.Solve_cache.misses;
     let i = Cacti.Solve_cache.incremental_stats () in
     Format.eprintf
       "  incremental      %d full, %d rows-only, %d miss(es)@."

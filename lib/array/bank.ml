@@ -256,11 +256,23 @@ let check_metrics (m : Soa_kernel.metrics) =
   chk "p_leakage" m.Soa_kernel.m_p_leakage;
   chk "p_refresh" m.Soa_kernel.m_p_refresh
 
+(* Cross-sweep memo of the two expensive solver sub-stages.  A salt from
+   [Mat.fingerprint_salt] captures every spec input the subarray and
+   decoder designs read (cell kind, feature size, wire parasitics), so a
+   (salt, dims) key identifies a design across sweeps.  A sweep over
+   ~2000 survivors has only ~300 distinct subarrays and ~125 distinct
+   decoders (the decoder does not depend on the bitline-mux degree —
+   none of its subarray inputs do), and the same designs recur across a
+   study matrix (sizes of one config share most subarray shapes).  Every
+   sweep and every mat re-derivation goes through these tables. *)
+let stage_memo_cap = 8192
+
 (* Memoize a sub-stage computation, storing the result so a raising
    design re-raises identically on every hit (keeping per-candidate fault
-   counts equal between first and repeat encounters).  [cap] resets the
-   table when it grows past the bound, for tables that outlive a sweep. *)
-let memoized ?cap mu tbl key compute =
+   counts equal between first and repeat encounters).  A table that
+   reaches [stage_memo_cap] entries is reset, which bounds it in a
+   long-lived process. *)
+let memoized mu tbl key compute =
   match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl key) with
   | Some (Ok v) -> v
   | Some (Error e) -> raise e
@@ -272,20 +284,9 @@ let memoized ?cap mu tbl key compute =
         | e -> Error e
       in
       Mutex.protect mu (fun () ->
-          (match cap with
-          | Some c when Hashtbl.length tbl >= c -> Hashtbl.reset tbl
-          | _ -> ());
+          if Hashtbl.length tbl >= stage_memo_cap then Hashtbl.reset tbl;
           if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key r);
       match r with Ok v -> v | Error e -> raise e)
-
-(* Cross-sweep memo of the two expensive solver sub-stages.  A salt from
-   [Mat.fingerprint_salt] captures every spec input the subarray and
-   decoder designs read (cell kind, feature size, wire parasitics), so a
-   (salt, dims) key identifies a design across sweeps exactly as
-   [mat_cache] keys identify whole mats.  Consulted only on memoized
-   sweeps (when the caller supplies [mat_cache]); a sweep without one gets
-   fresh per-sweep tables and touches no shared state. *)
-let stage_memo_cap = 8192
 
 let g_sub_tbl : (string * (int * int * int), (Subarray.t, exn) result) Hashtbl.t
     =
@@ -303,10 +304,29 @@ let reset_stage_memo () =
   Mutex.protect g_sub_mu (fun () -> Hashtbl.reset g_sub_tbl);
   Mutex.protect g_dec_mu (fun () -> Hashtbl.reset g_dec_tbl)
 
-(* A completed columnar sweep, before any bank record exists.  Consumers
-   either materialize every surviving candidate ({!enumerate_counts}) or
-   scan the metric columns and materialize only the selected one (the
-   staged-selection fast path in {!Cacti.Solve_cache}). *)
+(* The mat solver of one spec over the shared stage memo: a pure function
+   of (org, geometry), so the sweep and a later re-derivation of any of
+   its candidates get bit-identical mats. *)
+let mat_solver ~(staged : Staged.t) ~spec =
+  let salt = Mat.fingerprint_salt ~spec in
+  let sub_of ~rows ~cols ~deg =
+    memoized g_sub_mu g_sub_tbl
+      (salt, (rows, cols, deg))
+      (fun () -> Mat.subarray_of ~staged ~rows ~cols ~deg)
+  and dec_of (sub : Subarray.t) ~horiz ~vert =
+    memoized g_dec_mu g_dec_tbl
+      (salt, (sub.Subarray.rows, sub.Subarray.cols, horiz, vert))
+      (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert)
+  in
+  fun org g -> Mat.eval_geometry ~staged ~sub_of ~dec_of ~org g
+
+(* A completed columnar sweep, before any bank record exists.  It keeps
+   metric columns, not mats: a mat kept per evaluated candidate would
+   survive the minor heap and be copied out of it.  Consumers either
+   materialize every surviving candidate ({!enumerate_counts}) or scan the
+   metric columns and materialize only the selected one (the
+   staged-selection fast path in {!Cacti.Solve_cache}), re-deriving the
+   mats they need from the stage memo. *)
 type sweep = {
   sw_spec : Array_spec.t;
   sw_staged : Staged.t;
@@ -319,8 +339,7 @@ type sweep = {
    columns, solved metrics land in result columns, and nothing
    materializes into a [t] record until a consumer asks for it. *)
 let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
-    ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl ?(strict = false) ?screened
-    spec =
+    ?prune ?bound ?max_ndwl ?max_ndbl ?(strict = false) ?screened spec =
   Cacti_util.Profile.time "enumerate" @@ fun () ->
   Cacti_util.Cancel.check cancel;
   let staged = Mat.staged_of_spec spec in
@@ -342,7 +361,6 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
   and n_raised = Atomic.make 0 in
   let champion = Atomic.make no_champion in
   let hook = !fault_hook in
-  let salt = Mat.fingerprint_salt ~spec in
   (* `Area: could never survive the max_area_pct filter.  `Bound: could
      survive it, but provably cannot displace the champion's candidate as
      the selected solution (see [bound_policy]).  Both compare monotone
@@ -375,42 +393,9 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
     if prune <> None || bound <> None then Some (bounds_of ~staged spec)
     else None
   in
-  (* Sub-stage memo tables.  A sweep over ~2000 survivors has only ~300
-     distinct subarrays and ~125 distinct decoders (the decoder does not
-     depend on the bitline-mux degree — none of its subarray inputs do),
-     so each is solved once.  Memoized sweeps share the cross-sweep tables
-     keyed by salt: the same designs recur across a study matrix (sizes of
-     one config share most subarray shapes), and a decoder costs ~3 us to
-     design. *)
-  let sub_of, dec_of =
-    if mat_cache <> None then
-      ( (fun ~rows ~cols ~deg ->
-          memoized ~cap:stage_memo_cap g_sub_mu g_sub_tbl
-            (salt, (rows, cols, deg))
-            (fun () -> Mat.subarray_of ~staged ~rows ~cols ~deg)),
-        fun (sub : Subarray.t) ~horiz ~vert ->
-          memoized ~cap:stage_memo_cap g_dec_mu g_dec_tbl
-            (salt, (sub.Subarray.rows, sub.Subarray.cols, horiz, vert))
-            (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert) )
-    else
-      let sub_tbl = Hashtbl.create 512 and sub_mu = Mutex.create () in
-      let dec_tbl = Hashtbl.create 256 and dec_mu = Mutex.create () in
-      ( (fun ~rows ~cols ~deg ->
-          memoized sub_mu sub_tbl (rows, cols, deg) (fun () ->
-              Mat.subarray_of ~staged ~rows ~cols ~deg)),
-        fun (sub : Subarray.t) ~horiz ~vert ->
-          memoized dec_mu dec_tbl
-            (sub.Subarray.rows, sub.Subarray.cols, horiz, vert)
-            (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert) )
-  in
+  let mat_of = mat_solver ~staged ~spec in
   let solve_mat org g =
-    let build () =
-      Cacti_util.Profile.time "mat_solve" (fun () ->
-          Mat.eval_geometry ~staged ~sub_of ~dec_of ~org g)
-    in
-    match mat_cache with
-    | None -> build ()
-    | Some cache -> cache (Mat.fingerprint_key ~salt ~is_dram ~org g) build
+    Cacti_util.Profile.time "mat_solve" (fun () -> mat_of org g)
   in
   let status = soa.Soa_kernel.status in
   let eval_one i =
@@ -455,7 +440,6 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
               note_champion champion ~area:m.Soa_kernel.m_area
                 ~time:m.Soa_kernel.m_t_access ~energy:m.Soa_kernel.m_e_read;
               Atomic.incr n_ok;
-              soa.Soa_kernel.mats.(i) <- Some mat;
               Bytes.set status i Soa_kernel.st_ok
         with
         | Cacti_util.Floatx.Non_finite _ when not strict ->
@@ -519,36 +503,43 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
       };
   }
 
-let sweep_bank sw i =
+(* Candidate [i] as a bank record, its mat re-derived by [mat_of] (a
+   {!mat_solver} of the sweep's spec). *)
+let bank_at mat_of sw i =
   let soa = sw.sw_soa in
   if Bytes.get soa.Soa_kernel.status i <> Soa_kernel.st_ok then
     invalid_arg "Bank.sweep_bank: candidate did not evaluate";
-  bank_of_metrics ~staged:sw.sw_staged ~spec:sw.sw_spec
-    ~org:soa.Soa_kernel.orgs.(i)
-    (match soa.Soa_kernel.mats.(i) with Some m -> m | None -> assert false)
-    (Soa_kernel.get_metrics soa i)
+  let org = soa.Soa_kernel.orgs.(i) in
+  match mat_of org soa.Soa_kernel.geos.(i) with
+  | Some mat ->
+      bank_of_metrics ~staged:sw.sw_staged ~spec:sw.sw_spec ~org mat
+        (Soa_kernel.get_metrics soa i)
+  | None -> assert false (* it evaluated, and the solver is pure *)
+
+let sweep_bank sw i =
+  bank_at (mat_solver ~staged:sw.sw_staged ~spec:sw.sw_spec) sw i
 
 let materialize_all sw =
+  let mat_of = mat_solver ~staged:sw.sw_staged ~spec:sw.sw_spec in
   let soa = sw.sw_soa in
   let banks = ref [] in
   for i = soa.Soa_kernel.n - 1 downto 0 do
     if Bytes.get soa.Soa_kernel.status i = Soa_kernel.st_ok then
-      banks := sweep_bank sw i :: !banks
+      banks := bank_at mat_of sw i :: !banks
   done;
   !banks
 
 let enumerate_soa = run
 
-let enumerate_counts ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl
-    ?max_ndbl ?strict ?screened spec =
+let enumerate_counts ?pool ?cancel ?prune ?bound ?max_ndwl ?max_ndbl ?strict
+    ?screened spec =
   let sw =
-    run ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl ?strict
-      ?screened spec
+    run ?pool ?cancel ?prune ?bound ?max_ndwl ?max_ndbl ?strict ?screened spec
   in
   (materialize_all sw, sw.sw_counts)
 
-let enumerate ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl ?max_ndbl
-    ?strict ?screened spec =
+let enumerate ?pool ?cancel ?prune ?bound ?max_ndwl ?max_ndbl ?strict
+    ?screened spec =
   fst
-    (enumerate_counts ?pool ?cancel ?prune ?bound ?mat_cache ?max_ndwl
-       ?max_ndbl ?strict ?screened spec)
+    (enumerate_counts ?pool ?cancel ?prune ?bound ?max_ndwl ?max_ndbl ?strict
+       ?screened spec)

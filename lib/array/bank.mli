@@ -114,10 +114,12 @@ type fault = Fault_nan | Fault_exn | Fault_force
     normally but bypasses the prunes (for pruning-soundness properties). *)
 
 val reset_stage_memo : unit -> unit
-(** Clear the cross-sweep subarray/decoder design memo used by memoized
-    kernel sweeps.  Entries are pure functions of their (salt, dims)
-    keys, so this is never needed for correctness — it releases memory
-    and gives tests a cold-state baseline. *)
+(** Clear the cross-sweep subarray/decoder design memo that every sweep
+    and every mat re-derivation ({!sweep_bank}) goes through.  Entries are
+    pure functions of their (salt, dims) keys, so this is never needed for
+    correctness — it releases memory and gives tests a cold-state
+    baseline.  Each of its two tables is also reset whenever it reaches
+    8192 entries. *)
 
 val set_fault_hook : (int -> fault option) option -> unit
 (** Install (or with [None] clear) a hook consulted once per screened
@@ -132,7 +134,6 @@ val enumerate_counts :
   ?cancel:Cacti_util.Cancel.t ->
   ?prune:float ->
   ?bound:bound_policy ->
-  ?mat_cache:(Mat.mat_key -> (unit -> Mat.t option) -> Mat.t option) ->
   ?max_ndwl:int ->
   ?max_ndbl:int ->
   ?strict:bool ->
@@ -155,17 +156,12 @@ val enumerate_counts :
     provably cannot displace the selected solution (see {!bound_policy});
     only pass it when the consumer is exactly that staged selection.
 
-    [mat_cache], keyed by {!Mat.mat_key}, memoizes the mat circuit
-    solution shared by candidates with identical subarray geometry (within
-    this sweep and, through {!Cacti.Solve_cache}, across solves on the
-    same technology).  The cached value is the same pure function of the
-    key, so results are bit-identical with or without it.
-
     The sweep runs through the columnar {!Soa_kernel} store: survivors
     are flattened into float64 parameter columns, bounds and metrics are
-    computed over chunk ranges, distinct subarray/decoder sub-stages are
-    solved once per sweep, and survivors materialize into records only at
-    the end.  Without prunes the result equals the naive per-candidate
+    computed over chunk ranges, and distinct subarray/decoder sub-stages
+    come from the cross-sweep stage memo (see {!reset_stage_memo}).  The
+    sweep keeps no mats; each surviving record re-derives its mat from
+    the stage memo when it materializes at the end ({!sweep_bank}).  Without prunes the result equals the naive per-candidate
     reference in [test/oracle/solver_naive.ml] ({!evaluate} on every
     candidate of {!Org.candidates} that passes {!Mat.classify}): same
     banks in the same order, same counts.
@@ -194,7 +190,6 @@ val enumerate :
   ?cancel:Cacti_util.Cancel.t ->
   ?prune:float ->
   ?bound:bound_policy ->
-  ?mat_cache:(Mat.mat_key -> (unit -> Mat.t option) -> Mat.t option) ->
   ?max_ndwl:int ->
   ?max_ndbl:int ->
   ?strict:bool ->
@@ -211,16 +206,15 @@ type sweep = {
 }
 (** A completed sweep still in columnar form: every evaluated
     candidate's metrics live in the {!Soa_kernel.t} result columns, with
-    records not yet materialized.  Consumers that only need an argmin
-    (e.g. {!Cacti.Optimizer.select_soa_result}) can scan the columns and
-    materialize just the winner via {!sweep_bank}. *)
+    records not yet materialized and no mat kept.  Consumers that only
+    need an argmin (e.g. {!Cacti.Optimizer.select_soa_result}) can scan
+    the columns and materialize just the winner via {!sweep_bank}. *)
 
 val enumerate_soa :
   ?pool:Cacti_util.Pool.t ->
   ?cancel:Cacti_util.Cancel.t ->
   ?prune:float ->
   ?bound:bound_policy ->
-  ?mat_cache:(Mat.mat_key -> (unit -> Mat.t option) -> Mat.t option) ->
   ?max_ndwl:int ->
   ?max_ndbl:int ->
   ?strict:bool ->
@@ -232,6 +226,9 @@ val enumerate_soa :
 
 val sweep_bank : sweep -> int -> t
 (** Materialize candidate [i] of the sweep (its position in the screened
-    enumeration order) into a full bank record; bit-identical to
-    {!evaluate} of that candidate.  Raises [Invalid_argument] if the
-    candidate did not evaluate (status is not [st_ok]). *)
+    enumeration order) into a full bank record.  Its metrics are read
+    back from the columns and its mat is solved again through the stage
+    memo — a pure function of its (salt, dims) keys, so the record is
+    bit-identical to {!evaluate} of that candidate whatever the memo
+    holds.  Raises [Invalid_argument] if the candidate did not evaluate
+    (status is not [st_ok]). *)

@@ -322,21 +322,12 @@ let staged_of_spec (spec : Array_spec.t) =
   Staged.make ~tech:spec.Array_spec.tech ~ram:spec.Array_spec.ram
     ~max_repeater_delay_penalty:spec.Array_spec.max_repeater_delay_penalty ()
 
-(* The circuit solution of a mat is fully determined by the staged
-   constants plus the geometry/mux tuple; candidates across the partition
-   grid that share it share the mat solution bit-for-bit (the remaining
-   spec fields — n_rows, output_bits, sleep_tx, repeater penalty — enter
-   only at the classify screen or the bank level).
-
-   The key is split into a per-spec salt string (cell kind, feature size,
-   wire projection — hoisted out of the per-candidate loop so the sweep
-   allocates no strings) and the geometry/mux tuple packed into a single
-   tagged int.  The bit budget (13+14+2+2+4+5+5 = 45 bits) covers every
-   screened geometry: rows <= 4096, cols <= 8192, horiz/vert <= 2,
-   deg <= 8, ndsam <= 16 — packing is injective on screen survivors. *)
-
-type mat_key = { mk_salt : string; mk_packed : int }
-
+(* The subarray and decoder sub-stages read only the staged constants
+   fixed by the cell kind, the feature size and the wire projection (the
+   remaining spec fields — n_rows, output_bits, sleep_tx, repeater
+   penalty — enter only at the classify screen or the bank level).  This
+   salt names them, so a (salt, dims) key identifies a sub-stage design
+   across specs. *)
 let fingerprint_salt ~spec =
   Printf.sprintf "%s|%h|%s"
     (Cell.ram_kind_to_string spec.Array_spec.ram)
@@ -344,23 +335,6 @@ let fingerprint_salt ~spec =
     (match Technology.wire_projection spec.Array_spec.tech with
     | Wire.Aggressive -> "a"
     | Wire.Conservative -> "c")
-
-let fingerprint_key ~salt ~is_dram ~(org : Org.t) (g : geometry) =
-  let deg = if is_dram then 1 else org.Org.deg_bl_mux in
-  let k = g.g_rows_sub in
-  let k = (k lsl 14) lor g.g_cols_sub in
-  let k = (k lsl 2) lor g.g_horiz in
-  let k = (k lsl 2) lor g.g_vert in
-  let k = (k lsl 4) lor deg in
-  let k = (k lsl 5) lor org.Org.ndsam_lev1 in
-  let k = (k lsl 5) lor org.Org.ndsam_lev2 in
-  { mk_salt = salt; mk_packed = k }
-
-let fingerprint ~spec ~(org : Org.t) (g : geometry) =
-  fingerprint_key
-    ~salt:(fingerprint_salt ~spec)
-    ~is_dram:(Cell.is_dram spec.Array_spec.ram)
-    ~org g
 
 (* The mat evaluation is split into its two expensive, highly shared
    sub-stages — the subarray (bitline RC + cell geometry, a function of

@@ -148,21 +148,9 @@ val decoder_of :
     subarray and the (horiz, vert) mat tiling — not on the bitline-mux
     degree, since none of its subarray inputs do. *)
 
-type mat_key = { mk_salt : string; mk_packed : int }
-(** Memoization key of the mat solution: a per-spec salt (cell type,
-    feature size, wire projection) plus the geometry/mux tuple packed
-    into one int.  Candidates across the partition grid (and across specs
-    on the same node) that share a key share the mat solution
-    bit-for-bit.  Packing is injective for geometries produced by the
-    screen (which bounds every field). *)
-
 val fingerprint_salt : spec:Array_spec.t -> string
-(** The per-spec half of {!mat_key} — hoist it out of per-candidate
-    loops; building a key from a precomputed salt allocates no strings. *)
-
-val fingerprint_key :
-  salt:string -> is_dram:bool -> org:Org.t -> geometry -> mat_key
-(** Assemble a {!mat_key} from a precomputed {!fingerprint_salt}. *)
-
-val fingerprint : spec:Array_spec.t -> org:Org.t -> geometry -> mat_key
-(** [fingerprint_key ~salt:(fingerprint_salt ~spec) ...]. *)
+(** The spec inputs every subarray and decoder design reads (cell kind,
+    feature size, wire projection) as one string.  Two specs with equal
+    salts get bit-identical {!subarray_of} and {!decoder_of} results for
+    equal dimensions, which is what lets a sub-stage memo keyed by
+    (salt, dims) be shared across specs and sweeps. *)

@@ -81,7 +81,6 @@ type t = {
           threshold are returned to the OS on free, so a fresh matrix
           per sweep would repay its page faults every solve) *)
   status : Bytes.t;
-  mats : Mat.t option array;  (** solved mats of evaluated candidates *)
 }
 
 let fcol n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
@@ -111,7 +110,6 @@ let build ?(cancel = Cacti_util.Cancel.never) ~is_dram survivors =
       b_energy = fcol n;
       res = Array.init n_metric_cols (fun _ -> fcol (max 1 n));
       status = Bytes.make (max 1 n) st_pending;
-      mats = Array.make (max 1 n) None;
     }
   in
   for i = 0 to n - 1 do

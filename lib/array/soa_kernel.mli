@@ -77,8 +77,10 @@ type t = {
       (** result: [n_metric_cols] per-metric columns, in
           {!metrics} field order *)
   status : Bytes.t;
-  mats : Mat.t option array;  (** solved mats of evaluated candidates *)
 }
+(** Columns only: the sweep keeps no per-candidate mat.  A consumer that
+    needs a candidate's mat re-derives it
+    ({!Cacti_array.Bank.sweep_bank}). *)
 
 val build :
   ?cancel:Cacti_util.Cancel.t -> is_dram:bool -> (Org.t * Mat.geometry) list -> t

@@ -185,11 +185,10 @@ let solve_space ?jobs ?(params = Opt_params.default) s =
   let open Opt_params in
   (* The whole within-area population is the product here, so no
      branch-and-bound pruning (it is only sound for the staged selection);
-     the mat memo and the incremental screen context are shared with the
-     point solves and cannot change any candidate. *)
+     the stage memo and the incremental screen context are shared with
+     the point solves and cannot change any candidate. *)
   let candidates =
     Bank.enumerate ~pool ~prune:params.max_area_pct
-      ~mat_cache:(Solve_cache.mat_memo_here ())
       ~screened:(Solve_cache.screened_for dspec) dspec
   in
   if candidates = [] then []

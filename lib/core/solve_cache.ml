@@ -38,13 +38,6 @@ type shard = {
       (** selected-bank memo: one entry per (spec, params, bounds) solve,
           keyed by a string fingerprint so the persisted format is
           key-stable *)
-  sh_mats : (Mat.mat_key, Mat.t option) Lru.t;
-      (** mat sub-solution memo, keyed by [Mat.fingerprint]: candidates
-          across the partition grid — and across solves on the same
-          technology node — that share a subarray geometry share the mat
-          circuit solution.  [None] (electrically nonviable) results are
-          memoized too: re-deriving a rejection is as expensive as
-          re-deriving a solution. *)
   sh_screens : (string, screen_ctx) Lru.t;
   sh_inc_full : int Atomic.t;
   sh_inc_rows : int Atomic.t;
@@ -59,7 +52,6 @@ let create_shard () =
   Lru.set_capacity screens ~what:"Solve_cache.screens" (Some 32);
   {
     sh_banks = Lru.create ();
-    sh_mats = Lru.create ~size:16384 ();
     sh_screens = screens;
     sh_inc_full = Atomic.make 0;
     sh_inc_rows = Atomic.make 0;
@@ -70,10 +62,10 @@ let default_shard = create_shard ()
 
 (* Dynamic shard scoping, bound per thread: a server worker binds its
    shard once around its whole drain loop, and every Solve_cache entry
-   point resolves the binding at its own entry — on the binding thread —
-   then captures the shard in any closure it hands into the (multi-domain)
-   sweep.  Code that never binds resolves to [default_shard], which is
-   bit-for-bit the pre-sharding behaviour. *)
+   point resolves the binding at its own entry — on the binding thread,
+   never from the sweep's pool domains, which carry no binding.  Code
+   that never binds resolves to [default_shard], which is bit-for-bit the
+   pre-sharding behaviour. *)
 let bindings : (int, shard) Hashtbl.t = Hashtbl.create 8
 let bindings_lock = Mutex.create ()
 let self_id () = Thread.id (Thread.self ())
@@ -99,15 +91,6 @@ let with_shard sh f =
           | Some p -> Hashtbl.replace bindings tid p
           | None -> Hashtbl.remove bindings tid))
     f
-
-(* Capture the shard NOW (on the calling thread): the returned closure is
-   handed into the sweep and invoked from pool domains, whose threads
-   carry no binding. *)
-let mat_memo_here () =
-  let sh = current_shard () in
-  fun key compute -> Lru.memoize sh.sh_mats key compute
-
-let mat_memo key compute = Lru.memoize (current_shard ()).sh_mats key compute
 
 (* ----------------------- incremental screening ----------------------- *)
 
@@ -205,8 +188,7 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
   | Error d1, Error d2 -> Error (d1 @ d2)
   | Error ds, Ok _ | Ok _, Error ds -> Error ds
   | Ok _, Ok _ -> (
-      (* Resolve the shard once, here, on the caller's thread; the memo
-         closures below run inside pool domains and must not re-resolve. *)
+      (* Resolve the shard once, here, on the caller's thread. *)
       let sh = current_shard () in
       let key = fingerprint ~max_ndwl ~max_ndbl ~params spec in
       match Lru.find sh.sh_banks key with
@@ -224,7 +206,6 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
             Bank.enumerate_soa ~pool ?cancel
               ~prune:params.Opt_params.max_area_pct
               ~bound:(bound_policy params)
-              ~mat_cache:(fun k compute -> Lru.memoize sh.sh_mats k compute)
               ~max_ndwl ~max_ndbl ~strict ~screened spec
           in
           let counts = sw.Bank.sw_counts in
@@ -268,25 +249,13 @@ let shard_capacity sh = Lru.capacity sh.sh_banks
 let set_shard_capacity sh c =
   Lru.set_capacity sh.sh_banks ~what:"Solve_cache.set_capacity" c
 
-let shard_mat_stats sh = Lru.stats sh.sh_mats
-let shard_mat_size sh = Lru.size sh.sh_mats
-let shard_mat_capacity sh = Lru.capacity sh.sh_mats
-
-let set_shard_mat_capacity sh c =
-  Lru.set_capacity sh.sh_mats ~what:"Solve_cache.set_mat_capacity" c
-
 let stats () = shard_stats (current_shard ())
 let size () = shard_size (current_shard ())
 let capacity () = shard_capacity (current_shard ())
 let set_capacity c = set_shard_capacity (current_shard ()) c
-let mat_stats () = shard_mat_stats (current_shard ())
-let mat_size () = shard_mat_size (current_shard ())
-let mat_capacity () = shard_mat_capacity (current_shard ())
-let set_mat_capacity c = set_shard_mat_capacity (current_shard ()) c
 
 let clear_shard sh =
   Lru.clear sh.sh_banks;
-  Lru.clear sh.sh_mats;
   Lru.clear sh.sh_screens;
   Atomic.set sh.sh_inc_full 0;
   Atomic.set sh.sh_inc_rows 0;
@@ -305,8 +274,7 @@ let clear () =
    followed by exactly [len] bytes: a Marshal'd
    (string * Bank.t * Diag.counts) list in least-recently-used-first
    order (so re-inserting in file order reconstructs the LRU order).
-   Only the selected-bank memo is persisted: mat sub-solutions are cheap
-   to rebuild and dominated by the bank memo on the warm path.
+   Only the selected-bank memo is persisted.
 
    Sharded servers persist one such file per shard (the serve layer names
    the siblings), so the format needs no routing metadata and stays at

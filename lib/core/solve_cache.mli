@@ -8,7 +8,7 @@
     and the enumeration bounds, so repeated solves cost one hash lookup.
 
     The tables live in {e shards}: independent instances of the whole
-    memo set (banks, mats, screen contexts).  Every entry point below
+    memo set (banks, screen contexts).  Every entry point below
     resolves the calling thread's bound shard — [default_shard] when the
     thread never bound one — so the historical process-wide-singleton
     behaviour is exactly the default, and a sharded server binds one
@@ -23,8 +23,8 @@ type stats = { hits : int; misses : int }
 (** {1 Shards} *)
 
 type shard
-(** One independent set of memo tables (selected banks, mat
-    sub-solutions, screen contexts, incremental counters).
+(** One independent set of memo tables (selected banks, screen contexts,
+    incremental counters).
     {!Cacti_array.Bank}'s cross-spec stage memo is deliberately {e not}
     per-shard: it holds deterministic gate sizings keyed by spec salt, so
     sharing it is deduplication, not contention. *)
@@ -41,9 +41,8 @@ val with_shard : shard -> (unit -> 'a) -> 'a
     set to [sh] (restoring the previous binding on exit, exceptions
     included).  The binding is per-thread: pool domains spawned inside
     [f] do {e not} inherit it — the solve entry points resolve the shard
-    on the calling thread and capture it in the closures they hand to the
-    sweep, which is why nothing inside a solve may call back into the
-    thread-resolving API from a domain. *)
+    on the calling thread, which is why nothing inside a solve may call
+    back into the thread-resolving API from a domain. *)
 
 val current_shard : unit -> shard
 (** The calling thread's bound shard, or {!default_shard}. *)
@@ -71,11 +70,13 @@ val select_bank_result :
     {!Cacti_array.Bank.enumerate_soa} with area and branch-and-bound
     pruning (see {!Cacti_array.Bank.bound_policy}; the energy rule engages
     only for dynamic-energy-only weightings), materializing only the
-    selected bank.  The sweep reads and fills the mat sub-solution memo
-    and the incremental screen context; the result is published to the
-    selected-bank memo.  Every table holds pure functions of its keys, so
-    the selected bank is the one the naive per-candidate reference in
-    [test/oracle/solver_naive.ml] picks from empty tables.
+    selected bank.  The sweep keeps no mats: the winner's mat is
+    re-derived from the stage memo ({!Cacti_array.Bank.sweep_bank}).  The
+    solve reads and fills the incremental screen context and publishes
+    the result to the selected-bank memo.  Every table holds pure
+    functions of its keys, so the selected bank is the one the naive
+    per-candidate reference in [test/oracle/solver_naive.ml] picks from
+    empty tables.
 
     Validates the spec and the optimization parameters first; an invalid
     input or an empty surviving design space returns structured
@@ -121,45 +122,9 @@ val set_capacity : int option -> unit
 
 val capacity : unit -> int option
 
-(** {1 Mat sub-solution memo}
-
-    A second, independent LRU table memoizes the mat circuit solution per
-    {!Cacti_array.Mat.fingerprint}.  Candidates across the partition grid
-    of one sweep — and across solves on the same technology node, e.g. a
-    cache's data and tag arrays or a warm server's request stream — share
-    identical subarray geometries, so their (expensive) mat solves collapse
-    to hash lookups.  Nonviable ([None]) results are memoized too.  The
-    table is not persisted by {!save}. *)
-
-val mat_memo :
-  Cacti_array.Mat.mat_key ->
-  (unit -> Cacti_array.Mat.t option) ->
-  Cacti_array.Mat.t option
-(** The memoizing wrapper threaded into
-    {!Cacti_array.Bank.enumerate_counts} as [?mat_cache]: looks the key up,
-    or computes, publishes (first store wins) and returns. *)
-
-val mat_memo_here :
-  unit ->
-  Cacti_array.Mat.mat_key ->
-  (unit -> Cacti_array.Mat.t option) ->
-  Cacti_array.Mat.t option
-(** [mat_memo_here ()] resolves the calling thread's shard {e now} and
-    returns a memoizer pinned to it — the form to thread into a sweep,
-    whose pool domains must not re-resolve the binding. *)
-
-val mat_stats : unit -> stats
-val mat_size : unit -> int
-val mat_capacity : unit -> int option
-
-val set_mat_capacity : int option -> unit
-(** Like {!set_capacity}, for the mat memo.  [None] (default) is
-    unbounded; a mat entry is a few hundred bytes, so even [Some 65536] is
-    modest. *)
-
 (** {1 Incremental re-solve}
 
-    A third table caches screen contexts by {!Cacti_array.Mat.screen_key}:
+    A second table caches screen contexts by {!Cacti_array.Mat.screen_key}:
     the rows-independent screen tree plus the survivors of its latest
     instantiation.  Because the key excludes [n_rows] and the technology
     node, a re-solve that differs from a cached spec only in technology
@@ -189,7 +154,7 @@ val screened_for :
     (defaults 64x64).  Updates the counters above. *)
 
 val clear : unit -> unit
-(** Drop all entries of every table (banks, mats, screen contexts) of the
+(** Drop all entries of every table (banks, screen contexts) of the
     calling thread's shard, reset their counters, and reset the global
     stage memo (used by benchmarks to measure cold-vs-warm solve
     times). *)
@@ -204,10 +169,6 @@ val shard_stats : shard -> stats
 val shard_size : shard -> int
 val shard_capacity : shard -> int option
 val set_shard_capacity : shard -> int option -> unit
-val shard_mat_stats : shard -> stats
-val shard_mat_size : shard -> int
-val shard_mat_capacity : shard -> int option
-val set_shard_mat_capacity : shard -> int option -> unit
 val shard_incremental_stats : shard -> incremental
 
 val clear_shard : shard -> unit

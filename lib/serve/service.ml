@@ -369,12 +369,6 @@ let stats_json t =
   let sc_misses = sum (fun sq -> (SC.shard_stats sq.sq_cache).SC.misses) in
   let sc_size = sum (fun sq -> SC.shard_size sq.sq_cache) in
   let sc_cap = sum_cap (fun sq -> SC.shard_capacity sq.sq_cache) in
-  let mat_hits = sum (fun sq -> (SC.shard_mat_stats sq.sq_cache).SC.hits) in
-  let mat_misses =
-    sum (fun sq -> (SC.shard_mat_stats sq.sq_cache).SC.misses)
-  in
-  let mat_size = sum (fun sq -> SC.shard_mat_size sq.sq_cache) in
-  let mat_cap = sum_cap (fun sq -> SC.shard_mat_capacity sq.sq_cache) in
   let inc_full =
     sum (fun sq -> (SC.shard_incremental_stats sq.sq_cache).SC.full_hits)
   in
@@ -456,17 +450,6 @@ let stats_json t =
              lru_section
                { Lru.hits = rc_hits; misses = rc_misses }
                rc_size rc_cap );
-           ( "mat_memo",
-             Jsonx.Obj
-               [
-                 ("hits", Jsonx.Int mat_hits);
-                 ("misses", Jsonx.Int mat_misses);
-                 ("size", Jsonx.Int mat_size);
-                 ( "capacity",
-                   match mat_cap with
-                   | None -> Jsonx.Null
-                   | Some n -> Jsonx.Int n );
-               ] );
            ( "incremental",
              Jsonx.Obj
                [

@@ -1,8 +1,8 @@
 (* Mutex-guarded LRU memo table.
 
    Extracted from Solve_cache so every cache in the tree — selected-bank
-   memo, mat sub-solutions, screen contexts, the serve layer's response
-   cache — shares one audited implementation.  One mutex per table guards
+   memo, screen contexts, the serve layer's response cache — shares one
+   audited implementation.  One mutex per table guards
    the hashtable, the hit/miss counters and the recency clock; values are
    expected to be immutable so a reference handed out under the lock stays
    valid after it is released. *)
@@ -23,9 +23,9 @@ type ('k, 'v) t = {
   mutable cap : int option;
 }
 
-let create ?(size = 64) () =
+let create () =
   {
-    table = Hashtbl.create size;
+    table = Hashtbl.create 64;
     lock = Mutex.create ();
     hits = 0;
     misses = 0;
@@ -100,9 +100,6 @@ let publish t key value =
           Hashtbl.add t.table key { value; stamp = t.tick };
           enforce_cap_locked t;
           value)
-
-let memoize t key compute =
-  match find t key with Some v -> v | None -> publish t key (compute ())
 
 (* Unconditional replace (last store wins), for entries that are updated
    in place — e.g. a screen context re-instantiated for a new row count. *)

@@ -1,17 +1,17 @@
 (** Mutex-guarded LRU memo table.
 
     One shared implementation for every cache in the tree: the
-    selected-bank and mat-sub-solution memos, screen contexts, and the
-    serve layer's per-shard response cache.  All operations are
-    thread-safe; values must be treated as immutable by callers (a
-    reference handed out under the lock stays valid after release). *)
+    selected-bank memo, screen contexts, and the serve layer's per-shard
+    response cache.  All operations are thread-safe; values must be
+    treated as immutable by callers (a reference handed out under the
+    lock stays valid after release). *)
 
 type stats = { hits : int; misses : int }
 
 type ('k, 'v) t
 
-val create : ?size:int -> unit -> ('k, 'v) t
-(** Fresh unbounded table; [size] is the initial hashtable sizing hint. *)
+val create : unit -> ('k, 'v) t
+(** Fresh unbounded table. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Counted lookup: bumps [hits] or [misses] and refreshes recency. *)
@@ -26,9 +26,6 @@ val publish : ('k, 'v) t -> 'k -> 'v -> 'v
     misses of a deterministic compute both publish the identical value
     and later hits share one copy.  The adopting lookup is not counted
     as a hit. *)
-
-val memoize : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** [find] + compute-on-miss + [publish]. *)
 
 val put : ('k, 'v) t -> 'k -> 'v -> unit
 (** Unconditional replace (last store wins), for entries updated in

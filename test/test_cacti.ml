@@ -507,23 +507,7 @@ let test_strict_mode_reraises () =
            false
          with Cacti_util.Floatx.Non_finite _ -> true))
 
-(* --- staged solver: sub-solution memo and branch-and-bound ----------- *)
-
-let test_mat_memo_hits () =
-  Solve_cache.clear ();
-  (* Mat solutions are shared across specs on the same node: the second
-     sweep re-derives most of its subarray geometries from the first. *)
-  ignore
-    (Cache_model.solve (Cache_spec.create ~tech:t32 ~capacity_bytes:(1024 * 1024) ()));
-  let first = Solve_cache.mat_stats () in
-  Alcotest.(check bool) "cold sweep misses" true (first.Solve_cache.misses > 0);
-  ignore
-    (Cache_model.solve
-       (Cache_spec.create ~tech:t32 ~capacity_bytes:(2 * 1024 * 1024) ()));
-  let ms = Solve_cache.mat_stats () in
-  Alcotest.(check bool) "mat memo hits > 0" true (ms.Solve_cache.hits > 0);
-  Alcotest.(check bool) "mat memo populated" true (Solve_cache.mat_size () > 0);
-  Solve_cache.clear ()
+(* --- staged solver: mat re-derivation and branch-and-bound ----------- *)
 
 (* Whether a selected bank is the naive reference solver's pick over its
    own spec's design space (the spec already carries the repeater-penalty
@@ -535,8 +519,8 @@ let same_as_oracle ?max_ndwl ?max_ndbl ~params (b : Bank.t) =
 
 let test_bench_batch_oracle () =
   (* The 7-solve batch of bench/solve_bench.ml, solved on shared tables as
-     the bench and the service do (each solve reuses the mat memo, stage
-     memo and screen contexts the previous ones filled): every selected
+     the bench and the service do (each solve reuses the stage memo and
+     screen contexts the previous ones filled): every selected
      bank — data and tag of six caches at the 64x64 grid, the main-memory
      bank at 128x256 — must be the naive reference's pick. *)
   let t45 = Cacti_tech.Technology.at_nm 45. in
@@ -593,6 +577,45 @@ let policy_of (p : Opt_params.t) =
       w.Opt_params.w_dynamic > 0. && w.Opt_params.w_leakage = 0.
       && w.Opt_params.w_cycle = 0. && w.Opt_params.w_interleave = 0.;
   }
+
+let test_materialize_cold_stage_memo () =
+  (* The sweep keeps metric columns, not mats: [Bank.sweep_bank]
+     re-derives a candidate's mat through the stage memo.  With the memo
+     emptied between the sweep and the re-derivation, every evaluated
+     candidate must still materialize to exactly the record a fresh
+     [Bank.evaluate] builds without any memo. *)
+  let check name ?max_ndwl ?max_ndbl ?prune ?bound (spec : Array_spec.t) =
+    let sw = Bank.enumerate_soa ?max_ndwl ?max_ndbl ?prune ?bound spec in
+    Bank.reset_stage_memo ();
+    let soa = sw.Bank.sw_soa in
+    let n_ok = ref 0 in
+    for i = 0 to soa.Soa_kernel.n - 1 do
+      if Bytes.get soa.Soa_kernel.status i = Soa_kernel.st_ok then begin
+        incr n_ok;
+        let org = soa.Soa_kernel.orgs.(i) in
+        match Bank.evaluate ~spec ~org with
+        | None -> Alcotest.failf "%s: candidate %d does not evaluate" name i
+        | Some b ->
+            if compare (Bank.sweep_bank sw i) b <> 0 then
+              Alcotest.failf "%s: candidate %d differs from evaluate" name i
+      end
+    done;
+    if !n_ok = 0 then Alcotest.failf "%s: nothing evaluated" name;
+    Alcotest.(check int)
+      (name ^ ": every evaluated candidate checked")
+      sw.Bank.sw_counts.Cacti_util.Diag.evaluated !n_ok
+  in
+  let data_spec cache =
+    (Cache_model.solve cache).Cache_model.data.Bank.spec
+  in
+  check "64 KB SRAM data array, 16x16" ~max_ndwl:16 ~max_ndbl:16
+    (data_spec (Cache_spec.create ~tech:t32 ~capacity_bytes:(64 * 1024) ()));
+  let params = Opt_params.default in
+  check "8 MB LP-DRAM data array, pruned"
+    ~prune:params.Opt_params.max_area_pct ~bound:(policy_of params)
+    (data_spec
+       (Cache_spec.create ~tech:t32 ~capacity_bytes:(8 * 1024 * 1024)
+          ~assoc:16 ~ram:Cacti_tech.Cell.Lp_dram ()))
 
 let test_prune_identity_and_soundness () =
   (* Three views of the same design space must agree:
@@ -935,7 +958,8 @@ let () =
         ] );
       ( "staged solver",
         [
-          Alcotest.test_case "mat memo hits" `Slow test_mat_memo_hits;
+          Alcotest.test_case "materialize on cold memo = evaluate" `Slow
+            test_materialize_cold_stage_memo;
           Alcotest.test_case "bench batch = oracle" `Slow
             test_bench_batch_oracle;
           Alcotest.test_case "prune identity + soundness" `Slow
