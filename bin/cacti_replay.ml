@@ -39,12 +39,12 @@ let resolve_policies cpu l1 l2 l3 =
     | None ->
         Ok (Mcsim.Policy.Lru, Mcsim.Policy.Lru, Mcsim.Policy.Lru)
     | Some name ->
-        let* p = Policy.preset_of_string name in
-        Ok (p.Policy.l1, p.Policy.l2, p.Policy.l3)
+        let* p = Mcsim.Policy.preset_of_string name in
+        Ok (p.Mcsim.Policy.l1, p.Mcsim.Policy.l2, p.Mcsim.Policy.l3)
   in
   let override current = function
     | None -> Ok current
-    | Some name -> Policy.of_string name
+    | Some name -> Mcsim.Policy.of_string name
   in
   let b1, b2, b3 = base in
   let* p1 = override b1 l1 in

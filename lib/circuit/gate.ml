@@ -46,23 +46,6 @@ let nand ?(beta = beta_default) ~area ~fan_in (d : Device.t) ~w_n =
     v_th_fraction = v_th_fraction d;
   }
 
-let nor ?(beta = beta_default) ~area ~fan_in (d : Device.t) ~w_n =
-  assert (fan_in >= 1);
-  let k = float_of_int fan_in in
-  let w_p_stack = beta *. w_n *. k in
-  {
-    device = d;
-    c_in = ((w_n *. d.c_gate) +. (w_p_stack *. d.c_gate));
-    r_drive = max (Device.r_sw_n d /. w_n) (Device.r_sw_p d /. w_p_stack *. k);
-    c_self = (((k *. w_n) +. w_p_stack) *. d.c_drain);
-    leakage =
-      Device.leakage_power_inverter d ~w_n:(k *. w_n) ~w_p:(w_p_stack /. k);
-    area =
-      Area_model.gate_area area
-        (List.init fan_in (fun _ -> w_n) @ List.init fan_in (fun _ -> w_p_stack));
-    v_th_fraction = v_th_fraction d;
-  }
-
 let tf g ~c_load = 0.69 *. g.r_drive *. (g.c_self +. c_load)
 
 let switching_energy g ~c_load =

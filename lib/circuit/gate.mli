@@ -31,14 +31,6 @@ val nand :
 (** Series NMOS stack: drive resistance scales with fan-in; NMOS widths are
     up-sized by the fan-in to compensate area-wise. *)
 
-val nor :
-  ?beta:float ->
-  area:Area_model.t ->
-  fan_in:int ->
-  Cacti_tech.Device.t ->
-  w_n:float ->
-  t
-
 val tf : t -> c_load:float -> float
 (** Intrinsic time constant [0.69 · R · (C_self + C_load)] for Horowitz. *)
 

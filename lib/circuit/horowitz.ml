@@ -7,4 +7,3 @@ let delay ~input_ramp ~tf ~v_th_fraction =
     tf *. sqrt ((log vs *. log vs) +. (2. *. a *. b *. (1. -. vs)))
 
 let output_ramp ~tf = 2. *. tf
-let rc ~r ~c = 0.69 *. r *. c

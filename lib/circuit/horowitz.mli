@@ -16,6 +16,3 @@ val output_ramp : tf:float -> float
 (** Ramp time presented to the next stage, estimated as the full-swing time
     of this stage's output: [tf / (1 - v_th_fraction)] with the canonical
     0.5 threshold — i.e. [2·tf]. *)
-
-val rc : r:float -> c:float -> float
-(** Lumped RC time constant helper. *)

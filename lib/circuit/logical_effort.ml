@@ -6,6 +6,3 @@ let n_stages ~path_effort =
 
 let stage_effort ~path_effort ~n =
   if path_effort <= 1. then 1.0 else path_effort ** (1. /. float_of_int n)
-
-let nand_effort ~fan_in = (float_of_int fan_in +. 2.) /. 3.
-let nor_effort ~fan_in = ((2. *. float_of_int fan_in) +. 1.) /. 3.

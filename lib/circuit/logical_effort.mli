@@ -13,9 +13,3 @@ val n_stages : path_effort:float -> int
 
 val stage_effort : path_effort:float -> n:int -> float
 (** [F^(1/n)]. *)
-
-val nand_effort : fan_in:int -> float
-(** Logical effort of a NAND gate: [(fan_in + 2) / 3]. *)
-
-val nor_effort : fan_in:int -> float
-(** [(2·fan_in + 1) / 3]. *)

@@ -1,7 +1,5 @@
 type t = { delay : float; energy : float; leakage : float; area : float }
 
-let zero = { delay = 0.; energy = 0.; leakage = 0.; area = 0. }
-
 let series a b =
   {
     delay = a.delay +. b.delay;
@@ -9,17 +7,3 @@ let series a b =
     leakage = a.leakage +. b.leakage;
     area = a.area +. b.area;
   }
-
-let chain = List.fold_left series zero
-
-let parallel ~n s =
-  let f = float_of_int n in
-  { s with energy = s.energy *. f; leakage = s.leakage *. f; area = s.area *. f }
-
-let with_delay s delay = { s with delay }
-let add_delay s d = { s with delay = s.delay +. d }
-
-let pp ppf s =
-  Format.fprintf ppf "{delay=%a; energy=%a; leak=%a; area=%a}"
-    Cacti_util.Units.pp_time s.delay Cacti_util.Units.pp_energy s.energy
-    Cacti_util.Units.pp_power s.leakage Cacti_util.Units.pp_area s.area

@@ -1,7 +1,7 @@
 (** A circuit block's contribution to the array metrics.
 
-    Every circuit module reports the same four quantities; composition of an
-    access path is then series/parallel algebra on these records. *)
+    Every circuit module reports the same four quantities, so blocks on one
+    access path compose by adding them ({!series}). *)
 
 type t = {
   delay : float;  (** s, through the block *)
@@ -10,18 +10,5 @@ type t = {
   area : float;  (** m², layout area of the block *)
 }
 
-val zero : t
-
 val series : t -> t -> t
 (** Delays add; energy, leakage and area add. *)
-
-val chain : t list -> t
-
-val parallel : n:int -> t -> t
-(** [n] copies operating together: delay unchanged, energy/leakage/area
-    scaled. *)
-
-val with_delay : t -> float -> t
-val add_delay : t -> float -> t
-
-val pp : Format.formatter -> t -> unit

@@ -23,9 +23,3 @@ val select_soa_result :
     The contract is the list-based reference in
     [test/oracle/solver_naive.ml]: same winner, same [Error], same
     exceptions. *)
-
-val pareto_access_area :
-  Cacti_array.Bank.t list -> Cacti_array.Bank.t list
-(** The access-time/area Pareto frontier — the solutions plotted as bubbles
-    in the Figure 1 validation.  O(n log n) sort-then-scan; keeps exact
-    ties like the naive dominance filter and preserves input order. *)

@@ -30,21 +30,10 @@ let arm point ?(prob = 1.0) fault =
       Hashtbl.replace table point { fault; prob; fired = 0 };
       Atomic.set enabled true)
 
-let disarm point =
-  Mutex.protect lock (fun () ->
-      Hashtbl.remove table point;
-      if Hashtbl.length table = 0 then Atomic.set enabled false)
-
 let reset () =
   Mutex.protect lock (fun () ->
       Hashtbl.reset table;
       Atomic.set enabled false)
-
-let fired point =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt table point with
-      | Some a -> a.fired
-      | None -> 0)
 
 let points () =
   Mutex.protect lock (fun () ->

@@ -42,8 +42,6 @@ val arm : string -> ?prob:float -> fault -> unit
     [prob] (default 1.0) per {!fire} call.  Re-arming replaces the
     previous fault and resets its counter. *)
 
-val disarm : string -> unit
-
 val reset : unit -> unit
 (** Disarm every point (does not reseed). *)
 
@@ -57,10 +55,6 @@ val mangle : string -> string -> string
 (** [mangle point line] is [line], or a corrupted (torn, spliced with
     garbage bytes, never containing a newline) variant when [point] is
     armed with {!Mangle} and the draw hits. *)
-
-val fired : string -> int
-(** How many times the point's armed fault actually executed (since the
-    last [arm] of that point). *)
 
 val points : unit -> (string * int) list
 (** Armed points with their fired counts, sorted. *)

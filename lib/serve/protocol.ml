@@ -12,14 +12,6 @@ type params = {
   deadline_ms : float option;
 }
 
-let default_params =
-  {
-    opt = Cacti.Opt_params.default;
-    strict = false;
-    jobs = None;
-    deadline_ms = None;
-  }
-
 type request =
   | Solve of { id : Jsonx.t; spec : spec; params : params }
   | Stats of { id : Jsonx.t }

@@ -44,8 +44,6 @@ type params = {
           deadline *)
 }
 
-val default_params : params
-
 type request =
   | Solve of { id : Cacti_util.Jsonx.t; spec : spec; params : params }
   | Stats of { id : Cacti_util.Jsonx.t }

@@ -42,8 +42,6 @@ let track t fd = Mutex.protect t.conns_lock (fun () -> Hashtbl.replace t.conns f
 let untrack t fd =
   Mutex.protect t.conns_lock (fun () -> Hashtbl.remove t.conns fd)
 
-let live_conns t = Mutex.protect t.conns_lock (fun () -> Hashtbl.length t.conns)
-
 let handle_jsonl_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in

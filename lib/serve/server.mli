@@ -64,6 +64,3 @@ val stop : ?drain_ms:float -> t -> unit
     workers, closes established connections, removes the socket file and
     returns once {!wait} would.  Safe to call from multiple threads or
     more than once; later calls return after the first completes. *)
-
-val live_conns : t -> int
-(** Established connections currently tracked (readers not yet closed). *)

@@ -19,7 +19,6 @@ type t = {
   setmeta : int array;
       (** per-set policy metadata: Tree-PLRU direction bits (bit index =
           heap node index, 1-based) / QLRU R1 round-robin pointer *)
-  policy : Policy.t;
   kind : int;  (** [Policy.kind_int policy], hoisted for dispatch *)
   log2_assoc : int;  (** Tree-PLRU tree depth; -1 for other policies *)
   q_h2 : int;
@@ -59,7 +58,6 @@ let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
     ways = Array.make (sets * assoc) invalid;
     stamps = Array.make (sets * assoc) 0;
     setmeta = Array.make sets 0;
-    policy;
     kind;
     log2_assoc = (if kind = 1 then Cacti_util.Floatx.clog2 assoc else -1);
     q_h2;
@@ -73,7 +71,6 @@ let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
 let lines t = t.sets * t.assoc
 let assoc t = t.assoc
 let sets t = t.sets
-let policy t = t.policy
 
 type lookup = Hit of state | Miss
 
@@ -99,6 +96,21 @@ let probe_int t line =
   if i < 0 then 0 else state_int_of (Array.unsafe_get t.ways i)
 
 let probe t line = state_of_int (probe_int t line)
+
+(* ---------------- LRU (kind 0) ----------------
+
+   [stamps.(i)] is the clock value of way [i]'s last fill or hit; every
+   fill and hit takes a fresh value, so the stamps of valid ways are
+   distinct. *)
+
+(* The leftmost way with the smallest stamp, in a full set. *)
+let lru_victim t b last =
+  let stamps = t.stamps in
+  let v = ref b in
+  for j = b + 1 to last do
+    if Array.unsafe_get stamps j < Array.unsafe_get stamps !v then v := j
+  done;
+  !v
 
 (* ---------------- Tree-PLRU (kind 1) ----------------
 
@@ -251,6 +263,12 @@ let access t ~line ~write =
 
 type eviction = { line : int; state : state }
 
+(* Leftmost invalid way in [i .. last], or -1. *)
+let rec first_invalid ways i last =
+  if i > last then -1
+  else if Array.unsafe_get ways i < 0 then i
+  else first_invalid ways (i + 1) last
+
 (* Unboxed fill: allocates [line] in [state] (an int), returning -1 when a
    free way was used, else the packed [victim_line * 4 + victim_state].
    The line must not already be present (the engine guarantees it: a fill
@@ -259,43 +277,14 @@ let fill_packed t ~line ~state_int =
   let b = base t line in
   let ways = t.ways and stamps = t.stamps in
   let last = b + t.assoc - 1 in
+  (* Every policy fills the leftmost invalid way first; the policy
+     proper only chooses among valid lines of a full set. *)
   let i =
-    if t.kind = 0 then begin
-      (* True LRU: choose an invalid way, else the LRU way.  This fused
-         scan is the historical default path, kept verbatim — the engine
-         golden tests pin its victim choices bit-for-bit. *)
-      let victim = ref b in
-      let best = ref max_int in
-      (try
-         for i = b to last do
-           if Array.unsafe_get ways i < 0 then begin
-             victim := i;
-             raise Exit
-           end
-           else if Array.unsafe_get stamps i < !best then begin
-             best := Array.unsafe_get stamps i;
-             victim := i
-           end
-         done
-       with Exit -> ());
-      !victim
-    end
-    else begin
-      (* Every policy fills the leftmost invalid way first; the policy
-         proper only chooses among valid lines of a full set. *)
-      let inv = ref (-1) in
-      (try
-         for i = b to last do
-           if Array.unsafe_get ways i < 0 then begin
-             inv := i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !inv >= 0 then !inv
-      else begin
+    match first_invalid ways b last with
+    | -1 -> (
         let set = line land t.set_mask in
         match t.kind with
+        | 0 -> lru_victim t b last
         | 1 -> b + plru_victim t set
         | 2 -> qlru_victim t set b last
         | _ -> (
@@ -306,9 +295,8 @@ let fill_packed t ~line ~state_int =
                   Array.unsafe_set stamps j 0
                 done;
                 b
-            | v -> v)
-      end
-    end
+            | v -> v))
+    | inv -> inv
   in
   let evicted = Array.unsafe_get ways i in
   Array.unsafe_set ways i (pack line state_int);

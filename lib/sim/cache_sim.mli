@@ -11,8 +11,10 @@
     returns sentinel-encoded ints and allocates nothing.  Replacement
     metadata lives in pre-sized int arrays (per-way stamps/ages/bits and a
     per-set word for the Tree-PLRU bits or the QLRU R1 pointer), so every
-    policy keeps the access path allocation-free; the default-LRU victim
-    scan is the historical code, bit-for-bit. *)
+    policy keeps the access path allocation-free.  A fill takes the
+    leftmost invalid way of its set; only a full set asks the policy for a
+    victim.  [test/oracle/policy_naive.ml] is the reference model that
+    every policy is checked against. *)
 
 type state = I | S | E | M
 
@@ -24,18 +26,19 @@ val state_of_int : int -> state
 type t
 
 val create : ?assoc:int -> ?policy:Policy.t -> lines:int -> unit -> t
-(** [lines] is the capacity in cache lines; [assoc] defaults to 8.  [lines]
-    must be divisible by [assoc]; the set count is rounded up to a power of
-    two (capacity is preserved by widening associativity on the last
-    doubling if needed).  [policy] (default {!Policy.Lru}) selects the
-    replacement policy; [Tree_plru] additionally requires the (possibly
+(** [lines] is the requested capacity in cache lines; [assoc] defaults to 8.
+    [lines] must be divisible by [assoc].  The set count is [lines / assoc]
+    rounded down to a power of two, and the associativity becomes
+    [lines / sets] in integer division, which widens it when the set count
+    was rounded down.  The built capacity {!lines} is [sets * assoc], below
+    [lines] when [sets] does not divide [lines] (e.g. [~lines:20 ~assoc:2]
+    builds 8 sets of 2 ways).  [policy] (default {!Policy.Lru}) selects
+    the replacement policy; [Tree_plru] additionally requires the (possibly
     widened) associativity to be a power of two, else [Invalid_argument]. *)
 
 val lines : t -> int
 val assoc : t -> int
 val sets : t -> int
-
-val policy : t -> Policy.t
 
 type lookup = Hit of state | Miss
 

@@ -89,4 +89,3 @@ let pop_payload h =
   end
 
 let size h = h.n
-let is_empty h = h.n = 0

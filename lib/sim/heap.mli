@@ -33,4 +33,3 @@ val pop_payload : t -> int
     be unambiguous. *)
 
 val size : t -> int
-val is_empty : t -> bool

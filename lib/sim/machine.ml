@@ -47,6 +47,3 @@ type t = {
 }
 
 let n_threads t = t.n_cores * t.threads_per_core
-
-let cycles_of_ns t ns =
-  max 1 (int_of_float (Float.ceil (ns *. 1e-9 *. t.clock_hz)))

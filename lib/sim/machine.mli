@@ -54,5 +54,3 @@ type t = {
 }
 
 val n_threads : t -> int
-val cycles_of_ns : t -> float -> int
-(** Rounds up; at least 1. *)

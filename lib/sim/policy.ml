@@ -5,8 +5,6 @@ type t =
   | Mru
   | Mru_n
 
-let default = Lru
-
 let to_string = function
   | Lru -> "LRU"
   | Tree_plru -> "TREE_PLRU"

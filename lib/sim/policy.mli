@@ -11,11 +11,13 @@
 
     {b Semantics} (deterministic "replay policy semantics v1"; the original
     definitions are reverse-engineered, so golden tests in
-    [test/test_replay.ml] pin this module's exact behaviour):
+    [test/test_replay.ml] pin this module's exact behaviour, and
+    [test/oracle/policy_naive.ml] restates it as the reference model
+    {!Cache_sim} is checked against):
 
-    - {b LRU} — true least-recently-used via per-way recency stamps.  This
-      is the historical {!Cache_sim} behaviour, bit-preserved as the
-      default.
+    - {b LRU} — true least-recently-used via per-way recency stamps: the
+      victim is the way whose last fill or hit is oldest.  The default
+      policy of {!Cache_sim}.
     - {b TREE_PLRU} — tree pseudo-LRU over a power-of-two associativity:
       one direction bit per internal node of a balanced binary tree; an
       access flips the bits on its root path to point away from the
@@ -49,9 +51,6 @@ type t =
       (** [h2],[h3],[m] in 0..3, [r] in 0..1, [u] in 0..2 — see above. *)
   | Mru
   | Mru_n
-
-val default : t
-(** [Lru] — the engine's historical behaviour. *)
 
 val to_string : t -> string
 (** Canonical upper-case name, e.g. ["QLRU_H11_M1_R1_U2"]; parses back with

@@ -5,7 +5,6 @@ let ram_kind_to_string = function
   | Lp_dram -> "LP-DRAM"
   | Comm_dram -> "COMM-DRAM"
 
-let all_ram_kinds = [ Sram; Lp_dram; Comm_dram ]
 let is_dram = function Sram -> false | Lp_dram | Comm_dram -> true
 
 type t = {

@@ -14,7 +14,6 @@
 type ram_kind = Sram | Lp_dram | Comm_dram
 
 val ram_kind_to_string : ram_kind -> string
-val all_ram_kinds : ram_kind list
 val is_dram : ram_kind -> bool
 
 type t = {

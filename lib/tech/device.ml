@@ -6,14 +6,6 @@ type kind =
   | Dram_access_lp
   | Dram_access_comm
 
-let kind_to_string = function
-  | Hp -> "HP"
-  | Lstp -> "LSTP"
-  | Lop -> "LOP"
-  | Hp_long_channel -> "HP long-channel"
-  | Dram_access_lp -> "LP-DRAM access"
-  | Dram_access_comm -> "COMM-DRAM access"
-
 let all_kinds = [ Hp; Lstp; Lop; Hp_long_channel; Dram_access_lp; Dram_access_comm ]
 
 type t = {
@@ -35,7 +27,6 @@ type t = {
 
 let r_sw_n d = d.r_sw_factor *. d.vdd /. d.i_on_n
 let r_sw_p d = d.r_sw_factor *. d.vdd /. d.i_on_p
-let c_in_per_width d ~beta = (1. +. beta) *. d.c_gate
 
 let leakage_power_inverter d ~w_n ~w_p =
   0.5 *. d.vdd *. ((d.i_off_n *. w_n) +. (d.i_off_p *. w_p))

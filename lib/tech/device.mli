@@ -18,7 +18,6 @@ type kind =
   | Dram_access_lp  (** LP-DRAM 1T1C cell access transistor *)
   | Dram_access_comm  (** COMM-DRAM 1T1C cell access transistor *)
 
-val kind_to_string : kind -> string
 val all_kinds : kind list
 
 type t = {
@@ -51,10 +50,6 @@ val r_sw_n : t -> float
     1/width. *)
 
 val r_sw_p : t -> float
-
-val c_in_per_width : t -> beta:float -> float
-(** Input capacitance of an inverter with NMOS width [w] and PMOS width
-    [beta*w], per meter of NMOS width. *)
 
 val leakage_power_inverter : t -> w_n:float -> w_p:float -> float
 (** Average subthreshold leakage power of an inverter, W (input equally

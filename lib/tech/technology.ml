@@ -38,7 +38,6 @@ let at_nm ?wire_projection f_nm =
   create ?wire_projection ~feature_size:(f_nm *. 1e-9) ()
 
 let feature_size t = t.node.Node.feature_size
-let node t = t.node
 let wire_projection t = t.wire_projection
 let device t k = Node.device t.node k
 let wire t k = Node.wire t.node t.wire_projection k
@@ -48,12 +47,6 @@ let peripheral_device t (ram : Cell.ram_kind) =
   match ram with
   | Sram | Lp_dram -> device t Hp_long_channel
   | Comm_dram -> device t Lstp
-
-let cell_device t (ram : Cell.ram_kind) =
-  match ram with
-  | Sram -> device t Hp_long_channel
-  | Lp_dram -> device t Dram_access_lp
-  | Comm_dram -> device t Dram_access_comm
 
 let fo4 t kind =
   let d = device t kind in

@@ -22,7 +22,6 @@ val at_nm : ?wire_projection:Wire.projection -> float -> t
 (** [at_nm 32.] is shorthand for [create ~feature_size:32e-9 ()]. *)
 
 val feature_size : t -> float
-val node : t -> Node.t
 val wire_projection : t -> Wire.projection
 
 val device : t -> Device.kind -> Device.t
@@ -32,9 +31,6 @@ val cell : t -> Cell.ram_kind -> Cell.t
 val peripheral_device : t -> Cell.ram_kind -> Device.t
 (** The device class used for decoders, drivers, sense support, repeaters and
     all other non-cell circuitry of an array in the given RAM technology. *)
-
-val cell_device : t -> Cell.ram_kind -> Device.t
-(** The device class of the storage cell's transistors. *)
 
 val fo4 : t -> Device.kind -> float
 (** Fanout-of-4 inverter delay for the device class, s; a sanity metric and

@@ -1,11 +1,6 @@
 type kind = Local | Semi_global | Global
 type projection = Aggressive | Conservative
 
-let kind_to_string = function
-  | Local -> "local"
-  | Semi_global -> "semi-global"
-  | Global -> "global"
-
 type geometry = {
   pitch : float;
   aspect_ratio : float;
@@ -46,9 +41,6 @@ let of_geometry kind g =
 
 let elmore_unrepeated w ~length =
   0.5 *. w.r_per_m *. w.c_per_m *. length *. length
-
-let energy_per_transition w ~length ~vdd =
-  0.5 *. w.c_per_m *. length *. vdd *. vdd
 
 let lin a b t = a +. ((b -. a) *. t)
 

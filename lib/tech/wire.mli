@@ -13,8 +13,6 @@
 type kind = Local | Semi_global | Global
 type projection = Aggressive | Conservative
 
-val kind_to_string : kind -> string
-
 type geometry = {
   pitch : float;  (** wire pitch, m *)
   aspect_ratio : float;  (** thickness / width *)
@@ -39,9 +37,6 @@ val of_geometry : kind -> geometry -> t
 
 val elmore_unrepeated : t -> length:float -> float
 (** Distributed-RC (Elmore) delay of an unrepeated wire: [0.5 R C l²]. *)
-
-val energy_per_transition : t -> length:float -> vdd:float -> float
-(** [C l Vdd²/2] switching energy for one full transition. *)
 
 val interpolate : t -> t -> float -> t
 (** Field-wise mix of two nodes' wires of the same [kind]. *)

@@ -30,7 +30,6 @@ let to_string d =
     (severity_to_string d.severity)
     d.component d.reason d.message
 
-let pp ppf d = Format.pp_print_string ppf (to_string d)
 let render ds = String.concat "\n" (List.map to_string ds)
 
 type counts = {
@@ -80,25 +79,12 @@ let counts_to_string c =
     c.candidates c.evaluated c.geometry_rejected c.page_rejected c.area_pruned
     c.bound_pruned c.nonviable c.nonfinite c.raised
 
-let pp_counts ppf c = Format.pp_print_string ppf (counts_to_string c)
-
 type summary = { sweeps : counts; cache_hits : int; notes : t list }
-
-let empty_summary = { sweeps = zero_counts; cache_hits = 0; notes = [] }
-
-let merge_summary a b =
-  {
-    sweeps = add_counts a.sweeps b.sweeps;
-    cache_hits = a.cache_hits + b.cache_hits;
-    notes = a.notes @ b.notes;
-  }
 
 let summary_to_string s =
   Printf.sprintf "%s; cache hits %d"
     (counts_to_string s.sweeps)
     s.cache_hits
-
-let pp_summary ppf s = Format.pp_print_string ppf (summary_to_string s)
 
 let exit_ok = 0
 let exit_usage = 1

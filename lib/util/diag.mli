@@ -46,8 +46,6 @@ val severity_to_string : severity -> string
 val to_string : t -> string
 (** One line: ["error[cache_spec/non_pow2_block]: block size ..."]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val render : t list -> string
 (** Newline-joined {!to_string} of each diagnostic. *)
 
@@ -88,8 +86,6 @@ val counts_to_string : counts -> string
     area-pruned 700, bound-pruned 130, nonviable 0, nonfinite 0,
     raised 0"]. *)
 
-val pp_counts : Format.formatter -> counts -> unit
-
 (** {1 Whole-solve summary} *)
 
 type summary = {
@@ -98,10 +94,7 @@ type summary = {
   notes : t list;  (** non-fatal diagnostics gathered along the way *)
 }
 
-val empty_summary : summary
-val merge_summary : summary -> summary -> summary
 val summary_to_string : summary -> string
-val pp_summary : Format.formatter -> summary -> unit
 
 (** {1 CLI exit codes}
 

@@ -1,14 +1,8 @@
 exception Non_finite of string
 
-let finite ~what x =
-  if Float.is_finite x then x
-  else raise (Non_finite (Printf.sprintf "%s is %h" what x))
-
 let finite_pos ~what x =
   if Float.is_finite x && x >= 0. then x
   else raise (Non_finite (Printf.sprintf "%s is %h" what x))
-
-let log2 x = log x /. log 2.
 
 let clog2 n =
   assert (n > 0);
@@ -27,10 +21,6 @@ let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 let rel_err ~actual ~model =
   if actual = 0. then if model = 0. then 0. else Float.infinity
   else (model -. actual) /. actual
-
-let approx ?(tol = 1e-9) a b =
-  let scale = max (Float.abs a) (Float.abs b) in
-  scale = 0. || Float.abs (a -. b) <= tol *. scale
 
 let sum = List.fold_left ( +. ) 0.
 

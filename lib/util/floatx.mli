@@ -1,20 +1,16 @@
 (** Small floating-point helpers shared across the modeling code. *)
 
 exception Non_finite of string
-(** Raised by the {!finite} guards; the payload names the offending
+(** Raised by {!finite_pos}; the payload names the offending
     quantity.  Contained (and counted as [nonfinite]) by the design-space
     sweep unless it runs in strict mode. *)
 
-val finite : what:string -> float -> float
-(** Identity on finite floats; raises {!Non_finite} naming [what] on NaN or
-    ±∞.  Used at the circuit/array boundary so degenerate math is caught
-    where it happens instead of poisoning downstream comparisons. *)
-
 val finite_pos : what:string -> float -> float
-(** Like {!finite} but additionally rejects negative values (delays,
-    energies, areas and powers are physical and must be ≥ 0). *)
-
-val log2 : float -> float
+(** Identity on finite non-negative floats; raises {!Non_finite} naming
+    [what] on NaN, ±∞ or a negative value (delays, energies, areas and
+    powers are physical and must be ≥ 0).  Used at the circuit/array
+    boundary so degenerate math is caught where it happens instead of
+    poisoning downstream comparisons. *)
 
 val clog2 : int -> int
 (** [clog2 n] is the ceiling of log2 of [n]; [clog2 1 = 0]. [n] must be
@@ -29,9 +25,6 @@ val clamp : lo:float -> hi:float -> float -> float
 val rel_err : actual:float -> model:float -> float
 (** [(model - actual) / actual]; the sign convention used by the paper's
     validation tables (negative = model underestimates). *)
-
-val approx : ?tol:float -> float -> float -> bool
-(** Relative comparison with default tolerance [1e-9]. *)
 
 val sum : float list -> float
 val mean : float list -> float

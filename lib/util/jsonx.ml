@@ -139,8 +139,6 @@ let to_string_pretty v =
   go 0 v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string_pretty v)
-
 (* ------------------------------ parsing ------------------------------- *)
 
 exception Err of int * string
@@ -372,6 +370,3 @@ let get_float = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
-
-let get_list = function List l -> Some l | _ -> None
-let get_obj = function Obj kvs -> Some kvs | _ -> None

@@ -56,9 +56,6 @@ val to_canonical_string : t -> string
     number spellings are preserved: [Int 1] and [Float 1.] stay
     distinct. *)
 
-val pp : Format.formatter -> t -> unit
-(** [to_string_pretty] through a formatter. *)
-
 (** {1 Parsing} *)
 
 val parse : string -> (t, string) result
@@ -84,6 +81,3 @@ val get_int : t -> int option
 
 val get_float : t -> float option
 (** {!Float} or {!Int}. *)
-
-val get_list : t -> t list option
-val get_obj : t -> (string * t) list option

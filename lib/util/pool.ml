@@ -7,7 +7,6 @@ let create ?jobs () =
   { jobs }
 
 let serial = { jobs = 1 }
-let jobs t = t.jobs
 
 (* One shared chunk counter; workers (the spawned domains plus the calling
    domain) repeatedly claim the next unprocessed chunk, so load imbalance

@@ -20,8 +20,6 @@ val create : ?jobs:int -> unit -> t
 val serial : t
 (** A pool that never spawns: [create ~jobs:1 ()]. *)
 
-val jobs : t -> int
-
 val run_chunked : chunk:int -> t -> int -> (int -> unit) -> unit
 (** [run_chunked ~chunk t n body] runs [body i] for every [i] in
     [0 .. n-1], claiming [chunk] consecutive indices per steal.  Within a

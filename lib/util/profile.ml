@@ -12,7 +12,6 @@ let lock = Mutex.create ()
 let cells : (string, cell) Hashtbl.t = Hashtbl.create 16
 
 let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
 
 let reset () =
   Mutex.protect lock (fun () -> Hashtbl.reset cells)

@@ -7,7 +7,6 @@
     concurrently from several domains. *)
 
 val set_enabled : bool -> unit
-val is_enabled : unit -> bool
 
 val reset : unit -> unit
 (** Drop all accumulated phases (does not change the enabled flag). *)

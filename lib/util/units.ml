@@ -1,43 +1,11 @@
 let nano = 1e-9
-let micro = 1e-6
 let milli = 1e-3
-let pico = 1e-12
-let femto = 1e-15
-let kilo = 1e3
-let mega = 1e6
-let giga = 1e9
 
 let ns x = x *. nano
-let ps x = x *. pico
-let us x = x *. micro
-let ms x = x *. milli
-let nm x = x *. nano
-let um x = x *. micro
-let mm x = x *. milli
-let ff x = x *. femto
-let pf x = x *. pico
-let nj x = x *. nano
-let pj x = x *. pico
-let mw x = x *. milli
-let uw x = x *. micro
-let mm2 x = x *. 1e-6
-let um2 x = x *. 1e-12
-
-let kib n = n * 1024
-let mib n = n * 1024 * 1024
-let gib n = n * 1024 * 1024 * 1024
 
 let to_ns x = x /. nano
-let to_ps x = x /. pico
-let to_ms x = x /. milli
-let to_nm x = x /. nano
-let to_um x = x /. micro
-let to_mm x = x /. milli
-let to_ff x = x /. femto
 let to_nj x = x /. nano
-let to_pj x = x /. pico
 let to_mw x = x /. milli
-let to_w x = x
 let to_mm2 x = x /. 1e-6
 let to_um2 x = x /. 1e-12
 

@@ -2,62 +2,20 @@
 
     Every physical quantity in this code base is stored in base SI units:
     seconds, meters, farads, ohms, joules, watts, volts, amperes.  These
-    helpers convert to and from the engineering units used in datasheets and
-    in the paper (ns, nm, µm, mm², fF, nJ, mW, ...) and format quantities for
-    human-readable output. *)
-
-val nano : float
-val micro : float
-val milli : float
-val pico : float
-val femto : float
-val kilo : float
-val mega : float
-val giga : float
+    helpers convert to and from the engineering units the paper's tables
+    print (ns, nJ, mW, mm², µm²) and format quantities for human-readable
+    output. *)
 
 (** {1 Construction: engineering unit -> SI} *)
 
 val ns : float -> float
 (** [ns x] is [x] nanoseconds in seconds. *)
 
-val ps : float -> float
-val us : float -> float
-val ms : float -> float
-val nm : float -> float
-val um : float -> float
-val mm : float -> float
-val ff : float -> float
-(** femtofarads to farads *)
-
-val pf : float -> float
-val nj : float -> float
-val pj : float -> float
-val mw : float -> float
-val uw : float -> float
-val mm2 : float -> float
-(** square millimeters to square meters *)
-
-val um2 : float -> float
-
-val kib : int -> int
-(** [kib n] is [n] binary kilobytes in bytes. *)
-
-val mib : int -> int
-val gib : int -> int
-
 (** {1 Readback: SI -> engineering unit} *)
 
 val to_ns : float -> float
-val to_ps : float -> float
-val to_ms : float -> float
-val to_nm : float -> float
-val to_um : float -> float
-val to_mm : float -> float
-val to_ff : float -> float
 val to_nj : float -> float
-val to_pj : float -> float
 val to_mw : float -> float
-val to_w : float -> float
 val to_mm2 : float -> float
 val to_um2 : float -> float
 

@@ -150,7 +150,7 @@ let test_pareto_frontier () =
       ~row_bits:2048 ~output_bits:256 ()
   in
   let cands = Bank.enumerate ~max_ndwl:8 ~max_ndbl:8 spec in
-  let front = Optimizer.pareto_access_area cands in
+  let front = Oracle.Pareto.pareto_access_area cands in
   Alcotest.(check bool) "frontier non-empty and smaller" true
     (front <> [] && List.length front <= List.length cands);
   (* No frontier point dominates another. *)
@@ -907,7 +907,7 @@ let test_pareto_matches_naive () =
       cands
   in
   let expect = List.filter (fun b -> not (naive_dominated b)) cands in
-  let got = Optimizer.pareto_access_area cands in
+  let got = Oracle.Pareto.pareto_access_area cands in
   Alcotest.(check int) "same frontier size" (List.length expect)
     (List.length got);
   List.iter2

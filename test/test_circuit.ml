@@ -23,9 +23,7 @@ let test_logical_effort () =
   Alcotest.(check int) "F=64 -> 3 stages" 3
     (Logical_effort.n_stages ~path_effort:64.);
   Alcotest.(check (float 1e-9)) "per-stage effort" 4.
-    (Logical_effort.stage_effort ~path_effort:64. ~n:3);
-  Alcotest.(check (float 1e-9)) "nand2 effort" (4. /. 3.)
-    (Logical_effort.nand_effort ~fan_in:2)
+    (Logical_effort.stage_effort ~path_effort:64. ~n:3)
 
 let test_gate_scaling () =
   let g1 = Gate.inverter ~area:am periph ~w_n:(3. *. feature) in
@@ -211,37 +209,12 @@ let test_crossbar () =
     (x4.Crossbar.area < x.Crossbar.area)
 
 
-let test_tsv () =
-  let f2f = Tsv.face_to_face ~device:periph ~area:am ~feature () in
-  let tsv =
-    Tsv.through_silicon ~device:periph ~area:am ~feature ~length:50e-6 ()
-  in
-  (* The study cites sub-FO4 flight for the via itself; with the driver and
-     receiver included the hop must stay far below a millimeter of repeated
-     wire (~150 ps/mm), i.e. negligible in the L2-L3 path. *)
-  let fo4 = Technology.fo4 t32 Hp_long_channel in
-  Alcotest.(check bool)
-    (Printf.sprintf "f2f hop %.1f ps small (FO4 %.1f ps)"
-       (f2f.Tsv.delay *. 1e12) (fo4 *. 1e12))
-    true
-    (f2f.Tsv.delay < 100e-12);
-  Alcotest.(check bool) "TSV costs more than f2f" true
-    (tsv.Tsv.energy_per_bit > f2f.Tsv.energy_per_bit);
-  let bus = Tsv.bus f2f ~bits:512 ~activity:0.5 in
-  Alcotest.(check bool) "bus energy scales" true
-    (bus.Stage.energy > 100. *. f2f.Tsv.energy_per_bit *. 0.5)
-
 let test_stage_algebra () =
   let a = { Stage.delay = 1.; energy = 2.; leakage = 3.; area = 4. } in
   let b = { Stage.delay = 10.; energy = 20.; leakage = 30.; area = 40. } in
   let s = Stage.series a b in
   Alcotest.(check (float 0.)) "delay adds" 11. s.Stage.delay;
-  Alcotest.(check (float 0.)) "energy adds" 22. s.Stage.energy;
-  let p = Stage.parallel ~n:3 a in
-  Alcotest.(check (float 0.)) "parallel keeps delay" 1. p.Stage.delay;
-  Alcotest.(check (float 0.)) "parallel scales energy" 6. p.Stage.energy;
-  Alcotest.(check (float 0.)) "chain = fold" 11.
-    (Stage.chain [ a; b ]).Stage.delay
+  Alcotest.(check (float 0.)) "energy adds" 22. s.Stage.energy
 
 let prop_driver_monotone_load =
   QCheck.Test.make ~name:"driver delay monotone in load" ~count:50
@@ -291,7 +264,6 @@ let () =
           Alcotest.test_case "repeater constraint" `Quick test_repeater_constraint_trades_energy;
           Alcotest.test_case "htree scaling" `Quick test_htree_scaling;
           Alcotest.test_case "crossbar" `Quick test_crossbar;
-          Alcotest.test_case "tsv" `Quick test_tsv;
         ] );
       ( "array circuits",
         [

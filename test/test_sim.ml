@@ -150,6 +150,122 @@ let prop_cache_occupancy_bounded =
         lines;
       Cache_sim.occupancy c <= 32)
 
+(* Cache_sim against the naive policy model (test/oracle/policy_naive.ml)
+   over random streams.  [Touch (line, write, state)] accesses the line
+   and fills it in [state] on a miss, as the engine and the replayer do;
+   [Set (line, s)] is [set_state_int] (0 invalidates).  Invalidations
+   leave holes in sets that were full, and a fill must then take the
+   leftmost hole rather than a victim, so every stream has them.  Every
+   return value is compared, then the occupancy and every line's state. *)
+module Naive = Oracle.Policy_naive
+
+type cache_op = Touch of int * bool * int | Set of int * int
+
+let show_cache_op = function
+  | Touch (l, w, s) -> Printf.sprintf "%s%d/%d" (if w then "W" else "R") l s
+  | Set (l, s) -> Printf.sprintf "S%d=%d" l s
+
+let gen_cache_ops ~span =
+  QCheck.Gen.(
+    list_size (int_bound 400)
+      (frequency
+         [
+           ( 8,
+             map3
+               (fun l w s -> Touch (l, w, s))
+               (int_bound span) bool (int_range 1 3) );
+           (2, map (fun l -> Set (l, 0)) (int_bound span));
+           (1, map2 (fun l s -> Set (l, s)) (int_bound span) (int_range 1 3));
+         ]))
+
+let cache_matches_oracle policy ~lines ~assoc ops =
+  match Cache_sim.create ~assoc ~policy ~lines () with
+  | exception Invalid_argument _ -> (
+      match Naive.create ~assoc ~policy ~lines () with
+      | exception Invalid_argument _ -> true
+      | _ -> false)
+  | c ->
+      let m = Naive.create ~assoc ~policy ~lines () in
+      let step = function
+        | Touch (line, write, s) ->
+            let hit = Cache_sim.access_int c ~line ~write in
+            hit = Naive.access m ~line ~write
+            && (hit >= 0
+               || Cache_sim.fill_packed c ~line ~state_int:s
+                  = Naive.fill m ~line ~state:s)
+        | Set (line, s) ->
+            Cache_sim.set_state_int c ~line s;
+            Naive.set_state m ~line s;
+            true
+      in
+      Cache_sim.sets c = Naive.sets m
+      && Cache_sim.assoc c = Naive.assoc m
+      && Cache_sim.lines c = Naive.lines m
+      && List.for_all step ops
+      && Cache_sim.occupancy c = Naive.occupancy m
+      && List.for_all
+           (fun l -> Cache_sim.probe_int c l = Naive.probe m l)
+           (List.init ((2 * lines) + 3) Fun.id)
+
+(* Power-of-two geometries, and ones [create] rounds down to fewer sets
+   of more ways (non-power-of-two ways refuse Tree-PLRU; [~lines:20
+   ~assoc:2] builds 16 lines). *)
+let oracle_geometries =
+  [ (1, 1); (4, 4); (8, 2); (16, 4); (32, 8); (16, 16); (6, 2); (12, 2);
+    (12, 4); (24, 4); (40, 8); (48, 4); (10, 5); (20, 2); (3, 1) ]
+
+(* All 4 * 4 * 4 * 2 * 3 = 384 parameter tuples, one per bit pattern of
+   [i]: h2, h3 and m take two bits each, r one, u the rest (0..2). *)
+let qlru_tuples =
+  List.init 384 (fun i ->
+      Policy.Qlru
+        { h2 = i land 3; h3 = (i lsr 2) land 3; m = (i lsr 4) land 3;
+          r = (i lsr 6) land 1; u = i lsr 7 })
+
+let prop_cache_policy_oracle =
+  let gen =
+    QCheck.Gen.(
+      oneofl oracle_geometries >>= fun (lines, assoc) ->
+      oneof
+        (oneofl qlru_tuples
+        :: List.map return Policy.[ Lru; Tree_plru; Mru; Mru_n ])
+      >>= fun policy ->
+      map
+        (fun ops -> (policy, lines, assoc, ops))
+        (gen_cache_ops ~span:((2 * lines) + 2)))
+  in
+  let print (policy, lines, assoc, ops) =
+    Printf.sprintf "%s lines=%d assoc=%d [%s]" (Policy.to_string policy)
+      lines assoc
+      (String.concat " " (List.map show_cache_op ops))
+  in
+  let shrink (policy, lines, assoc, ops) =
+    QCheck.Iter.map
+      (fun ops -> (policy, lines, assoc, ops))
+      (QCheck.Shrink.list ops)
+  in
+  QCheck.Test.make ~name:"random streams = policy oracle" ~count:1000
+    (QCheck.make ~print ~shrink gen)
+    (fun (policy, lines, assoc, ops) ->
+      cache_matches_oracle policy ~lines ~assoc ops)
+
+(* Every QLRU parameter tuple (384) on a single set, a power-of-two set
+   array and a widened one, one fixed random stream each. *)
+let test_cache_every_qlru_tuple () =
+  let rand = Random.State.make [| 19 |] in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun (lines, assoc) ->
+          let ops =
+            QCheck.Gen.generate1 ~rand (gen_cache_ops ~span:((2 * lines) + 2))
+          in
+          if not (cache_matches_oracle policy ~lines ~assoc ops) then
+            Alcotest.failf "%s lines=%d assoc=%d diverges from the oracle"
+              (Policy.to_string policy) lines assoc)
+        [ (8, 8); (16, 4); (24, 4) ])
+    qlru_tuples
+
 (* -------------------- heap -------------------- *)
 
 let test_heap_orders () =
@@ -789,6 +905,9 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_cache_set_state_invalidate;
           Alcotest.test_case "dirty lines" `Quick test_cache_dirty_lines;
           QCheck_alcotest.to_alcotest prop_cache_occupancy_bounded;
+          QCheck_alcotest.to_alcotest prop_cache_policy_oracle;
+          Alcotest.test_case "every QLRU tuple = policy oracle" `Quick
+            test_cache_every_qlru_tuple;
         ] );
       ( "heap",
         [

@@ -4,13 +4,9 @@ let approx = Alcotest.(check (float 1e-9))
 
 let test_units_roundtrip () =
   approx "ns roundtrip" 3.2 (Units.to_ns (Units.ns 3.2));
-  approx "nm roundtrip" 32. (Units.to_nm (Units.nm 32.));
-  approx "fF roundtrip" 20. (Units.to_ff (Units.ff 20.));
-  approx "nJ roundtrip" 1.6 (Units.to_nj (Units.nj 1.6));
-  approx "mW roundtrip" 3.5 (Units.to_mw (Units.mw 3.5));
-  approx "mm2 roundtrip" 6.2 (Units.to_mm2 (Units.mm2 6.2));
-  Alcotest.(check int) "KiB" 32768 (Units.kib 32);
-  Alcotest.(check int) "MiB" (1024 * 1024) (Units.mib 1)
+  approx "nJ readback" 1.6 (Units.to_nj 1.6e-9);
+  approx "mW readback" 3.5 (Units.to_mw 3.5e-3);
+  approx "mm2 readback" 6.2 (Units.to_mm2 6.2e-6)
 
 let test_units_pp () =
   let s pp v = Format.asprintf "%a" pp v in
@@ -118,18 +114,6 @@ let test_rng_copy_preserves_stream () =
   Alcotest.(check int64) "copies continue identically" (Rng.next_int64 a)
     (Rng.next_int64 b)
 
-let test_interp_linear () =
-  approx "midpoint" 5. (Interp.linear ~x0:0. ~y0:0. ~x1:10. ~y1:10. 5.);
-  approx "extrapolate" 20. (Interp.linear ~x0:0. ~y0:0. ~x1:10. ~y1:10. 20.);
-  approx "geometric mid" 2.
-    (Interp.geometric ~x0:0. ~y0:1. ~x1:2. ~y1:4. 1.)
-
-let test_interp_piecewise () =
-  let pts = [| (0., 0.); (1., 10.); (2., 20.) |] in
-  approx "inside" 15. (Interp.piecewise pts 1.5);
-  approx "clamp low" 0. (Interp.piecewise pts (-1.));
-  approx "clamp high" 20. (Interp.piecewise pts 3.)
-
 let test_table_render () =
   let t = Table.create [ "name"; "v" ] in
   Table.add_row t [ "a"; "1" ];
@@ -205,31 +189,20 @@ let test_diag_counts () =
   Alcotest.(check int) "faults" 3 (Diag.faults s);
   Alcotest.(check bool) "counts_to_string mentions totals" true
     (let str = Diag.counts_to_string s in
-     String.length str > 0 && String.sub str 0 2 = "15");
-  let m =
-    Diag.merge_summary
-      { Diag.sweeps = a; cache_hits = 1; notes = [] }
-      { Diag.sweeps = b; cache_hits = 2; notes = [] }
-  in
-  Alcotest.(check int) "summary merges hits" 3 m.Diag.cache_hits;
-  Alcotest.(check int) "summary merges sweeps" 15 m.Diag.sweeps.Diag.candidates
+     String.length str > 0 && String.sub str 0 2 = "15")
 
 let test_floatx_finite_guard () =
-  Alcotest.(check (float 0.)) "finite passes through" 3.5
-    (Floatx.finite ~what:"x" 3.5);
   Alcotest.(check (float 0.)) "finite_pos passes through" 1e-12
     (Floatx.finite_pos ~what:"x" 1e-12);
   let raises f =
     try ignore (f ()); false with Floatx.Non_finite _ -> true
   in
   Alcotest.(check bool) "nan rejected" true
-    (raises (fun () -> Floatx.finite ~what:"t_access" Float.nan));
+    (raises (fun () -> Floatx.finite_pos ~what:"t_access" Float.nan));
   Alcotest.(check bool) "inf rejected" true
-    (raises (fun () -> Floatx.finite ~what:"area" Float.infinity));
+    (raises (fun () -> Floatx.finite_pos ~what:"area" Float.infinity));
   Alcotest.(check bool) "negative rejected by finite_pos" true
-    (raises (fun () -> Floatx.finite_pos ~what:"e_read" (-1.)));
-  Alcotest.(check bool) "plain finite allows negatives" true
-    (Floatx.finite ~what:"dz" (-2.) = -2.)
+    (raises (fun () -> Floatx.finite_pos ~what:"e_read" (-1.)))
 
 let prop_clamp =
   QCheck.Test.make ~name:"clamp stays in range" ~count:500
@@ -245,13 +218,6 @@ let prop_pareto_bounded =
       let r = Rng.create (Int64.of_int seed) in
       let v = Rng.pareto_bounded r ~alpha:1.2 ~lo:1. ~hi:100. in
       v >= 0.99 && v <= 100.01)
-
-let prop_interp_endpoints =
-  QCheck.Test.make ~name:"linear interp hits endpoints" ~count:200
-    QCheck.(pair (float_range (-1e3) 1e3) (float_range (-1e3) 1e3))
-    (fun (y0, y1) ->
-      let at x = Interp.linear ~x0:1. ~y0 ~x1:2. ~y1 x in
-      Float.abs (at 1. -. y0) < 1e-9 && Float.abs (at 2. -. y1) < 1e-9)
 
 (* -------------------- rng fast paths -------------------- *)
 
@@ -487,12 +453,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_intmap_basics;
           Alcotest.test_case "growth" `Quick test_intmap_grow;
           QCheck_alcotest.to_alcotest prop_intmap_model;
-        ] );
-      ( "interp",
-        [
-          Alcotest.test_case "linear" `Quick test_interp_linear;
-          Alcotest.test_case "piecewise" `Quick test_interp_piecewise;
-          QCheck_alcotest.to_alcotest prop_interp_endpoints;
         ] );
       ( "diag",
         [
