@@ -52,49 +52,176 @@ let parse_tid path lineno s =
   | Some v -> fail path lineno "thread id %d out of range [0, %d]" v max_tid
   | None -> fail path lineno "thread id %S is not an integer" s
 
+(* The scanner below works on a block of whole lines whose last byte is
+   '\n', so every loop stops at a '\n' without a bounds check.  A line is
+   cut at '#', trimmed of space, tab, CR and form feed at both ends, and
+   split into tokens at spaces and tabs. *)
+
+let rec skip_blanks b i =
+  match Bytes.unsafe_get b i with
+  | ' ' | '\t' | '\r' | '\012' -> skip_blanks b (i + 1)
+  | _ -> i
+
+let rec skip_seps b i =
+  match Bytes.unsafe_get b i with ' ' | '\t' -> skip_seps b (i + 1) | _ -> i
+
+(* End of the token starting at [i]; every byte above '#' is a token
+   byte, which keeps the common case to one comparison. *)
+let rec token_end b i =
+  let c = Bytes.unsafe_get b i in
+  if c > '#' then token_end b (i + 1)
+  else
+    match c with ' ' | '\t' | '\n' | '#' -> i | _ -> token_end b (i + 1)
+
+let rec line_end b i =
+  if Bytes.unsafe_get b i = '\n' then i else line_end b (i + 1)
+
+(* [e] less the CR and form-feed bytes that end the token [s, e). *)
+let rec trim_end b s e =
+  if e > s then
+    match Bytes.unsafe_get b (e - 1) with
+    | '\r' | '\012' -> trim_end b s (e - 1)
+    | _ -> e
+  else e
+
+(* Value of the digits [s, e) in base 10 or 16, or -1 if one is not a
+   digit of that base. *)
+let rec dec_digits b s e acc =
+  if s = e then acc
+  else
+    match Bytes.unsafe_get b s with
+    | '0' .. '9' as c -> dec_digits b (s + 1) e ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* Base-16 value of every byte, 255 for a non-digit: a lookup keeps the
+   per-digit work free of branches on whether the digit is a letter. *)
+let hex_value =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '0' .. '9' -> Char.chr (i - 48)
+      | 'a' .. 'f' -> Char.chr (i - 87)
+      | 'A' .. 'F' -> Char.chr (i - 55)
+      | _ -> '\255')
+
+let rec hex_digits b s e acc =
+  if s = e then acc
+  else
+    let c = Bytes.unsafe_get b s in
+    let d = Char.code (String.unsafe_get hex_value (Char.code c)) in
+    if d > 15 then -1 else hex_digits b (s + 1) e ((acc lsl 4) lor d)
+
+(* Canonical tokens convert in place and are in range by their length:
+   0x/0X with 1-15 hex digits (< 2^60) or 1-18 decimal digits (< 10^18)
+   for an address, 1-5 decimal digits for a tid.  Anything else is -1 and
+   goes to [parse_addr]/[parse_tid], which accept every [int_of_string]
+   literal and word every diagnostic. *)
+let canonical_addr b s e =
+  let n = e - s in
+  if n > 2 && Bytes.unsafe_get b s = '0'
+     && (match Bytes.unsafe_get b (s + 1) with 'x' | 'X' -> true | _ -> false)
+  then if n <= 17 then hex_digits b (s + 2) e 0 else -1
+  else if n <= 18 then dec_digits b s e 0
+  else -1
+
+let canonical_tid b s e =
+  if e - s <= 5 then
+    let v = dec_digits b s e 0 in
+    if v <= max_tid then v else -1
+  else -1
+
+let sub b s e = Bytes.sub_string b s (e - s)
+
+let text_block = 65536
+
 let iter_text ~path ic ~f =
-  let count = ref 0 in
-  let lineno = ref 0 in
-  (try
-     while true do
-       incr lineno;
-       let raw = input_line ic in
-       (* Cut a trailing comment, then trim. *)
-       let body =
-         match String.index_opt raw '#' with
-         | Some i -> String.sub raw 0 i
-         | None -> raw
-       in
-       let body = String.trim body in
-       if body <> "" then begin
-         let toks =
-           String.split_on_char ' '
-             (String.map (fun c -> if c = '\t' then ' ' else c) body)
-           |> List.filter (fun s -> s <> "")
-         in
-         match toks with
-         | [ op; addr ] | [ op; addr; _ ] when String.length op <> 1 ->
-             ignore addr;
-             fail path !lineno "expected R or W, got %S" op
-         | [ op; addr ] | [ op; addr; _ ] ->
-             let write =
-               match op.[0] with
-               | 'R' | 'r' -> false
-               | 'W' | 'w' -> true
-               | _ -> fail path !lineno "expected R or W, got %S" op
-             in
-             let addr = parse_addr path !lineno addr in
-             let tid =
-               match toks with
-               | [ _; _; t ] -> parse_tid path !lineno t
-               | _ -> 0
-             in
-             f ~tid ~write ~addr;
-             incr count
-         | _ -> fail path !lineno "malformed record %S" body
-       end
-     done
-   with End_of_file -> ());
+  let buf = ref (Bytes.create text_block) in
+  let len = ref 0 in
+  let count = ref 0 and lineno = ref 0 in
+  let eof = ref false in
+  while not !eof do
+    (* [0, len) holds the start of a line with no '\n' yet; read more,
+       growing the buffer only when that line fills it. *)
+    if !len = Bytes.length !buf then buf := Bytes.extend !buf 0 !len;
+    let held = !len in
+    let got = input ic !buf held (Bytes.length !buf - held) in
+    len := held + got;
+    if got = 0 then begin
+      eof := true;
+      (* a last line without a newline still ends at one *)
+      if held > 0 then begin
+        if held = Bytes.length !buf then buf := Bytes.extend !buf 0 1;
+        Bytes.set !buf held '\n';
+        len := held + 1
+      end
+    end;
+    let b = !buf in
+    let lim = ref (!len - 1) in
+    while !lim >= held && Bytes.unsafe_get b !lim <> '\n' do decr lim done;
+    let lim = if !lim >= held then !lim else -1 in
+    let p = ref 0 in
+    while !p <= lim do
+      incr lineno;
+      let bs = skip_blanks b !p in
+      match Bytes.unsafe_get b bs with
+      | '\n' -> p := bs + 1
+      | '#' -> p := line_end b bs + 1
+      | _ ->
+          (* Walk the runs of token bytes.  The tokens are the runs up to
+             the last one holding a byte other than CR or form feed; the
+             trimmed line is [bs, be), [be] following that byte. *)
+          let op_e = ref 0 and addr_s = ref 0 and addr_e = ref 0 in
+          let tid_s = ref 0 and ntok = ref 0 and nrun = ref 0 and be = ref 0 in
+          let i = ref bs in
+          while !i >= 0 do
+            let s = !i in
+            let e = token_end b s in
+            (match !nrun with
+            | 0 -> op_e := e
+            | 1 -> addr_s := s; addr_e := e
+            | 2 -> tid_s := s
+            | _ -> ());
+            incr nrun;
+            let t = trim_end b s e in
+            if t > s then begin
+              ntok := !nrun;
+              be := t
+            end;
+            let k = skip_seps b e in
+            match Bytes.unsafe_get b k with
+            | '\n' -> p := k + 1; i := -1
+            | '#' -> p := line_end b k + 1; i := -1
+            | _ -> i := k
+          done;
+          let ntok = !ntok and be = !be in
+          if ntok < 2 || ntok > 3 then
+            fail path !lineno "malformed record %S" (sub b bs be);
+          let write =
+            match Bytes.unsafe_get b bs with
+            | ('R' | 'r') when !op_e = bs + 1 -> false
+            | ('W' | 'w') when !op_e = bs + 1 -> true
+            | _ -> fail path !lineno "expected R or W, got %S" (sub b bs !op_e)
+          in
+          let addr_s = !addr_s and addr_e = if ntok = 2 then be else !addr_e in
+          let addr =
+            let v = canonical_addr b addr_s addr_e in
+            if v >= 0 then v else parse_addr path !lineno (sub b addr_s addr_e)
+          in
+          let tid =
+            if ntok = 2 then 0
+            else
+              let v = canonical_tid b !tid_s be in
+              if v >= 0 then v else parse_tid path !lineno (sub b !tid_s be)
+          in
+          f ~tid ~write ~addr;
+          incr count
+    done;
+    if lim >= 0 then begin
+      (* keep the unfinished line *)
+      let rest = !len - (lim + 1) in
+      Bytes.blit b (lim + 1) b 0 rest;
+      len := rest
+    end
+  done;
   !count
 
 (* ---------------- binary reader ---------------- *)

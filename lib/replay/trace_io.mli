@@ -10,6 +10,14 @@
     W 0x2a40 3        # optional thread-id column (default 0)
     r 4096            # op is case-insensitive; addresses may be decimal
     v}
+    The grammar the reader enforces: lines end at LF; ['#'] starts a
+    comment that runs to the end of the line; space, tab, CR, LF and form
+    feed are trimmed at the two ends of a line only; tokens are separated
+    by spaces and tabs (so a CR or form feed inside a line is a token
+    byte).  A record is an op ([R], [W], [r] or [w]), an address and an
+    optional thread id; an address or thread id is any [int_of_string]
+    literal within its range ([0x]/[0X], [0o], [0b], [0u] prefixes, ['_']
+    separators and a sign are accepted).
 
     {b Binary} — a length-prefixed fast path for multi-GB traces:
     {v
@@ -22,10 +30,14 @@
               addr  u64 LE (must be < 2^62)
     v}
 
-    Both readers stream in fixed-size chunks, so a trace of any length is
-    parsed in constant memory; {!iter_channel} never allocates per record
-    beyond the closure call.  Addresses are byte addresses; thread ids are
-    bounded by 65535. *)
+    Both readers stream in fixed-size chunks (64 KiB blocks of text, grown
+    only to hold a longer line), so a trace of any length is parsed in
+    constant memory.  {!iter_channel} allocates nothing per record beyond
+    the closure call for binary records and for text records whose tokens
+    are canonical: [0x]/[0X] and 1-15 hex digits or 1-18 decimal digits
+    for the address, 1-5 decimal digits for the thread id.  Other spellings
+    are converted through [int_of_string].  Addresses are byte addresses;
+    thread ids are bounded by 65535. *)
 
 exception Parse_error of { path : string; line : int; msg : string }
 (** Malformed input, typed: bad op/address/tid on a text line, bad magic,

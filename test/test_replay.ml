@@ -307,26 +307,258 @@ let test_text_parse () =
     ]
     got
 
+(* The text grammar at its edges, pinned exactly: the records of an
+   accepted input, or the line and message of the first malformed one. *)
 let test_text_malformed () =
+  let bad ?(line = 1) msg = Error (line, msg) in
   let cases =
     [
-      ("bad op", "X 0x10\n");
-      ("missing addr", "R\n");
-      ("bad addr", "R zz\n");
-      ("negative addr", "R -4\n");
-      ("bad tid", "R 0x10 hello\n");
-      ("tid too large", "R 0x10 70000\n");
-      ("extra column", "R 0x10 1 2\n");
+      ("bad op", "X 0x10\n", bad {|expected R or W, got "X"|});
+      ("missing addr", "R\n", bad {|malformed record "R"|});
+      ("bad addr", "R zz\n", bad {|address "zz" is not a number|});
+      ("negative addr", "R -4\n", bad {|address "-4" out of range [0, 2^62)|});
+      ( "bad tid", "R 0x10 hello\n",
+        bad {|thread id "hello" is not an integer|} );
+      ( "tid too large", "R 0x10 70000\n",
+        bad {|thread id 70000 out of range [0, 65535]|} );
+      ( "negative tid", "R 0x10 -1\n",
+        bad {|thread id -1 out of range [0, 65535]|} );
+      ("extra column", "R 0x10 1 2\n", bad {|malformed record "R 0x10 1 2"|});
+      ( "four tokens, tabs", "W\t0x10\t1\t2  # c\n",
+        bad {|malformed record "W\t0x10\t1\t2"|} );
+      ("CRLF", "R 0x10\r\nW 0x20 3\r\n", Ok [ (0, false, 16); (3, true, 32) ]);
+      ( "tabs", "R\t0x10\n\tW\t\t0x20 \t3\t\n",
+        Ok [ (0, false, 16); (3, true, 32) ] );
+      ("CRLF, tab, comment", "r\t4096\t# c\r\n", Ok [ (0, false, 4096) ]);
+      ( "form feed and CR at the ends", "\012R 0x10 3 \r\012\n\r\tW 7\r\n",
+        Ok [ (3, false, 16); (0, true, 7) ] );
+      ( "form feed inside a line", "R\0120x10\n",
+        bad {|malformed record "R\0120x10"|} );
+      ( "form feed ends a token", "R 0x10\012 3\n",
+        bad {|address "0x10\012" is not a number|} );
+      ( "CR between separators", "R \r 0x10\n",
+        bad {|address "\r" is not a number|} );
+      ("# right after the op", "R# 0x10\n", bad {|malformed record "R"|});
+      ("RW op", "RW 0x10\n", bad {|expected R or W, got "RW"|});
+      ("op before address", "X zz\n", bad {|expected R or W, got "X"|});
+      ( "address before tid", "R zz hello\n",
+        bad {|address "zz" is not a number|} );
+      ("hex tid", "R 0x10 0x3\n", Ok [ (3, false, 16) ]);
+      ("underscore address", "W 1_000\n", Ok [ (0, true, 1000) ]);
+      ("signed address", "R +5\n", Ok [ (0, false, 5) ]);
+      ( "other bases", "R 0o17 0b11\nW 0u9\n",
+        Ok [ (3, false, 15); (0, true, 9) ] );
+      ( "longest canonical",
+        "R 0xfffffffffffffff 65535\nW 999999999999999999\n",
+        Ok
+          [ (65535, false, (1 lsl 60) - 1); (0, true, 999_999_999_999_999_999) ]
+      );
+      ( "16 hex and 19 decimal digits",
+        "R 0x3fffffffffffffff\nW 1000000000000000000\n",
+        Ok
+          [ (0, false, Trace_io.max_addr);
+            (0, true, 1_000_000_000_000_000_000) ] );
+      ("0x without digits", "R 0x\n", bad {|address "0x" is not a number|});
+      ( "address 2^62 in hex", "R 0x4000000000000000\n",
+        bad {|address "0x4000000000000000" out of range [0, 2^62)|} );
+      ( "address 2^62 in decimal", "R 4611686018427387904\n",
+        bad {|address "4611686018427387904" is not a number|} );
+      ( "19-digit decimal", "R 9999999999999999999\n",
+        bad {|address "9999999999999999999" is not a number|} );
+      ( "blank and comment lines count",
+        "# header\n\n   \n\t# indented\nR 0x10\n\nW zz\n",
+        bad ~line:7 {|address "zz" is not a number|} );
+      ( "no final newline", "R 0x10\nW 0x20 7",
+        Ok [ (0, false, 16); (7, true, 32) ] );
+      ( "bad last line without newline", "R 0x10\nR zz",
+        bad ~line:2 {|address "zz" is not a number|} );
+      ("only blanks", "\n \t\r\012\n# c", Ok []);
     ]
   in
+  let outcome = Alcotest.(result records (pair int string)) in
   List.iter
-    (fun (name, text) ->
+    (fun (name, text, want) ->
       let path = tmp_file ".trc" in
       write_file path text;
-      match collect_iter (Trace_io.iter_file ~format:Trace_io.Text path) with
-      | exception Trace_io.Parse_error _ -> ()
-      | _ -> Alcotest.failf "%s: accepted" name)
+      let got =
+        match collect_iter (Trace_io.iter_file ~format:Trace_io.Text path) with
+        | n, recs ->
+            Alcotest.(check int) (name ^ " count") (List.length recs) n;
+            Ok recs
+        | exception Trace_io.Parse_error { line; msg; _ } -> Error (line, msg)
+      in
+      Alcotest.check outcome name want got)
     cases
+
+(* The in-place scanner against the split-based reader it replaced
+   (test/oracle/trace_text_naive.ml): same records, same count, and the
+   same [Parse_error] line and message. *)
+let text_outcome =
+  let path = lazy (tmp_file ".trc") in
+  fun iter text ->
+    let path = Lazy.force path in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    In_channel.with_open_bin path (fun ic ->
+        match collect_iter (iter ~path ic) with
+        | n, recs -> Ok (n, recs)
+        | exception Trace_io.Parse_error { line; msg; _ } -> Error (line, msg))
+
+let scanner_matches_oracle text =
+  let scanner ~path ic = Trace_io.iter_channel ~path Trace_io.Text ic in
+  text_outcome scanner text
+  = text_outcome Oracle.Trace_text_naive.iter_text text
+
+(* Record bytes, the trimmed blanks, and bytes that must stay token
+   bytes: vertical tab (never trimmed), NUL and a byte above 0x7f. *)
+let adversarial_bytes =
+  [ 'R'; 'W'; 'r'; 'w'; ' '; '\t'; '\r'; '\n'; '\012'; '\011'; '\000';
+    '\255'; '#'; '0'; '1'; '7'; '9'; 'x'; 'X'; 'f'; 'F'; '_'; '+'; '-'; 'o';
+    'b'; 'u' ]
+
+let gen_bytes alphabet lo hi =
+  QCheck.Gen.(string_size ~gen:(oneofl alphabet) (int_range lo hi))
+
+(* Numbers of every length around the canonical limits, in both cases of
+   hex, plus the other [int_of_string] forms and out-of-range literals. *)
+let gen_number =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (( ^ ) "0x") (gen_bytes [ '0'; '9'; 'a'; 'f'; 'A'; 'F' ] 1 17));
+        (1, map (( ^ ) "0X") (gen_bytes [ '1'; 'c'; 'E' ] 1 16));
+        (4, gen_bytes [ '0'; '1'; '2'; '5'; '9' ] 1 20);
+        ( 3,
+          oneofl
+            [ "0x"; "0X"; "0x4000000000000000"; "0x3fffffffffffffff";
+              "0xFFFFFFFFFFFFFFFF"; "4611686018427387903";
+              "4611686018427387904"; "9999999999999999999"; "65535"; "65536";
+              "99999"; "1_000"; "+5"; "-4"; "-0"; "+0x10"; "0o17"; "0b11";
+              "0u9"; "0x_1"; "1_"; "_1"; "0x1g" ] );
+        (1, gen_bytes adversarial_bytes 1 5);
+      ])
+
+(* Accepted address and tid spellings: canonical ones of every length,
+   the longest in-range ones, and the other [int_of_string] forms. *)
+let gen_valid_addr =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (( ^ ) "0x") (gen_bytes [ '0'; '7'; 'a'; 'f'; 'B'; 'E' ] 1 15));
+        ( 1,
+          map2 ( ^ )
+            (oneofl [ "0x3"; "0X1"; "0x0" ])
+            (gen_bytes [ '0'; 'f'; 'F' ] 15 15) );
+        (4, gen_bytes [ '0'; '1'; '4'; '8'; '9' ] 1 18);
+        (1, map (( ^ ) "1") (gen_bytes [ '0'; '3' ] 18 18));
+        ( 1,
+          oneofl
+            [ "1_000"; "+5"; "0o17"; "0b11"; "0u9"; "-0"; "+0x10"; "00012";
+              "4611686018427387903"; "0x3fffffffffffffff" ] );
+      ])
+
+let gen_valid_tid =
+  QCheck.Gen.(
+    frequency
+      [ (4, map string_of_int (int_range 0 Trace_io.max_tid));
+        (1, oneofl [ "0x3"; "0b1"; "+7"; "00065535"; "1_0"; "0" ]) ])
+
+(* Mostly lines that parse, in every spacing; some record-shaped lines
+   with any part perturbed; some lines of adversarial bytes. *)
+let gen_text_line =
+  QCheck.Gen.(
+    let blank = oneofl [ ""; ""; ""; " "; "\t"; "\r"; "\012"; " \t\r" ] in
+    let sep = oneofl [ " "; "\t"; "  "; " \t " ] in
+    let comment =
+      frequency
+        [ (6, return "");
+          (1, map (( ^ ) "#") (gen_bytes adversarial_bytes 0 6)) ]
+    in
+    let line ~op ~sep ~addr ~tid ~extra ~eol =
+      let* b0 = blank and* o = op and* a = map2 ( ^ ) sep addr
+      and* t = frequency [ (1, return ""); (1, map2 ( ^ ) sep tid) ]
+      and* x = extra and* b1 = blank and* c = comment and* e = eol in
+      return (String.concat "" [ b0; o; a; t; x; b1; c; e ])
+    in
+    let valid =
+      line ~op:(oneofl [ "R"; "W"; "r"; "w" ]) ~sep ~addr:gen_valid_addr
+        ~tid:gen_valid_tid ~extra:(return "") ~eol:(oneofl [ "\n"; "\r\n" ])
+    in
+    let perturbed =
+      line
+        ~op:
+          (frequency
+             [ (3, oneofl [ "R"; "w" ]);
+               (1, oneofl [ "X"; "RW"; "R#"; "#"; "" ]) ])
+        ~sep:(frequency [ (3, sep); (1, oneofl [ "\r"; "\012"; " \r "; "" ]) ])
+        ~addr:gen_number ~tid:gen_number
+        ~extra:(frequency [ (2, return ""); (1, map2 ( ^ ) sep gen_number) ])
+        ~eol:(oneofl [ "\n"; "\r\n"; "" ])
+    in
+    frequency
+      [ (10, valid); (1, perturbed); (1, gen_bytes adversarial_bytes 0 24) ])
+
+let prop_text_scanner_random =
+  QCheck.Test.make ~name:"text scanner = naive reader (random lines)"
+    ~count:2000 ~long_factor:10
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         map (String.concat "") (list_size (int_range 0 12) gen_text_line)))
+    scanner_matches_oracle
+
+(* Files of two to seven 64 KiB blocks: valid lines of every spelling, so
+   lines straddle each block boundary; optionally a padding comment that
+   puts a line at one of the 24 bytes before the first boundary, a line
+   longer than a block, a malformed line, and no final newline. *)
+let gen_multi_block =
+  QCheck.Gen.(
+    let* seed = int and* pad = opt (int_range 0 24) and* long = int_range 0 4
+    and* bad =
+      opt (oneofl [ "R zz"; "X 0x10"; "W 0x10 70000"; "R 1 2 3"; "R \r 5" ])
+    and* newline = bool in
+    let st = Random.State.make [| seed |] in
+    let b = Buffer.create 300_000 in
+    Option.iter
+      (fun k -> Buffer.add_string b ("#" ^ String.make (65534 - k) 'p' ^ "\n"))
+      pad;
+    let n = 6000 + Random.State.int st 10_000 in
+    let long_at = Random.State.int st n and bad_at = Random.State.int st n in
+    for i = 0 to n - 1 do
+      if i = long_at then
+        Buffer.add_string b
+          (match long with
+          | 1 -> "# " ^ String.make 70_000 'c' ^ "\n"
+          | 2 -> String.make 70_000 ' ' ^ "W 0x40 2\n"
+          | 3 -> "R " ^ String.make 70_000 '0' ^ "1\n"
+          | 4 -> "R " ^ String.make 70_000 '9' ^ "\n"
+          | _ -> "");
+      (match bad with
+      | Some l when i = bad_at -> Buffer.add_string b (l ^ "\n")
+      | _ -> ());
+      (* up to 2^60: 15 hex digits, and 19 decimal ones past 10^18 *)
+      let addr = Random.State.bits st lor (Random.State.bits st lsl 30) in
+      let tid = Random.State.int st 65536 in
+      Buffer.add_string b
+        (match Random.State.int st 6 with
+        | 0 -> Printf.sprintf "R 0x%x %d\n" addr tid
+        | 1 -> Printf.sprintf "w\t0X%X\r\n" addr
+        | 2 -> Printf.sprintf "W %d\t%d # c\n" addr tid
+        | 3 -> Printf.sprintf " r 0x%x 0x%x \n" addr (tid land 0xFF)
+        | 4 -> "\n"
+        | _ -> Printf.sprintf "R %d %d\n" addr (tid land 3))
+    done;
+    let text = Buffer.contents b in
+    let len = String.length text in
+    return (if newline then text else String.sub text 0 (len - 1)))
+
+let prop_text_scanner_blocks =
+  QCheck.Test.make ~name:"text scanner = naive reader (multi-block files)"
+    ~count:24
+    (QCheck.make
+       ~print:(fun t ->
+         Printf.sprintf "%d bytes: %S ..." (String.length t)
+           (String.sub t 0 (min 200 (String.length t))))
+       gen_multi_block)
+    scanner_matches_oracle
 
 let test_binary_malformed () =
   let magic = "CACTIRPB" in
@@ -960,6 +1192,39 @@ let test_render_no_alloc () =
   check "CSV" csv_64;
   check "JSONL" jsonl_64
 
+(* Canonical text lines -- hex and decimal addresses, with and without a
+   tid, CRLF, tabs and trailing comments -- stream through [iter_channel]
+   with no minor allocation per record: 20k lines cost exactly the minor
+   words of 10k, so only the per-call set-up allocates. *)
+let test_text_no_alloc () =
+  let lines n =
+    let b = Buffer.create (n * 32) in
+    for i = 0 to n - 1 do
+      let addr = 0x7f0000000000 + (i * 64) in
+      match i mod 4 with
+      | 0 -> Printf.bprintf b "R 0x%x %d\n" addr (i land 3)
+      | 1 -> Printf.bprintf b "w\t0X%X\r\n" addr
+      | 2 -> Printf.bprintf b "W %d 65535 # store\n" addr
+      | _ -> Printf.bprintf b "r %d\n" i
+    done;
+    Buffer.contents b
+  in
+  let sum = ref 0 in
+  let f ~tid ~write ~addr = sum := !sum + tid + addr + Bool.to_int write in
+  let words n =
+    let path = tmp_file ".trc" in
+    write_file path (lines n);
+    In_channel.with_open_bin path (fun ic ->
+        minor_words_during (fun () ->
+            Alcotest.(check int) "records" n
+              (Trace_io.iter_channel ~path Trace_io.Text ic ~f)))
+  in
+  let n = 10_000 in
+  let w1 = words n in
+  let w2 = words (2 * n) in
+  Alcotest.(check (float 0.)) "minor words per canonical record" 0.
+    ((w2 -. w1) /. float_of_int n)
+
 (* The checked-in smoke trace through the skl preset on 2 cores must
    reproduce both golden files byte for byte: serially, sharded, and
    streamed from a channel as [cacti_replay run --trace -] does. *)
@@ -1024,6 +1289,10 @@ let () =
         [
           Alcotest.test_case "text parse" `Quick test_text_parse;
           Alcotest.test_case "text malformed" `Quick test_text_malformed;
+          QCheck_alcotest.to_alcotest prop_text_scanner_random;
+          QCheck_alcotest.to_alcotest prop_text_scanner_blocks;
+          Alcotest.test_case "text scan allocates nothing" `Quick
+            test_text_no_alloc;
           Alcotest.test_case "binary malformed" `Quick test_binary_malformed;
           Alcotest.test_case "format detection" `Quick test_detect;
           Alcotest.test_case "mapped parity (multi-chunk)" `Quick
