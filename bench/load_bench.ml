@@ -1,40 +1,34 @@
-(* load_bench: fleet-style load test for the socket + HTTP transports.
+(* load_bench: load test for the socket + HTTP transports.
 
      dune exec bench/load_bench.exe -- --quick --out BENCH_serve.json
 
-   Where serve_bench measures the in-process wire path one request at a
-   time, this bench runs the whole server: listeners, admission queues,
-   sharded solve/response caches and worker threads, under many
-   concurrent closed-loop client connections (each keeps exactly one
-   request in flight, like a fleet sidecar).
+   Runs the whole server — both listeners, the admission queue, the solve
+   and response caches and the worker threads — under many concurrent
+   closed-loop client connections (each keeps exactly one request in
+   flight).  One server answers every phase.
 
    Phases (all latencies are order-statistic percentiles over exact
    per-request wall times):
 
-   - cold/unix      distinct specs against the sharded server; the
-                    responses' solutions are kept for the bit-identity
-                    check
-   - cold/baseline  the same specs against a single-shard server with
-                    the response cache off and the same *total* solve-
-                    cache LRU capacity — the pre-sharding configuration
-   - warm/unix      the cold specs re-requested many times over the
-                    Unix socket (sharded)
-   - warm/http      the same over HTTP/1.1 keep-alive
-   - warm/baseline  the same against the baseline server: the speedup
-                    denominator
-   - presolve       one idle pass over a grid disjoint from the cold
-                    specs, then each grid point requested once over
-                    HTTP: the in-grid warm-hit rate
+   - cold/unix   distinct specs; their solutions are the reference the
+                 warm answers are checked against
+   - warm/unix   the cold specs re-requested many times over the Unix
+                 socket
+   - warm/http   the same over HTTP/1.1 keep-alive
+   - presolve    one idle pass over a grid disjoint from the cold specs,
+                 then each grid point requested once over HTTP: the
+                 in-grid warm-hit rate
 
    Gates (thresholds from bench/serve_baseline.json):
-   - sharded warm p99 <= warm_p99_ms_slo
-   - warm speedup (sharded rps / baseline rps) >= warm_speedup_floor
-   - sharded warm hits >= baseline warm hits (no hit-rate regression)
+   - warm/unix p99 <= warm_p99_ms_slo
+   - the response-cache hits added during the warm phases equal the warm
+     requests sent: every cold spec was cached, so every warm request is
+     answered by the response cache
+   - every warm answer's solution equals the cold answer for its spec
    - in-grid warm-hit rate >= presolve_hit_floor
    - cold rps >= cold_rps_floor
-   - solutions bit-identical between the sharded and baseline servers
 
-   Results land in BENCH_serve.json, schema_version 2 (EXPERIMENTS.md). *)
+   Results land in BENCH_serve.json, schema_version 3 (EXPERIMENTS.md). *)
 
 open Cacti_util
 open Cacti_server
@@ -210,7 +204,7 @@ let deal n_conns lines =
     lines;
   Array.map List.rev buckets
 
-(* --------------------------- bit identity --------------------------- *)
+(* ------------------------- warm = cold check ------------------------ *)
 
 (* id -> solution (as canonical text); refusals/errors have no entry. *)
 let solutions_of_responses resps =
@@ -227,6 +221,23 @@ let solutions_of_responses resps =
     resps;
   tbl
 
+(* Warm answers whose solution is not the cold answer for the same id (a
+   warm request reuses its cold spec's line, id included); a refusal or an
+   error counts too. *)
+let mismatches cold resps =
+  Array.fold_left
+    (List.fold_left (fun n body ->
+         match Jsonx.parse body with
+         | Ok j -> (
+             match (Jsonx.member "id" j, Jsonx.member "solution" j) with
+             | Some (Jsonx.Int id), Some s
+               when Hashtbl.find_opt cold id
+                    = Some (Jsonx.to_canonical_string s) ->
+                 n
+             | _ -> n + 1)
+         | Error _ -> n + 1))
+    0 resps
+
 (* ------------------------------- stats ------------------------------ *)
 
 let stat_int stats path =
@@ -238,12 +249,17 @@ let stat_int stats path =
 
 (* ------------------------------- main ------------------------------- *)
 
+(* Solver threads draining the admission queue (the count the sharding
+   A/B in EXPERIMENTS.md held fixed), and the selected-bank memo cap
+   cacti_serve runs with. *)
+let workers = 4
+let solve_cache_cap = 4096
+
 let () =
   let quick = ref false in
   let out = ref "BENCH_serve.json" in
   let baseline_file = ref "bench/serve_baseline.json" in
   let conns = ref None in
-  let shards = ref 4 in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -258,13 +274,10 @@ let () =
     | "--conns" :: n :: rest ->
         conns := int_of_string_opt n;
         parse rest
-    | "--shards" :: n :: rest ->
-        shards := (match int_of_string_opt n with Some v when v > 0 -> v | _ -> 4);
-        parse rest
     | ("--help" | "-h") :: _ ->
         print_endline
           "usage: bench/load_bench.exe [--quick] [--out FILE] [--baseline \
-           FILE] [--conns N] [--shards N]";
+           FILE] [--conns N]";
         exit 0
     | arg :: _ ->
         Printf.eprintf "unknown argument %S\n" arg;
@@ -273,75 +286,42 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick in
   let n_conns = Option.value !conns ~default:(if quick then 16 else 100) in
-  let shards = !shards in
   let n_cold = if quick then 8 else 24 in
   (* Per-connection warm requests: enough that the measured window is
      hundreds of milliseconds, far above scheduler noise. *)
   let warm_per_conn = if quick then 40 else 60 in
-  let per_shard_cap = 1024 in
 
-  (* Sharded server: Unix socket + HTTP listeners, response cache on. *)
-  let service_sh = Service.create ~shards ~queue_bound:256 ~log:ignore () in
-  for i = 0 to Service.n_shards service_sh - 1 do
-    Cacti.Solve_cache.set_shard_capacity
-      (Service.shard_cache service_sh i)
-      (Some per_shard_cap)
-  done;
-  let sock_sh = Filename.temp_file "load_bench" ".sock" in
-  Sys.remove sock_sh;
-  let server_sh =
-    Server.start ~workers:shards ~path:sock_sh ~http:("127.0.0.1", 0)
-      service_sh ()
+  Cacti.Solve_cache.set_capacity (Some solve_cache_cap);
+  let service = Service.create ~queue_bound:256 ~log:ignore () in
+  let sock = Filename.temp_file "load_bench" ".sock" in
+  Sys.remove sock;
+  let server =
+    Server.start ~workers ~path:sock ~http:("127.0.0.1", 0) service ()
   in
   let http_port =
-    match Server.http_port server_sh with
+    match Server.http_port server with
     | Some p -> p
     | None -> failwith "no http port"
   in
-
-  (* Baseline server: the pre-sharding configuration — one shard, no
-     response cache, the same *total* solve-cache capacity. *)
-  let service_base =
-    Service.create ~shards:1 ~resp_cache:0 ~queue_bound:256 ~log:ignore ()
-  in
-  Cacti.Solve_cache.set_shard_capacity
-    (Service.shard_cache service_base 0)
-    (Some (per_shard_cap * shards));
-  let sock_base = Filename.temp_file "load_bench_base" ".sock" in
-  Sys.remove sock_base;
-  let server_base =
-    Server.start ~workers:shards ~path:sock_base service_base ()
+  let response_hits () =
+    stat_int (Service.stats_json service) [ "response_cache"; "hits" ]
   in
 
   let specs = cold_specs n_cold in
 
-  (* ---- cold, sharded ---- *)
+  (* ---- cold ---- *)
   Printf.printf "cold/unix: %d distinct spec(s) over %d conn(s)...\n%!"
     n_cold n_conns;
   let wall, lat, resps =
-    run_clients ~transport:(Unix_sock sock_sh) ~keep_responses:true
+    run_clients ~transport:(Unix_sock sock) ~keep_responses:true
       (deal (min n_conns n_cold) specs)
   in
   let cold = phase_of_latencies ~wall_s:wall lat in
-  let solutions_sh = solutions_of_responses resps in
-  Printf.printf "cold/unix: %.1f req/s, p99 %.1f ms\n%!" cold.rps cold.p99_ms;
-
-  (* ---- cold, baseline (also the bit-identity reference) ---- *)
-  Printf.printf "cold/baseline: same spec(s), single cache...\n%!";
-  let _, _, resps_base =
-    run_clients ~transport:(Unix_sock sock_base) ~keep_responses:true
-      (deal (min n_conns n_cold) specs)
-  in
-  let solutions_base = solutions_of_responses resps_base in
-  let bit_identical =
-    Hashtbl.length solutions_sh = n_cold
-    && Hashtbl.length solutions_base = n_cold
-    && Hashtbl.fold
-         (fun id s acc ->
-           acc && Hashtbl.find_opt solutions_base id = Some s)
-         solutions_sh true
-  in
-  Printf.printf "bit-identical solutions: %b\n%!" bit_identical;
+  let cold_solutions = solutions_of_responses resps in
+  Printf.printf "cold/unix: %.1f req/s, p99 %.1f ms, %d of %d solved\n%!"
+    cold.rps cold.p99_ms
+    (Hashtbl.length cold_solutions)
+    n_cold;
 
   (* ---- warm phases ---- *)
   let spec_arr = Array.of_list specs in
@@ -350,22 +330,29 @@ let () =
         List.init warm_per_conn (fun i ->
             spec_arr.((k + i) mod Array.length spec_arr)))
   in
+  let warm_sent = ref 0 and warm_mismatches = ref 0 in
   let run_warm name transport =
     Printf.printf "warm/%s: %d request(s) over %d conn(s)...\n%!" name
       (n_conns * warm_per_conn) n_conns;
-    let wall, lat, _ =
-      run_clients ~transport ~keep_responses:false warm_deal
+    let wall, lat, resps =
+      run_clients ~transport ~keep_responses:true warm_deal
     in
     let p = phase_of_latencies ~wall_s:wall lat in
+    warm_sent := !warm_sent + p.requests;
+    warm_mismatches := !warm_mismatches + mismatches cold_solutions resps;
     Printf.printf "warm/%s: %.0f req/s, p50 %.2f ms, p99 %.2f ms\n%!" name
       p.rps p.p50_ms p.p99_ms;
     p
   in
-  let warm_unix = run_warm "unix" (Unix_sock sock_sh) in
+  let hits_before_warm = response_hits () in
+  let warm_unix = run_warm "unix" (Unix_sock sock) in
   let warm_http = run_warm "http" (Http http_port) in
-  let warm_base = run_warm "baseline" (Unix_sock sock_base) in
-  let speedup = warm_unix.rps /. warm_base.rps in
-  Printf.printf "warm speedup (sharded/baseline): %.2fx\n%!" speedup;
+  let warm_hits = response_hits () - hits_before_warm in
+  let warm_sent = !warm_sent and warm_mismatches = !warm_mismatches in
+  Printf.printf
+    "warm: %d response-cache hit(s) for %d request(s), %d answer(s) \
+     differing from cold\n%!"
+    warm_hits warm_sent warm_mismatches;
 
   (* ---- pre-solve: a grid disjoint from the cold specs (interpolated
      node), one idle pass, then every point requested once over HTTP ---- *)
@@ -381,7 +368,7 @@ let () =
   let n_points = List.length (Presolve.points grid) in
   Printf.printf "presolve: one pass over %d grid point(s)...\n%!" n_points;
   let t0 = Unix.gettimeofday () in
-  let presolver = Presolve.start ~grid service_sh in
+  let presolver = Presolve.start ~grid service in
   let pass_done () =
     match Jsonx.member "passes" (Presolve.stats_json presolver) with
     | Some (Jsonx.Int p) -> p >= 1
@@ -392,8 +379,7 @@ let () =
   done;
   Presolve.stop presolver;
   let pass_s = Unix.gettimeofday () -. t0 in
-  let hits_before = stat_int (Service.stats_json service_sh)
-      [ "response_cache"; "hits" ] in
+  let hits_before = response_hits () in
   let grid_lines =
     List.mapi
       (fun i p ->
@@ -407,28 +393,14 @@ let () =
     run_clients ~transport:(Http http_port) ~keep_responses:false
       (deal 1 grid_lines)
   in
-  let hits_after = stat_int (Service.stats_json service_sh)
-      [ "response_cache"; "hits" ] in
   let in_grid_hit_rate =
-    float_of_int (hits_after - hits_before) /. float_of_int n_points
+    float_of_int (response_hits () - hits_before) /. float_of_int n_points
   in
   Printf.printf "presolve: pass %.1f s, in-grid warm-hit rate %.2f\n%!"
     pass_s in_grid_hit_rate;
 
-  (* ---- hit accounting ---- *)
-  let stats_sh = Service.stats_json service_sh in
-  let stats_base = Service.stats_json service_base in
-  let warm_hits_sh =
-    stat_int stats_sh [ "response_cache"; "hits" ]
-    + stat_int stats_sh [ "solve_cache"; "hits" ]
-  in
-  let warm_hits_base =
-    stat_int stats_base [ "response_cache"; "hits" ]
-    + stat_int stats_base [ "solve_cache"; "hits" ]
-  in
-
-  Server.stop server_sh;
-  Server.stop server_base;
+  let server_stats = Service.stats_json service in
+  Server.stop server;
 
   (* ---- gates ---- *)
   let baseline =
@@ -453,21 +425,20 @@ let () =
     | None -> default
   in
   let p99_slo = gate_float "warm_p99_ms_slo" infinity in
-  let speedup_floor = gate_float "warm_speedup_floor" 0. in
   let presolve_floor = gate_float "presolve_hit_floor" 0.9 in
   let cold_floor = gate_float "cold_rps_floor" 0. in
 
   let doc =
     Jsonx.Obj
       [
-        ("schema_version", Jsonx.Int 2);
+        ("schema_version", Jsonx.Int 3);
         ("quick", Jsonx.Bool quick);
         ( "config",
           Jsonx.Obj
             [
-              ("shards", Jsonx.Int shards);
+              ("workers", Jsonx.Int workers);
               ("conns", Jsonx.Int n_conns);
-              ("per_shard_solve_cap", Jsonx.Int per_shard_cap);
+              ("solve_cache_cap", Jsonx.Int solve_cache_cap);
               ("cold_specs", Jsonx.Int n_cold);
               ("warm_per_conn", Jsonx.Int warm_per_conn);
             ] );
@@ -477,10 +448,14 @@ let () =
               ("cold_unix", phase_json cold);
               ("warm_unix", phase_json warm_unix);
               ("warm_http", phase_json warm_http);
-              ("warm_baseline", phase_json warm_base);
             ] );
-        ("warm_speedup", Jsonx.num speedup);
-        ("bit_identical", Jsonx.Bool bit_identical);
+        ( "warm",
+          Jsonx.Obj
+            [
+              ("requests", Jsonx.Int warm_sent);
+              ("response_cache_hits", Jsonx.Int warm_hits);
+              ("mismatches", Jsonx.Int warm_mismatches);
+            ] );
         ( "presolve",
           Jsonx.Obj
             [
@@ -488,13 +463,7 @@ let () =
               ("pass_s", Jsonx.num pass_s);
               ("in_grid_hit_rate", Jsonx.num in_grid_hit_rate);
             ] );
-        ( "warm_hits",
-          Jsonx.Obj
-            [
-              ("sharded", Jsonx.Int warm_hits_sh);
-              ("baseline", Jsonx.Int warm_hits_base);
-            ] );
-        ("server_stats", stats_sh);
+        ("server_stats", server_stats);
       ]
   in
   let oc = open_out !out in
@@ -502,8 +471,7 @@ let () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n%!" !out;
-  (try Sys.remove sock_sh with Sys_error _ -> ());
-  (try Sys.remove sock_base with Sys_error _ -> ());
+  (try Sys.remove sock with Sys_error _ -> ());
 
   let failures = ref [] in
   let gate name ok detail =
@@ -512,19 +480,20 @@ let () =
   gate "warm p99 SLO"
     (warm_unix.p99_ms <= p99_slo)
     (Printf.sprintf "p99 %.2f ms > SLO %.2f ms" warm_unix.p99_ms p99_slo);
-  gate "warm speedup"
-    (speedup >= speedup_floor)
-    (Printf.sprintf "%.2fx < floor %.2fx" speedup speedup_floor);
-  gate "hit-rate parity"
-    (warm_hits_sh >= warm_hits_base)
-    (Printf.sprintf "sharded %d < baseline %d" warm_hits_sh warm_hits_base);
+  gate "warm response-cache hits"
+    (warm_hits = warm_sent)
+    (Printf.sprintf "%d hit(s) for %d warm request(s)" warm_hits warm_sent);
+  gate "warm = cold"
+    (Hashtbl.length cold_solutions = n_cold && warm_mismatches = 0)
+    (Printf.sprintf "%d of %d cold spec(s) solved, %d warm answer(s) differ"
+       (Hashtbl.length cold_solutions)
+       n_cold warm_mismatches);
   gate "presolve warm hits"
     (in_grid_hit_rate >= presolve_floor)
     (Printf.sprintf "%.2f < floor %.2f" in_grid_hit_rate presolve_floor);
   gate "cold throughput"
     (cold.rps >= cold_floor)
     (Printf.sprintf "%.1f rps < floor %.1f" cold.rps cold_floor);
-  gate "bit identity" bit_identical "sharded and baseline solutions differ";
   match !failures with
   | [] -> print_endline "PASS"
   | fs ->

@@ -2,16 +2,16 @@
 
      cacti_serve --batch < requests.jsonl > responses.jsonl
      cacti_serve --socket /run/cacti.sock --cache-file warm.cache --workers 2
-     cacti_serve --http 127.0.0.1:8080 --shards 4 --presolve
+     cacti_serve --http 127.0.0.1:8080 --presolve
 
    One JSONL request per line in, one response per line out (protocol in
    EXPERIMENTS.md).  Batch mode answers stdin sequentially and exits at
    EOF; socket mode serves concurrent clients over a Unix-domain socket
    and/or HTTP/1.1 (POST /solve, GET /stats, GET /healthz) until
-   SIGINT/SIGTERM.  With --cache-file each shard's Solve_cache memo
-   table is loaded at startup (a corrupt or mismatched file degrades to
-   a cold start with a warning) and saved atomically at shutdown, so
-   restarts answer their first requests from the warm cache; --presolve
+   SIGINT/SIGTERM.  With --cache-file the Solve_cache memo table is
+   loaded at startup (a corrupt or mismatched file degrades to a cold
+   start with a warning) and saved atomically at shutdown, so restarts
+   answer their first requests from the warm cache; --presolve
    walks the default tech-node x size x associativity grid at idle
    priority so in-grid requests are warm before the first client asks.
 
@@ -26,8 +26,14 @@ open Cacti_server
 let log_diags ds =
   List.iter (fun d -> prerr_endline (Diag.to_string d)) ds
 
-let run batch socket http cache_file jobs queue_bound shards resp_cache
-    workers drain_ms presolve presolve_period =
+(* Selected-bank memo entries the daemon keeps: without a cap, traffic
+   with distinct specs grows the memo for the life of the process.  A
+   persisted entry takes about 1.4 KB, so a full memo saves to about
+   6 MB; 4096 matches the response cache's default. *)
+let solve_cache_cap = 4096
+
+let run batch socket http cache_file jobs queue_bound resp_cache workers
+    drain_ms presolve presolve_period =
   match (batch, socket, http) with
   | false, None, None ->
       prerr_endline
@@ -39,16 +45,13 @@ let run batch socket http cache_file jobs queue_bound shards resp_cache
         "cacti_serve: --batch and --socket/--http are exclusive";
       Diag.exit_usage
   | _ -> (
-      let service =
-        Service.create ?jobs ?queue_bound ?shards ?resp_cache ()
-      in
-      Option.iter
-        (fun f -> log_diags (Persist.load_service service f))
-        cache_file;
+      let service = Service.create ?jobs ?queue_bound ?resp_cache () in
+      (* Before the load, so a larger file keeps only its most recently
+         used entries. *)
+      Cacti.Solve_cache.set_capacity (Some solve_cache_cap);
+      Option.iter (fun f -> log_diags (Persist.load f)) cache_file;
       let save_cache () =
-        Option.iter
-          (fun f -> log_diags (Persist.save_service service f))
-          cache_file
+        Option.iter (fun f -> log_diags (Persist.save f)) cache_file
       in
       if batch then begin
         let n = Server.run_batch service stdin stdout in
@@ -153,8 +156,7 @@ let cache_file =
        & info [ "cache-file" ] ~docv:"FILE"
            ~doc:"Load the solve memo table from $(docv) at startup and save \
                  it there at shutdown (atomic rename; a corrupt file means \
-                 a cold start, never a crash).  With --shards N, shard i > 0 \
-                 uses the $(docv).shard<i> sibling.")
+                 a cold start, never a crash).")
 
 let jobs =
   Arg.(value & opt (some int) None
@@ -165,29 +167,21 @@ let jobs =
 let queue_bound =
   Arg.(value & opt (some int) None
        & info [ "queue" ] ~docv:"N"
-           ~doc:"Admission-queue bound per shard (default 64): requests \
-                 beyond it are answered serve/queue_full immediately.")
-
-let shards =
-  Arg.(value & opt (some int) None
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Worker shards (default 1).  Each shard owns a private solve \
-                 cache, response cache and admission queue; a consistent-hash \
-                 ring routes every request to exactly one shard, so warm \
-                 entries partition instead of duplicating.")
+           ~doc:"Admission-queue bound (default 64): requests beyond it \
+                 are answered serve/queue_full immediately.")
 
 let resp_cache =
   Arg.(value & opt (some int) None
        & info [ "resp-cache" ] ~docv:"N"
-           ~doc:"Response-cache entries per shard (default 4096; 0 disables \
-                 the warm fast path).")
+           ~doc:"Response-cache entries (default 4096; 0 disables the warm \
+                 fast path).")
 
 let workers =
   Arg.(value & opt (some int) None
        & info [ "workers" ] ~docv:"N"
-           ~doc:"Solver threads draining the admission queues in socket/http \
-                 mode (default 1, raised to --shards; each solve is already \
-                 parallel across domains).")
+           ~doc:"Solver threads draining the admission queue in socket/http \
+                 mode (default 1; each solve is already parallel across \
+                 domains).")
 
 let drain_ms =
   Arg.(value & opt float 2000.
@@ -230,8 +224,7 @@ let () =
   let term =
     Term.(
       const run $ batch $ socket $ http $ cache_file $ jobs $ queue_bound
-      $ shards $ resp_cache $ workers $ drain_ms $ presolve
-      $ presolve_period)
+      $ resp_cache $ workers $ drain_ms $ presolve $ presolve_period)
   in
   match Cmd.eval_value (Cmd.v info term) with
   | Ok (`Ok code) -> exit code

@@ -9,7 +9,7 @@ type outcome = {
   from_cache : bool;
 }
 
-(* ------------------------------ shards ------------------------------- *)
+(* ------------------------------ tables ------------------------------- *)
 
 (* Screen contexts, keyed by [Mat.screen_key]: the rows-independent screen
    tree plus the survivors of its most recent instantiation.  A re-solve
@@ -24,118 +24,65 @@ type screen_ctx = {
   sc_screened : (Org.t * Mat.geometry) list * int * int * int;
 }
 
-(* One independent set of memo tables.  A fleet-sharded server gives each
-   worker shard its own instance so warm entries are partitioned (never
-   duplicated) and the per-table mutexes stop being process-wide choke
-   points; everything else — the CLIs, the study harness, tests — uses
-   the process-wide [default_shard] without knowing shards exist.
+(* The selected-bank memo: one entry per (spec, params, bounds) solve,
+   keyed by a string fingerprint so the persisted format is key-stable. *)
+let banks : (string, Bank.t * Cacti_util.Diag.counts) Lru.t = Lru.create ()
 
-   [Bank]'s cross-spec stage memo stays deliberately global: it caches
-   deterministic gate sizings keyed by spec salt, so sharing it across
-   shards is free deduplication, not contention on the solve path. *)
-type shard = {
-  sh_banks : (string, Bank.t * Cacti_util.Diag.counts) Lru.t;
-      (** selected-bank memo: one entry per (spec, params, bounds) solve,
-          keyed by a string fingerprint so the persisted format is
-          key-stable *)
-  sh_screens : (string, screen_ctx) Lru.t;
-  sh_inc_full : int Atomic.t;
-  sh_inc_rows : int Atomic.t;
-  sh_inc_miss : int Atomic.t;
-}
-
-let create_shard () =
-  let screens = Lru.create () in
+let screens : (string, screen_ctx) Lru.t =
+  let t = Lru.create () in
   (* A screen context holds a full survivor list (~2k orgs), so keep the
      working set modest; 32 covers every distinct (kind, geometry-shape)
      combination the study matrix sweeps concurrently. *)
-  Lru.set_capacity screens ~what:"Solve_cache.screens" (Some 32);
-  {
-    sh_banks = Lru.create ();
-    sh_screens = screens;
-    sh_inc_full = Atomic.make 0;
-    sh_inc_rows = Atomic.make 0;
-    sh_inc_miss = Atomic.make 0;
-  }
+  Lru.set_capacity t ~what:"Solve_cache.screens" (Some 32);
+  t
 
-let default_shard = create_shard ()
+let inc_full = Atomic.make 0
+let inc_rows = Atomic.make 0
+let inc_miss = Atomic.make 0
 
-(* Dynamic shard scoping, bound per thread: a server worker binds its
-   shard once around its whole drain loop, and every Solve_cache entry
-   point resolves the binding at its own entry — on the binding thread,
-   never from the sweep's pool domains, which carry no binding.  Code
-   that never binds resolves to [default_shard], which is bit-for-bit the
-   pre-sharding behaviour. *)
-let bindings : (int, shard) Hashtbl.t = Hashtbl.create 8
-let bindings_lock = Mutex.create ()
-let self_id () = Thread.id (Thread.self ())
+type shard = unit
 
-let current_shard () =
-  Mutex.protect bindings_lock (fun () ->
-      match Hashtbl.find_opt bindings (self_id ()) with
-      | Some sh -> sh
-      | None -> default_shard)
-
-let with_shard sh f =
-  let tid = self_id () in
-  let prev =
-    Mutex.protect bindings_lock (fun () ->
-        let p = Hashtbl.find_opt bindings tid in
-        Hashtbl.replace bindings tid sh;
-        p)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect bindings_lock (fun () ->
-          match prev with
-          | Some p -> Hashtbl.replace bindings tid p
-          | None -> Hashtbl.remove bindings tid))
-    f
+let with_shard () f = f ()
 
 (* ----------------------- incremental screening ----------------------- *)
 
 type incremental = { full_hits : int; rows_hits : int; misses : int }
 
-let shard_incremental_stats sh =
+let incremental_stats () =
   {
-    full_hits = Atomic.get sh.sh_inc_full;
-    rows_hits = Atomic.get sh.sh_inc_rows;
-    misses = Atomic.get sh.sh_inc_miss;
+    full_hits = Atomic.get inc_full;
+    rows_hits = Atomic.get inc_rows;
+    misses = Atomic.get inc_miss;
   }
 
-let incremental_stats () = shard_incremental_stats (current_shard ())
-
-let screened_for_shard sh ?(max_ndwl = 64) ?(max_ndbl = 64) spec =
+let screened_for ?(max_ndwl = 64) ?(max_ndbl = 64) spec =
   let key = Mat.screen_key ~max_ndwl ~max_ndbl ~spec () in
   let n_rows = spec.Array_spec.n_rows in
-  match Lru.find sh.sh_screens key with
+  match Lru.find screens key with
   | Some ctx when ctx.sc_n_rows = n_rows ->
       (* Same shape, same rows (the spec differs at most in technology,
          which the arithmetic screen never reads): reuse outright. *)
-      Atomic.incr sh.sh_inc_full;
+      Atomic.incr inc_full;
       ctx.sc_screened
   | Some ctx ->
       (* Same shape, new size: only the rows division changed — re-walk
          the prebuilt tree instead of re-screening the grid. *)
-      Atomic.incr sh.sh_inc_rows;
+      Atomic.incr inc_rows;
       let screened =
         Cacti_util.Profile.time "incremental_reuse" (fun () ->
             Mat.screen_of_tree ctx.sc_tree ~n_rows)
       in
-      Lru.put sh.sh_screens key
+      Lru.put screens key
         { ctx with sc_n_rows = n_rows; sc_screened = screened };
       screened
   | None ->
-      Atomic.incr sh.sh_inc_miss;
+      Atomic.incr inc_miss;
       let tree = Mat.screen_tree ~max_ndwl ~max_ndbl ~spec () in
       let screened = Mat.screen_of_tree tree ~n_rows in
       ignore
-        (Lru.publish sh.sh_screens key
+        (Lru.publish screens key
            { sc_tree = tree; sc_n_rows = n_rows; sc_screened = screened });
       screened
-
-let screened_for ?max_ndwl ?max_ndbl spec =
-  screened_for_shard (current_shard ()) ?max_ndwl ?max_ndbl spec
 
 (* The canonical fingerprint of one solve: every input that can change the
    selected organization.  Floats are printed in hex so distinct values can
@@ -188,10 +135,8 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
   | Error d1, Error d2 -> Error (d1 @ d2)
   | Error ds, Ok _ | Ok _, Error ds -> Error ds
   | Ok _, Ok _ -> (
-      (* Resolve the shard once, here, on the caller's thread. *)
-      let sh = current_shard () in
       let key = fingerprint ~max_ndwl ~max_ndbl ~params spec in
-      match Lru.find sh.sh_banks key with
+      match Lru.find banks key with
       | Some (b, counts) -> Ok { bank = b; counts; from_cache = true }
       | None -> (
           (* Enumerate outside the lock: it is the expensive, internally
@@ -199,7 +144,7 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
              the (identical, deterministic) solution; the first store wins
              so later hits share one value. *)
           let what = match what with Some w -> w | None -> describe spec in
-          let screened = screened_for_shard sh ~max_ndwl ~max_ndbl spec in
+          let screened = screened_for ~max_ndwl ~max_ndbl spec in
           (* Select over the sweep's metric columns and materialize only
              the winning record (see {!Optimizer.select_soa_result}). *)
           let sw =
@@ -224,7 +169,7 @@ let select_bank_result ?(pool = Cacti_util.Pool.serial) ?cancel
                 ]
           | Ok i ->
               let bank, counts =
-                Lru.publish sh.sh_banks key (Bank.sweep_bank sw i, counts)
+                Lru.publish banks key (Bank.sweep_bank sw i, counts)
               in
               Ok { bank; counts; from_cache = false }))
 
@@ -242,27 +187,17 @@ let select_bank ?pool ?cancel ?max_ndwl ?max_ndbl ?strict ?what ~params spec =
 
 (* ------------------------ stats and capacity ------------------------- *)
 
-let shard_stats sh = Lru.stats sh.sh_banks
-let shard_size sh = Lru.size sh.sh_banks
-let shard_capacity sh = Lru.capacity sh.sh_banks
-
-let set_shard_capacity sh c =
-  Lru.set_capacity sh.sh_banks ~what:"Solve_cache.set_capacity" c
-
-let stats () = shard_stats (current_shard ())
-let size () = shard_size (current_shard ())
-let capacity () = shard_capacity (current_shard ())
-let set_capacity c = set_shard_capacity (current_shard ()) c
-
-let clear_shard sh =
-  Lru.clear sh.sh_banks;
-  Lru.clear sh.sh_screens;
-  Atomic.set sh.sh_inc_full 0;
-  Atomic.set sh.sh_inc_rows 0;
-  Atomic.set sh.sh_inc_miss 0
+let stats () = Lru.stats banks
+let size () = Lru.size banks
+let capacity () = Lru.capacity banks
+let set_capacity c = Lru.set_capacity banks ~what:"Solve_cache.set_capacity" c
 
 let clear () =
-  clear_shard (current_shard ());
+  Lru.clear banks;
+  Lru.clear screens;
+  Atomic.set inc_full 0;
+  Atomic.set inc_rows 0;
+  Atomic.set inc_miss 0;
   Cacti_array.Bank.reset_stage_memo ()
 
 (* ---------------------------- persistence ---------------------------- *)
@@ -275,10 +210,6 @@ let clear () =
    (string * Bank.t * Diag.counts) list in least-recently-used-first
    order (so re-inserting in file order reconstructs the LRU order).
    Only the selected-bank memo is persisted.
-
-   Sharded servers persist one such file per shard (the serve layer names
-   the siblings), so the format needs no routing metadata and stays at
-   version 3.
 
    Crash safety: the payload is written to a [.tmp] sibling, fsync'd,
    and atomically renamed over the destination, with a best-effort fsync
@@ -311,11 +242,8 @@ let fsync_dir dir =
       (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let save ?shard path =
-  let sh = match shard with Some s -> s | None -> current_shard () in
-  let entries =
-    Lru.dump sh.sh_banks |> List.map (fun (k, (b, c)) -> (k, b, c))
-  in
+let save path =
+  let entries = Lru.dump banks |> List.map (fun (k, (b, c)) -> (k, b, c)) in
   let tmp = path ^ ".tmp" in
   match
     let payload = Marshal.to_string (entries : file_payload) [] in
@@ -340,8 +268,7 @@ let save ?shard path =
       (try Sys.remove tmp with Sys_error _ -> ());
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
-let load ?shard path =
-  let sh = match shard with Some s -> s | None -> current_shard () in
+let load path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic -> (
@@ -381,7 +308,7 @@ let load ?shard path =
                               let entries =
                                 (Marshal.from_string payload 0 : file_payload)
                               in
-                              Lru.restore sh.sh_banks
+                              Lru.restore banks
                                 (List.map
                                    (fun (k, b, c) -> (k, (b, c)))
                                    entries);

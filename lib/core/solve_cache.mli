@@ -7,45 +7,24 @@
     a canonical fingerprint of the array spec, the optimization parameters
     and the enumeration bounds, so repeated solves cost one hash lookup.
 
-    The tables live in {e shards}: independent instances of the whole
-    memo set (banks, screen contexts).  Every entry point below
-    resolves the calling thread's bound shard — [default_shard] when the
-    thread never bound one — so the historical process-wide-singleton
-    behaviour is exactly the default, and a sharded server binds one
-    private shard per worker thread with {!with_shard} to partition its
-    warm set without duplicating entries.  Each table is protected by a
-    mutex, safe to use from multiple domains (e.g. under
-    {!Cacti_util.Pool}).  Entries are deterministic, so a racing
-    recomputation can only store the same solution. *)
+    There is one set of tables per process (selected banks, screen
+    contexts, incremental counters), shared by every caller: the CLIs,
+    the study harness, and every worker and transport thread of
+    [cacti_serve].  Each table is its own mutex-guarded
+    {!Cacti_util.Lru}, safe to use from multiple threads and domains
+    (e.g. under {!Cacti_util.Pool}); no other lock is taken.  Entries are
+    deterministic, so a racing recomputation can only store the same
+    solution. *)
 
 type stats = { hits : int; misses : int }
 
-(** {1 Shards} *)
-
-type shard
-(** One independent set of memo tables (selected banks, screen contexts,
-    incremental counters).
-    {!Cacti_array.Bank}'s cross-spec stage memo is deliberately {e not}
-    per-shard: it holds deterministic gate sizings keyed by spec salt, so
-    sharing it is deduplication, not contention. *)
-
-val default_shard : shard
-(** The shard every unbound thread resolves to — the process-wide
-    singleton all pre-sharding callers (CLIs, studies, tests) use. *)
-
-val create_shard : unit -> shard
-(** A fresh, empty, unbounded shard. *)
+type shard = unit
+(** Kept only so that [perfbench/w_solve.ml]'s
+    [with_shard (Service.shard_cache svc 0) (fun () -> ...)] compiles:
+    there is one memo set, so a shard names nothing. *)
 
 val with_shard : shard -> (unit -> 'a) -> 'a
-(** [with_shard sh f] runs [f] with the calling thread's current shard
-    set to [sh] (restoring the previous binding on exit, exceptions
-    included).  The binding is per-thread: pool domains spawned inside
-    [f] do {e not} inherit it — the solve entry points resolve the shard
-    on the calling thread, which is why nothing inside a solve may call
-    back into the thread-resolving API from a domain. *)
-
-val current_shard : unit -> shard
-(** The calling thread's bound shard, or {!default_shard}. *)
+(** [with_shard () f] is [f ()].  Kept for the same caller alone. *)
 
 type outcome = {
   bank : Cacti_array.Bank.t;
@@ -115,8 +94,8 @@ val set_capacity : int option -> unit
 (** Bound the table to at most that many entries, evicting the
     least-recently-used solves first ("LRU-ish": recency is tracked per
     lookup, eviction scans for the oldest stamp).  [None] — the default —
-    is unbounded, matching the historical behaviour; a long-lived server
-    should set a cap sized to its working set (e.g. [Some 4096]).
+    is unbounded, which suits one-shot CLIs and studies; [cacti_serve]
+    sets [Some 4096] before it loads its cache file.
     Setting a cap below the current {!size} evicts immediately.
     Raises [Invalid_argument] on a negative cap. *)
 
@@ -154,26 +133,9 @@ val screened_for :
     (defaults 64x64).  Updates the counters above. *)
 
 val clear : unit -> unit
-(** Drop all entries of every table (banks, screen contexts) of the
-    calling thread's shard, reset their counters, and reset the global
-    stage memo (used by benchmarks to measure cold-vs-warm solve
-    times). *)
-
-(** {1 Per-shard accessors}
-
-    The same counters and knobs as above, addressed explicitly — for the
-    serve layer's per-shard stats and capacity partitioning.  [stats ()]
-    is [shard_stats (current_shard ())], and so on. *)
-
-val shard_stats : shard -> stats
-val shard_size : shard -> int
-val shard_capacity : shard -> int option
-val set_shard_capacity : shard -> int option -> unit
-val shard_incremental_stats : shard -> incremental
-
-val clear_shard : shard -> unit
-(** Like {!clear} for one explicit shard, without touching the global
-    stage memo. *)
+(** Drop all entries of every table (banks, screen contexts), reset their
+    counters, and reset {!Cacti_array.Bank}'s stage memo (used by
+    benchmarks to measure cold-vs-warm solve times). *)
 
 (** {1 Persistence}
 
@@ -188,12 +150,11 @@ val clear_shard : shard -> unit
     [Error] — never raises — on a missing, truncated, torn, corrupt or
     version-mismatched file, so callers degrade to a cold start. *)
 
-val save : ?shard:shard -> string -> (int, string) result
-(** Write every entry of the shard (default: the calling thread's) to
-    [path]; returns the entry count.  A sharded server persists one file
-    per shard — the format carries no routing metadata. *)
+val save : string -> (int, string) result
+(** Write every entry of the selected-bank memo to [path]; returns the
+    entry count. *)
 
-val load : ?shard:shard -> string -> (int, string) result
-(** Merge the file's entries into the shard's table (existing keys win,
-    the capacity bound is enforced); returns the number of entries
+val load : string -> (int, string) result
+(** Merge the file's entries into the selected-bank memo (existing keys
+    win, the capacity bound is enforced); returns the number of entries
     read. *)

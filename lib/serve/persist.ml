@@ -21,7 +21,7 @@ let contained point what path f =
           what path fn (Unix.error_message e);
       ]
 
-let load_shard ?shard path =
+let load path =
   contained "persist.load" "cache_load" path (fun () ->
       if not (Sys.file_exists path) then
         [
@@ -29,7 +29,7 @@ let load_shard ?shard path =
             (Printf.sprintf "no cache file %s: cold start" path);
         ]
       else
-        match Cacti.Solve_cache.load ?shard path with
+        match Cacti.Solve_cache.load path with
         | Ok n ->
             [
               Diag.make Diag.Info ~component:"serve" ~reason:"cache_load"
@@ -42,11 +42,9 @@ let load_shard ?shard path =
                 "could not load %s (%s): cold start" path msg;
             ])
 
-let load path = load_shard path
-
-let save_shard ?shard path =
+let save path =
   contained "persist.save" "cache_save" path (fun () ->
-      match Cacti.Solve_cache.save ?shard path with
+      match Cacti.Solve_cache.save path with
       | Ok n ->
           [
             Diag.make Diag.Info ~component:"serve" ~reason:"cache_save"
@@ -57,25 +55,3 @@ let save_shard ?shard path =
             Diag.warningf ~component:"serve" ~reason:"cache_save"
               "could not save cache to %s: %s" path msg;
           ])
-
-let save path = save_shard path
-
-(* One snapshot file per shard: shard 0 owns the base path (so a
-   single-shard server reads and writes exactly the pre-sharding file),
-   shard i > 0 its ".shard<i>" sibling.  No routing metadata is needed —
-   entries are keyed by solve fingerprint, and a restart with a
-   different shard count merely warm-loads each file into whichever
-   shard now owns the slot, trading a few first-hit misses, never wrong
-   answers. *)
-let shard_path base i =
-  if i = 0 then base else Printf.sprintf "%s.shard%d" base i
-
-let load_service service base =
-  List.concat
-    (List.init (Service.n_shards service) (fun i ->
-         load_shard ~shard:(Service.shard_cache service i) (shard_path base i)))
-
-let save_service service base =
-  List.concat
-    (List.init (Service.n_shards service) (fun i ->
-         save_shard ~shard:(Service.shard_cache service i) (shard_path base i)))

@@ -2,6 +2,11 @@
     {!Cacti.Solve_cache.save}/[load] in the structured diagnostics the
     daemon logs.
 
+    The daemon keeps one memo set and persists it to one file, in the
+    unchanged format version 3: a cache file saved by an earlier,
+    sharded server still loads, and its [F.shard<i>] siblings are
+    ignored (their entries re-solve on first use).
+
     Loading is always best-effort — a missing, truncated, torn, corrupt
     or version-mismatched file degrades to a cold start with a
     [warning[serve/cache_load]] (missing files are only an [info]: a first
@@ -17,13 +22,3 @@ val load : string -> Cacti_util.Diag.t list
 val save : string -> Cacti_util.Diag.t list
 (** Persist the current memo table atomically; returns the diagnostics to
     log (never raises, never empty). *)
-
-val load_service : Service.t -> string -> Cacti_util.Diag.t list
-(** Per-shard warm start: shard 0 loads the base path itself (so a
-    single-shard server reads exactly the pre-sharding file), shard
-    [i > 0] its [".shard<i>"] sibling.  A shard-count change across
-    restarts is harmless — fingerprint-keyed entries just warm the shard
-    that now owns their slot. *)
-
-val save_service : Service.t -> string -> Cacti_util.Diag.t list
-(** Per-shard snapshot to the same file layout {!load_service} reads. *)

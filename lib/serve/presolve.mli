@@ -2,11 +2,11 @@
     grid in a background thread so in-grid requests are warm before the
     first client asks.
 
-    Each grid point goes through {!Service.presolve_point}: same routing
-    key, same shard, same memo tables and response-cache entry as an
-    admitted request — but outside the request counters, so pre-solve
-    traffic never skews the client-facing stats (its own progress shows
-    up as the ["presolve"] auxiliary stats section instead).
+    Each grid point goes through {!Service.presolve_point}: same memo
+    tables and response-cache entry as an admitted request — but outside
+    the request counters, so pre-solve traffic never skews the
+    client-facing stats (its own progress shows up as the ["presolve"]
+    auxiliary stats section instead).
 
     {b Low priority.}  The walker waits for the service to be idle (no
     queued, no in-flight work) before each point and re-checks every

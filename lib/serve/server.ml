@@ -176,16 +176,9 @@ let start ?(workers = 1) ?(backlog = 16) ?path ?http service () =
   in
   t.accept_threads <-
     List.map (fun l -> Thread.create (accept_loop l) ()) t.listeners;
-  (* Every shard needs at least one worker draining its queue; extra
-     workers are spread round-robin so a hot shard still gets request
-     concurrency. *)
-  let n_workers = max workers (Service.n_shards service) in
   t.workers <-
-    List.init n_workers (fun k ->
-        Thread.create
-          (fun () ->
-            Service.run_shard_worker service (k mod Service.n_shards service))
-          ());
+    List.init workers (fun _ ->
+        Thread.create (fun () -> Service.run_worker service) ());
   t
 
 let wait t =

@@ -16,8 +16,8 @@
     {b HTTP} serves the same service over TCP with the HTTP/1.1 mapping
     of {!Http}: [POST /solve], [GET /stats], [GET /healthz], keep-alive
     connections, one in-order exchange at a time per connection.  Both
-    listeners can run in the same server, sharing the admission queues,
-    the sharded caches, the drain and the chaos points. *)
+    listeners can run in the same server, sharing the admission queue,
+    the caches, the drain and the chaos points. *)
 
 val run_batch : Service.t -> in_channel -> out_channel -> int
 (** Answer every line until EOF (responses flushed per line); returns the
@@ -41,12 +41,10 @@ val start :
     (no listener) is removed and replaced, a live one raises
     [Unix.Unix_error (EADDRINUSE, "bind", path)] instead of hijacking a
     running server's socket.  [workers] (default 1) is the number of
-    solver threads draining the admission queues — raised to the
-    service's shard count if below it (every shard needs a worker), and
-    spread round-robin across shards.  Each solve already fans out
-    across domains via the service's pool, so more workers trade solve
-    latency for concurrency between requests.  Raises [Unix.Unix_error]
-    if a socket cannot be bound. *)
+    solver threads draining the admission queue.  Each solve already
+    fans out across domains via the service's pool, so more workers trade
+    solve latency for concurrency between requests.  Raises
+    [Unix.Unix_error] if a socket cannot be bound. *)
 
 val http_port : t -> int option
 (** The bound TCP port of the HTTP listener, if one was started —

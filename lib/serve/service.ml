@@ -44,7 +44,7 @@ type counters = {
 type job = {
   j_json : Jsonx.t;
   j_id : Jsonx.t;
-  j_route : string;  (** canonical routing key, reused as the response-cache key *)
+  j_key : string;  (** response-cache key *)
   j_reply : string -> unit;
   j_admitted : float;
   j_deadline : float;  (** absolute; [infinity] when no deadline *)
@@ -65,24 +65,14 @@ type resp_entry = {
   re_kind : [ `Cache | `Ram | `Mainmem ];
 }
 
-(* One worker shard: its own queue (own lock — admission and drain stop
-   contending on a single mutex), its own Solve_cache instance, and its
-   own response cache. *)
-type shard_q = {
-  sq_index : int;
-  sq_queue : job Queue.t;
-  sq_lock : Mutex.t;
-  sq_cond : Condition.t;
-  sq_cache : Cacti.Solve_cache.shard;
-  sq_resp : (string, resp_entry) Lru.t option;  (** [None]: fast path off *)
-}
-
 type t = {
   jobs : int option;
-  queue_bound : int;  (** per shard *)
-  shards : shard_q array;
-  ring : Hashring.t;
-  mutable stopping : bool;  (** workers exit once their queue drains *)
+  queue_bound : int;
+  queue : job Queue.t;
+  qlock : Mutex.t;  (** guards [queue] *)
+  qcond : Condition.t;  (** signalled on push and on {!stop_workers} *)
+  resp : (string, resp_entry) Lru.t option;  (** [None]: fast path off *)
+  mutable stopping : bool;  (** workers exit once the queue drains *)
   mutable is_draining : bool;  (** new admissions refused *)
   in_flight : int Atomic.t;  (** jobs dequeued, response not yet written *)
   drain : Cancel.t;  (** parent token of every solve; fired to cancel *)
@@ -94,39 +84,25 @@ type t = {
       (** extra stats sections (e.g. the pre-solver), guarded by [clock] *)
 }
 
-let create ?jobs ?(queue_bound = 64) ?(shards = 1) ?(resp_cache = 4096)
+let create ?jobs ?(queue_bound = 64) ?(resp_cache = 4096)
     ?(log = fun d -> prerr_endline (Diag.to_string d)) () =
   if queue_bound < 1 then
     invalid_arg "Service.create: queue_bound must be positive";
-  if shards < 1 then invalid_arg "Service.create: shards must be positive";
   if resp_cache < 0 then
     invalid_arg "Service.create: resp_cache must be non-negative";
-  let mk_shard i =
-    {
-      sq_index = i;
-      sq_queue = Queue.create ();
-      sq_lock = Mutex.create ();
-      sq_cond = Condition.create ();
-      (* One shard routes everything to the process-wide default tables,
-         so --cache-file persistence and every pre-sharding caller see
-         the historical singleton behaviour. *)
-      sq_cache =
-        (if shards = 1 then Cacti.Solve_cache.default_shard
-         else Cacti.Solve_cache.create_shard ());
-      sq_resp =
-        (if resp_cache = 0 then None
-         else begin
-           let lru = Lru.create () in
-           Lru.set_capacity lru ~what:"Service.resp_cache" (Some resp_cache);
-           Some lru
-         end);
-    }
-  in
   {
     jobs;
     queue_bound;
-    shards = Array.init shards mk_shard;
-    ring = Hashring.create shards;
+    queue = Queue.create ();
+    qlock = Mutex.create ();
+    qcond = Condition.create ();
+    resp =
+      (if resp_cache = 0 then None
+       else begin
+         let lru = Lru.create () in
+         Lru.set_capacity lru ~what:"Service.resp_cache" (Some resp_cache);
+         Some lru
+       end);
     stopping = false;
     is_draining = false;
     in_flight = Atomic.make 0;
@@ -160,24 +136,23 @@ let create ?jobs ?(queue_bound = 64) ?(shards = 1) ?(resp_cache = 4096)
     aux_stats = [];
   }
 
-let n_shards t = Array.length t.shards
-let shard_cache t i = t.shards.(i).sq_cache
+let shard_cache _ _ = ()
 let drain_token t = t.drain
 
 let register_stats t name fn =
   Mutex.protect t.clock (fun () ->
       t.aux_stats <- t.aux_stats @ [ (name, fn) ])
 
-(* ----------------------------- routing ------------------------------- *)
+(* --------------------------- response key ---------------------------- *)
 
-(* The routing key of a request: the canonical (sorted-key) JSON of
+(* The response-cache key of a request: the canonical (sorted-key) JSON of
    everything that determines its solution — kind, spec, and params minus
    the per-call knobs ([deadline_ms], [jobs]) that cannot change the
    selected organization.  Computed from the raw parsed JSON so the fast
    path never decodes a request; two spellings of the same spec that
-   differ in defaulted fields route independently (they deduplicate at
-   the Solve_cache fingerprint inside a shard). *)
-let routing_key j =
+   differ in defaulted fields get separate entries (they deduplicate at
+   the Solve_cache fingerprint). *)
+let response_key j =
   let kind =
     Option.value
       (Option.bind (Jsonx.member "kind" j) Jsonx.get_string)
@@ -197,10 +172,6 @@ let routing_key j =
   Jsonx.to_canonical_string
     (Jsonx.Obj
        [ ("kind", Jsonx.String kind); ("params", params); ("spec", spec) ])
-
-let route_of t j =
-  let key = routing_key j in
-  (key, t.shards.(Hashring.lookup t.ring key))
 
 (* --------------------------- accounting ----------------------------- *)
 
@@ -275,19 +246,12 @@ let percentile_ms buckets total q =
     Float.pow 2. (Float.of_int !found +. 0.5) /. 1e3
   end
 
-let shard_depth sq = Mutex.protect sq.sq_lock (fun () -> Queue.length sq.sq_queue)
-
-let queue_depth t =
-  Array.fold_left (fun acc sq -> acc + shard_depth sq) 0 t.shards
+let queue_depth t = Mutex.protect t.qlock (fun () -> Queue.length t.queue)
 
 let in_flight t = Atomic.get t.in_flight
 let draining t = t.is_draining
 
-let idle t =
-  Array.for_all
-    (fun sq -> Mutex.protect sq.sq_lock (fun () -> Queue.is_empty sq.sq_queue))
-    t.shards
-  && Atomic.get t.in_flight = 0
+let idle t = queue_depth t = 0 && Atomic.get t.in_flight = 0
 
 (* Completions per second over the recent window, from the timestamp
    ring.  [None] until two completions land inside the window. *)
@@ -330,82 +294,34 @@ let retry_after_ms t depth =
 
 (* ------------------------------ stats -------------------------------- *)
 
-let lru_section ?(extra = []) (s : Lru.stats) size cap =
+let lru_section (s : Lru.stats) size cap =
   let lookups = s.Lru.hits + s.Lru.misses in
   let hit_rate =
     if lookups = 0 then 0.
     else Float.of_int s.Lru.hits /. Float.of_int lookups
   in
   Jsonx.Obj
-    ([
-       ("hits", Jsonx.Int s.Lru.hits);
-       ("misses", Jsonx.Int s.Lru.misses);
-       ("size", Jsonx.Int size);
-       ( "capacity",
-         match cap with None -> Jsonx.Null | Some n -> Jsonx.Int n );
-       ("hit_rate", Jsonx.num hit_rate);
-     ]
-    @ extra)
-
-let resp_stats sq =
-  match sq.sq_resp with
-  | None -> (Lru.{ hits = 0; misses = 0 }, 0, None)
-  | Some lru -> (Lru.stats lru, Lru.size lru, Lru.capacity lru)
+    [
+      ("hits", Jsonx.Int s.Lru.hits);
+      ("misses", Jsonx.Int s.Lru.misses);
+      ("size", Jsonx.Int size);
+      ("capacity", match cap with None -> Jsonx.Null | Some n -> Jsonx.Int n);
+      ("hit_rate", Jsonx.num hit_rate);
+    ]
 
 let stats_json t =
   let module SC = Cacti.Solve_cache in
-  (* Aggregate the shard tables; the per-shard split follows below. *)
-  let sum f = Array.fold_left (fun acc sq -> acc + f sq) 0 t.shards in
-  let sum_cap f =
-    (* Total capacity is meaningful only when every shard is bounded. *)
-    Array.fold_left
-      (fun acc sq ->
-        match (acc, f sq) with
-        | Some a, Some c -> Some (a + c)
-        | _ -> None)
-      (Some 0) t.shards
+  let inc = SC.incremental_stats () in
+  let solve_section =
+    let s = SC.stats () in
+    lru_section
+      { Lru.hits = s.SC.hits; misses = s.SC.misses }
+      (SC.size ()) (SC.capacity ())
   in
-  let sc_hits = sum (fun sq -> (SC.shard_stats sq.sq_cache).SC.hits) in
-  let sc_misses = sum (fun sq -> (SC.shard_stats sq.sq_cache).SC.misses) in
-  let sc_size = sum (fun sq -> SC.shard_size sq.sq_cache) in
-  let sc_cap = sum_cap (fun sq -> SC.shard_capacity sq.sq_cache) in
-  let inc_full =
-    sum (fun sq -> (SC.shard_incremental_stats sq.sq_cache).SC.full_hits)
-  in
-  let inc_rows =
-    sum (fun sq -> (SC.shard_incremental_stats sq.sq_cache).SC.rows_hits)
-  in
-  let inc_miss =
-    sum (fun sq -> (SC.shard_incremental_stats sq.sq_cache).SC.misses)
-  in
-  let rc_hits = sum (fun sq -> let s, _, _ = resp_stats sq in s.Lru.hits) in
-  let rc_misses =
-    sum (fun sq -> let s, _, _ = resp_stats sq in s.Lru.misses)
-  in
-  let rc_size = sum (fun sq -> let _, n, _ = resp_stats sq in n) in
-  let rc_cap =
-    sum_cap (fun sq ->
-        let _, _, c = resp_stats sq in
-        c)
-  in
-  let shard_sections =
-    Array.to_list
-      (Array.map
-         (fun sq ->
-           let scs = SC.shard_stats sq.sq_cache in
-           let rcs, rcn, rcc = resp_stats sq in
-           Jsonx.Obj
-             [
-               ("shard", Jsonx.Int sq.sq_index);
-               ("depth", Jsonx.Int (shard_depth sq));
-               ( "solve_cache",
-                 lru_section
-                   { Lru.hits = scs.SC.hits; misses = scs.SC.misses }
-                   (SC.shard_size sq.sq_cache)
-                   (SC.shard_capacity sq.sq_cache) );
-               ("response_cache", lru_section rcs rcn rcc);
-             ])
-         t.shards)
+  let resp_section =
+    match t.resp with
+    | None -> lru_section Lru.{ hits = 0; misses = 0 } 0 None
+    | Some lru -> lru_section (Lru.stats lru) (Lru.size lru) (Lru.capacity lru)
   in
   (* Per-phase wall clock since startup; populated when phase accounting
      is on (the server binary enables it at launch). *)
@@ -442,22 +358,15 @@ let stats_json t =
                ] );
            ( "faults",
              Jsonx.Obj [ ("worker", Jsonx.Int c.c_worker_faults) ] );
-           ( "solve_cache",
-             lru_section
-               { Lru.hits = sc_hits; misses = sc_misses }
-               sc_size sc_cap );
-           ( "response_cache",
-             lru_section
-               { Lru.hits = rc_hits; misses = rc_misses }
-               rc_size rc_cap );
+           ("solve_cache", solve_section);
+           ("response_cache", resp_section);
            ( "incremental",
              Jsonx.Obj
                [
-                 ("full_hits", Jsonx.Int inc_full);
-                 ("rows_hits", Jsonx.Int inc_rows);
-                 ("misses", Jsonx.Int inc_miss);
+                 ("full_hits", Jsonx.Int inc.SC.full_hits);
+                 ("rows_hits", Jsonx.Int inc.SC.rows_hits);
+                 ("misses", Jsonx.Int inc.SC.misses);
                ] );
-           ("shards", Jsonx.List shard_sections);
            ( "phases",
              Jsonx.Obj
                (List.map
@@ -474,7 +383,6 @@ let stats_json t =
                [
                  ("depth", Jsonx.Int depth);
                  ("bound", Jsonx.Int t.queue_bound);
-                 ("shards", Jsonx.Int (Array.length t.shards));
                  ("in_flight", Jsonx.Int inflight);
                  ("draining", Jsonx.Bool t.is_draining);
                  ( "service_rate_rps",
@@ -554,12 +462,12 @@ let kind_tag = function
    [timing.cache_hits] a bank-memo hit would. *)
 let warm_hits_of_kind = function `Cache -> 2 | `Ram -> 1 | `Mainmem -> 1
 
-let store_response sq route ~kind solution =
-  match sq.sq_resp with
+let store_response t key ~kind solution =
+  match t.resp with
   | None -> ()
   | Some resp ->
       ignore
-        (Lru.publish resp route
+        (Lru.publish resp key
            {
              re_solution = solution;
              re_rendered = Jsonx.to_string solution;
@@ -626,21 +534,20 @@ let fast_result t ~admitted j e =
         ] )
 
 (* [counted:false] is the admission-time probe: a miss there is followed
-   by the owning worker's counted lookup for the same request, so only
-   hits may touch the hit/miss counters (the uncounted [mem]-then-[find]
-   race is benign — an eviction in the window just counts one extra
-   miss). *)
-let fast_lookup ~counted sq j route =
-  match sq.sq_resp with
+   by the worker's counted lookup for the same request, so only hits may
+   touch the hit/miss counters (the uncounted [mem]-then-[find] race is
+   benign — an eviction in the window just counts one extra miss). *)
+let fast_lookup ~counted t j key =
+  match t.resp with
   | None -> None
   | Some _ when not (fast_eligible j) -> None
   | Some resp ->
-      if counted then Lru.find resp route
-      else if Lru.mem resp route then Lru.find resp route
+      if counted then Lru.find resp key
+      else if Lru.mem resp key then Lru.find resp key
       else None
 
-let try_fast_path t ~route sq ~admitted j t0 =
-  match fast_lookup ~counted:true sq j route with
+let try_fast_path t ~key ~admitted j t0 =
+  match fast_lookup ~counted:true t j key with
   | None -> None
   | Some e ->
       count_kind t e.re_kind;
@@ -660,8 +567,8 @@ let try_fast_path t ~route sq ~admitted j t0 =
    [Jsonx.to_string] byte-for-byte, so the spliced line is exactly what
    the tree path would print (wall_ms aside, which is genuinely
    per-request). *)
-let try_fast_line t ~route sq ~admitted j t0 =
-  match fast_lookup ~counted:false sq j route with
+let try_fast_line t ~key ~admitted j t0 =
+  match fast_lookup ~counted:false t j key with
   | None -> None
   | Some e -> (
       count_kind t e.re_kind;
@@ -683,11 +590,11 @@ let try_fast_line t ~route sq ~admitted j t0 =
           record_latency t wall_ms;
           Some (Jsonx.to_string response))
 
-let handle_routed ?admitted_at t (route, sq) j =
+let handle_keyed ?admitted_at t ~key j =
   let t0 = Unix.gettimeofday () in
   let admitted = Option.value admitted_at ~default:t0 in
   let wall_ms, response =
-    match try_fast_path t ~route sq ~admitted j t0 with
+    match try_fast_path t ~key ~admitted j t0 with
     | Some r -> r
     | None -> (
         match Protocol.parse_request j with
@@ -764,7 +671,7 @@ let handle_routed ?admitted_at t (route, sq) j =
             (match result with
             | Ok (solution, summary) ->
                 count_outcome t `Ok;
-                store_response sq route ~kind:(kind_tag spec) solution;
+                store_response t key ~kind:(kind_tag spec) solution;
                 respond ~id ~t0 ~cache_hits:summary.Diag.cache_hits
                   (Ok solution)
             | Error (outcome, ds) ->
@@ -774,18 +681,13 @@ let handle_routed ?admitted_at t (route, sq) j =
   record_latency t wall_ms;
   response
 
-let handle_json ?admitted_at t j = handle_routed ?admitted_at t (route_of t j) j
+let handle_json ?admitted_at t j =
+  handle_keyed ?admitted_at t ~key:(response_key j) j
 
 let handle_line t line =
   count_line t;
   match Jsonx.parse line with
-  | Ok j ->
-      (* The batch transport routes too: requests land on the owning
-         shard's tables, so a batch warm-up and the socket/HTTP paths
-         share one warm set. *)
-      let ((_, sq) as route) = route_of t j in
-      Cacti.Solve_cache.with_shard sq.sq_cache (fun () ->
-          Jsonx.to_string (handle_routed t route j))
+  | Ok j -> Jsonx.to_string (handle_json t j)
   | Error msg ->
       let t0 = Unix.gettimeofday () in
       count_kind t `Malformed;
@@ -799,29 +701,24 @@ let handle_line t line =
 (* --------------------------- pre-solving ----------------------------- *)
 
 (* Solve one grid point exactly as an admitted request would be solved —
-   same routing key, same shard, same memo tables — but outside the
-   request counters: pre-solve traffic is not client traffic and must not
-   disturb the [lines = outcomes] partition or the latency histogram.
-   Failures are contained and reported; [Cancel.Cancelled] propagates so
-   a drain aborts the walk. *)
+   same memo tables, same response-cache key — but outside the request
+   counters: pre-solve traffic is not client traffic and must not disturb
+   the [lines = outcomes] partition or the latency histogram.  Failures
+   are contained and reported; [Cancel.Cancelled] propagates so a drain
+   aborts the walk. *)
 let presolve_point ?cancel t j =
-  let route, sq = route_of t j in
+  let key = response_key j in
   let already_warm =
-    match sq.sq_resp with
-    | Some resp -> Lru.mem resp route
-    | None -> false
+    match t.resp with Some resp -> Lru.mem resp key | None -> false
   in
   if already_warm then `Warm
   else
     match Protocol.parse_request j with
     | Ok (Protocol.Solve { spec; params; _ }) -> (
         let cancel = Option.value cancel ~default:t.drain in
-        match
-          Cacti.Solve_cache.with_shard sq.sq_cache (fun () ->
-              solve_spec t ~cancel params spec)
-        with
+        match solve_spec t ~cancel params spec with
         | Ok (solution, _summary) ->
-            store_response sq route ~kind:(kind_tag spec) solution;
+            store_response t key ~kind:(kind_tag spec) solution;
             `Solved
         | Error ds -> `Failed (Diag.render ds)
         | exception (Cancel.Cancelled _ as e) -> raise e
@@ -864,7 +761,7 @@ let admit t ~reply line =
              "server draining: not accepting new requests")
       end
       else
-        let route, sq = route_of t j in
+        let key = response_key j in
         let now = Unix.gettimeofday () in
         (* Warm fast path at admission: a response-cache hit is answered
            in-line on the transport thread, skipping the queue and the
@@ -872,7 +769,7 @@ let admit t ~reply line =
            slots nor pay two context switches.  Misses fall through to
            the queue (and the worker re-probes, counted, in case a
            duplicate in front of it warmed the entry meanwhile). *)
-        match try_fast_line t ~route sq ~admitted:now j now with
+        match try_fast_line t ~key ~admitted:now j now with
         | Some line -> reply line
         | None ->
         let deadline =
@@ -884,21 +781,21 @@ let admit t ~reply line =
           {
             j_json = j;
             j_id = id;
-            j_route = route;
+            j_key = key;
             j_reply = reply;
             j_admitted = now;
             j_deadline = deadline;
           }
         in
         let admitted =
-          Mutex.protect sq.sq_lock (fun () ->
+          Mutex.protect t.qlock (fun () ->
               if
                 t.stopping || t.is_draining
-                || Queue.length sq.sq_queue >= t.queue_bound
+                || Queue.length t.queue >= t.queue_bound
               then false
               else begin
-                Queue.push job sq.sq_queue;
-                Condition.signal sq.sq_cond;
+                Queue.push job t.queue;
+                Condition.signal t.qcond;
                 true
               end)
         in
@@ -911,23 +808,22 @@ let admit t ~reply line =
           end
           else begin
             count_outcome t `Overloaded;
-            let depth = shard_depth sq in
+            let depth = queue_depth t in
             reply
               (refusal ~id ~reason:"queue_full"
                  ~retry_after:(retry_after_ms t depth)
                  (Printf.sprintf
-                    "admission queue full (%d of %d pending on shard %d): \
-                     retry later"
-                    depth t.queue_bound sq.sq_index))
+                    "admission queue full (%d of %d pending): retry later"
+                    depth t.queue_bound))
           end)
 
-let worker_loop t sq =
+let run_worker t =
   let rec loop () =
     let job =
-      Mutex.protect sq.sq_lock (fun () ->
+      Mutex.protect t.qlock (fun () ->
           let rec wait () =
-            if not (Queue.is_empty sq.sq_queue) then begin
-              let j = Queue.pop sq.sq_queue in
+            if not (Queue.is_empty t.queue) then begin
+              let j = Queue.pop t.queue in
               (* Claim the job inside the queue lock so a drain's idle
                  check can never observe "queue empty, nothing in
                  flight" between our pop and the increment. *)
@@ -936,7 +832,7 @@ let worker_loop t sq =
             end
             else if t.stopping then None
             else begin
-              Condition.wait sq.sq_cond sq.sq_lock;
+              Condition.wait t.qcond t.qlock;
               wait ()
             end
           in
@@ -953,7 +849,7 @@ let worker_loop t sq =
            try
              job.j_reply
                (refusal ~id:job.j_id ~reason:"deadline_exceeded"
-                  ~retry_after:(retry_after_ms t (shard_depth sq))
+                  ~retry_after:(retry_after_ms t (queue_depth t))
                   (Printf.sprintf
                      "deadline exceeded after %.1f ms in queue (never solved)"
                      waited_ms))
@@ -968,8 +864,8 @@ let worker_loop t sq =
            match
              Chaos.fire "service.worker";
              Jsonx.to_string
-               (handle_routed ~admitted_at:job.j_admitted t
-                  (job.j_route, sq) job.j_json)
+               (handle_keyed ~admitted_at:job.j_admitted t ~key:job.j_key
+                  job.j_json)
            with
            | response -> ( try job.j_reply response with _ -> ())
            | exception exn ->
@@ -990,16 +886,6 @@ let worker_loop t sq =
   in
   loop ()
 
-let run_shard_worker t shard =
-  if shard < 0 || shard >= Array.length t.shards then
-    invalid_arg "Service.run_shard_worker: no such shard";
-  let sq = t.shards.(shard) in
-  (* Bind the shard's Solve_cache for the whole drain loop: every solve
-     this worker runs hits the shard's own tables. *)
-  Cacti.Solve_cache.with_shard sq.sq_cache (fun () -> worker_loop t sq)
-
-let run_worker t = run_shard_worker t 0
-
 (* ------------------------------ drain ------------------------------- *)
 
 let begin_drain t = t.is_draining <- true
@@ -1008,9 +894,6 @@ let cancel_inflight t = Cancel.cancel t.drain
 
 let stop_workers t =
   t.is_draining <- true;
-  Array.iter
-    (fun sq ->
-      Mutex.protect sq.sq_lock (fun () ->
-          t.stopping <- true;
-          Condition.broadcast sq.sq_cond))
-    t.shards
+  Mutex.protect t.qlock (fun () ->
+      t.stopping <- true;
+      Condition.broadcast t.qcond)

@@ -11,34 +11,28 @@
     [worker] fault counter, logged as a [serve/worker_fault] warning, and
     answered best-effort.
 
-    {b Sharding.}  The service owns [shards] worker shards.  Each shard
-    has its own admission queue, its own {!Cacti.Solve_cache} instance
-    and its own response cache; a consistent-hash ring
-    ({!Cacti_util.Hashring}) over the request's canonical routing key
-    (kind + spec + params minus the per-call [deadline_ms]/[jobs] knobs)
-    assigns every request to exactly one shard, so warm entries are
-    partitioned — never duplicated — and per-shard LRU capacities add up.
-    With one shard (the default) the solve tables are the process-wide
-    {!Cacti.Solve_cache.default_shard}, which is bit-for-bit the
-    pre-sharding behaviour.
+    {b One memo set, one queue.}  Every request, from every transport and
+    worker thread, is solved against the process-wide
+    {!Cacti.Solve_cache} tables and admitted through one bounded queue;
+    the service holds one response cache.
 
-    {b Response cache.}  Each shard memoizes the wire answer of every
-    successful solve under its routing key.  A repeat request is answered
-    from this cache without decoding the spec, validating it, or running
-    the solver — the warm fast path — while remaining observationally
+    {b Response cache.}  The service memoizes the wire answer of every
+    successful solve under its {!response_key}.  A repeat request is
+    answered from this cache without decoding the spec, validating it, or
+    running the solver — the warm fast path — while remaining observationally
     identical to a bank-memo hit: same solution bytes, same
     [timing.cache_hits], same behaviour under deadlines, drain and the
     [service.slow_solve] chaos point.  [resp_cache:0] disables it (every
     request then runs the full decode + solve path).
 
-    {b Admission queue.}  Bounded per-shard queues decouple transport
-    threads (which accept requests) from solver workers (which answer
-    them).  {!admit} parses each line once at the edge, routes it, and
-    either enqueues it on its shard or refuses it immediately —
-    [serve/queue_full] past the shard's bound (with a [retry_after_ms]
-    hint derived from the observed service rate), [serve/draining] once a
-    drain began.  The batch transport bypasses the queues but routes the
-    same way, so batch warm-up fills the same shard tables.
+    {b Admission queue.}  A bounded queue decouples transport threads
+    (which accept requests) from solver workers (which answer them).
+    {!admit} parses each line once at the edge and either answers it
+    from the response cache, enqueues it, or refuses it immediately —
+    [serve/queue_full] past the bound (with a [retry_after_ms] hint
+    derived from the observed service rate), [serve/draining] once a
+    drain began.  The batch transport bypasses the queue but fills the
+    same tables.
 
     {b Deadlines.}  A request's [params.deadline_ms] starts at admission.
     A job still queued past its deadline is shed without solving
@@ -58,16 +52,15 @@
 
     {b Observability.}  Every request is counted by kind and outcome, and
     its wall time lands in a log₂ latency histogram; a ["stats"] request
-    (or {!stats_json}) exposes the counters, aggregate and per-shard
-    solve/response-cache hit rates, queue depths, the observed service
-    rate, and any registered auxiliary sections. *)
+    (or {!stats_json}) exposes the counters, the solve- and
+    response-cache hit rates, the queue depth, the observed service rate,
+    and any registered auxiliary sections. *)
 
 type t
 
 val create :
   ?jobs:int ->
   ?queue_bound:int ->
-  ?shards:int ->
   ?resp_cache:int ->
   ?log:(Cacti_util.Diag.t -> unit) ->
   unit ->
@@ -75,36 +68,30 @@ val create :
 (** [jobs]: worker domains per design-space sweep (the
     {!Cacti_util.Pool}), default {!Cacti_util.Pool.default_jobs}; a
     request's [params.jobs] overrides it.  [queue_bound]: admission-queue
-    capacity {e per shard}, default 64.  [shards]: worker shards, default
-    1 (which aliases the process-wide default Solve_cache tables; more
-    shards get private instances).  [resp_cache]: response-cache entries
-    per shard, default 4096; 0 disables the warm fast path.  [log]: sink
-    for server-side warnings (worker faults); default prints to
-    stderr. *)
-
-val n_shards : t -> int
+    capacity, default 64.  [resp_cache]: response-cache entries, default
+    4096; 0 disables the warm fast path.  [log]: sink for server-side
+    warnings (worker faults); default prints to stderr. *)
 
 val shard_cache : t -> int -> Cacti.Solve_cache.shard
-(** The solve-cache instance of shard [i] (for persistence and capacity
-    partitioning). *)
+(** The one memo set, whatever the index.  Kept only so that
+    [perfbench/w_solve.ml]'s
+    [Solve_cache.with_shard (Service.shard_cache svc 0) (fun () -> ...)]
+    compiles. *)
 
-val routing_key : Cacti_util.Jsonx.t -> string
-(** The canonical routing key of a raw request (kind + spec + params
-    minus [deadline_ms]/[jobs], sorted-key JSON): the ring key and the
-    response-cache key.  Pure — exposed for tests and benchmarks. *)
+val response_key : Cacti_util.Jsonx.t -> string
+(** The response-cache key of a raw request: kind + spec + params minus
+    the per-call [deadline_ms]/[jobs] knobs, as sorted-key JSON.  Pure —
+    exposed for tests. *)
 
 val handle_json :
   ?admitted_at:float -> t -> Cacti_util.Jsonx.t -> Cacti_util.Jsonx.t
 (** Answer one parsed request; total and exception-safe.  [admitted_at]
     (default now) anchors the request's deadline, so time spent queued
-    counts against its budget.  Routes internally (fast path included)
-    but does {e not} bind the shard's Solve_cache around the slow path —
-    transports go through {!handle_line} or {!admit}, which do. *)
+    counts against its budget. *)
 
 val handle_line : t -> string -> string
-(** The full wire path: parse one JSONL line, route it, answer it on the
-    owning shard's tables, print the response line (without the trailing
-    newline). *)
+(** The full wire path: parse one JSONL line, answer it, print the
+    response line (without the trailing newline). *)
 
 val stats_json : t -> Cacti_util.Jsonx.t
 (** The ["stats"] solution object. *)
@@ -122,16 +109,16 @@ val service_rate : t -> float option
 (** {1 Admission queue} *)
 
 val admit : t -> reply:(string -> unit) -> string -> unit
-(** Admit one request line from a transport thread: parse it once, route
-    it, then enqueue it for its shard's workers or answer it immediately
-    through [reply] — malformed lines, [serve/draining] refusals, and
-    [serve/queue_full] refusals (with the shard's queue depth and a
+(** Admit one request line from a transport thread: parse it once, then
+    enqueue it for the workers or answer it immediately through [reply] —
+    response-cache hits, malformed lines, [serve/draining] refusals, and
+    [serve/queue_full] refusals (with the queue depth and a
     [retry_after_ms] hint) never touch the queue.  [reply] is retained
     until the job's response is written; it must tolerate being called
     from a worker thread. *)
 
 val queue_depth : t -> int
-(** Total queued jobs across all shards. *)
+(** Queued jobs. *)
 
 val in_flight : t -> int
 (** Jobs dequeued by a worker whose response is not yet written. *)
@@ -140,17 +127,12 @@ val idle : t -> bool
 (** No queued and no in-flight work (the drain's termination test). *)
 
 val run_worker : t -> unit
-(** [run_shard_worker t 0]: dequeue and run shard 0's jobs until
-    {!stop_workers}; meant for a dedicated thread per worker.  Sheds
-    queued jobs whose deadline already expired without solving them. *)
-
-val run_shard_worker : t -> int -> unit
-(** Like {!run_worker} for an explicit shard.  The worker thread binds
-    the shard's Solve_cache for its whole drain loop.  Raises
-    [Invalid_argument] on an out-of-range shard. *)
+(** Dequeue and run jobs until {!stop_workers}; meant for a dedicated
+    thread per worker.  Sheds queued jobs whose deadline already expired
+    without solving them. *)
 
 val stop_workers : t -> unit
-(** Wake every worker and make it return once its queue drains;
+(** Wake every worker and make it return once the queue drains;
     subsequent {!admit}s are refused. *)
 
 (** {1 Pre-solving} *)
@@ -161,12 +143,12 @@ val presolve_point :
   Cacti_util.Jsonx.t ->
   [ `Solved | `Warm | `Failed of string ]
 (** Solve one grid point exactly as an admitted request would be —
-    same routing key, same shard, same memo tables, same response-cache
-    entry — but outside the request counters and the latency histogram
-    (pre-solve traffic is not client traffic).  [`Warm]: the point was
-    already response-cached (probed without touching the hit-rate
-    counters).  [cancel] (default: the drain token) aborts the solve;
-    {!Cacti_util.Cancel.Cancelled} propagates to the caller. *)
+    same memo tables, same response-cache entry — but outside the
+    request counters and the latency histogram (pre-solve traffic is not
+    client traffic).  [`Warm]: the point was already response-cached
+    (probed without touching the hit-rate counters).  [cancel] (default:
+    the drain token) aborts the solve; {!Cacti_util.Cancel.Cancelled}
+    propagates to the caller. *)
 
 (** {1 Graceful drain} *)
 

@@ -1,8 +1,8 @@
 (** Mutex-guarded LRU memo table.
 
     One shared implementation for every cache in the tree: the
-    selected-bank memo, screen contexts, and the serve layer's per-shard
-    response cache.  All operations are thread-safe; values must be
+    selected-bank memo, screen contexts, and the serve layer's response
+    cache.  All operations are thread-safe; values must be
     treated as immutable by callers (a reference handed out under the
     lock stays valid after release). *)
 

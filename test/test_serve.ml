@@ -528,7 +528,13 @@ let test_persist_warm_restart () =
   Alcotest.(check int)
     "first request after restart is a memo hit"
     (h0 + 1)
-    (Cacti.Solve_cache.stats ()).Cacti.Solve_cache.hits
+    (Cacti.Solve_cache.stats ()).Cacti.Solve_cache.hits;
+  (* a capped memo (as cacti_serve sets before loading) keeps only what
+     fits *)
+  Cacti.Solve_cache.clear ();
+  Cacti.Solve_cache.set_capacity (Some 1);
+  ignore (Persist.load path);
+  Alcotest.(check int) "load under a cap of 1" 1 (Cacti.Solve_cache.size ())
 
 let test_persist_corrupt_cold_start () =
   let path = Filename.temp_file "solve_cache" ".bin" in
@@ -977,7 +983,7 @@ let test_socket_fuzz_line_discipline () =
     (QCheck.Test.make ~name:"one response per non-blank line" ~count:20
        lines_arb prop)
 
-(* ----------------------------- sharding --------------------------- *)
+(* -------------------------- response cache ------------------------ *)
 
 let spec_line ~id i =
   let nodes = [| 90.; 65.; 45.; 32. |] in
@@ -993,53 +999,52 @@ let spec_line ~id i =
       (32768 lsl (i mod 3))
       (if i mod 2 = 0 then 4 else 8)
 
-let test_sharded_bit_identity () =
+let test_response_cache_uncached_solve () =
   with_cold_cache @@ fun () ->
-  (* reference: one shard, no response cache, i.e. the pre-sharding
-     solve path; subject: a sharded service with the warm fast path on *)
+  (* reference: no response cache, every request decoded and solved;
+     subject: the default service, whose repeats take the warm fast path *)
   let reference = Service.create ~resp_cache:0 ~log:ignore () in
-  let sharded = Service.create ~shards:3 ~log:ignore () in
+  let subject = Service.create ~log:ignore () in
+  let specs = [ 0; 1; 2; 3; 4; 5 ] in
+  let ask service i =
+    Jsonx.parse_exn (Service.handle_line service (spec_line ~id:i i))
+  in
   let sol r = Option.get (get [ "solution" ] r) in
-  List.iter
-    (fun i ->
-      let line = spec_line ~id:i i in
-      let want = sol (Jsonx.parse_exn (Service.handle_line reference line)) in
-      let cold = sol (Jsonx.parse_exn (Service.handle_line sharded line)) in
-      (* second time through: answered by the shard's response cache *)
-      let warm = sol (Jsonx.parse_exn (Service.handle_line sharded line)) in
+  let want_cold = List.map (fun i -> sol (ask reference i)) specs in
+  let want_warm = List.map (fun i -> ask reference i) specs in
+  (* the subject's cold pass solves from empty tables too *)
+  Cacti.Solve_cache.clear ();
+  List.iteri
+    (fun k i ->
+      let cold = sol (ask subject i) in
+      (* second time through: answered by the response cache *)
+      let warm = ask subject i in
+      let ref_warm = List.nth want_warm k in
       Alcotest.(check bool)
-        (Printf.sprintf "spec %d: sharded cold solution identical" i)
-        true (Jsonx.equal want cold);
+        (Printf.sprintf "spec %d: cold solution identical" i)
+        true
+        (Jsonx.equal (List.nth want_cold k) cold);
       Alcotest.(check bool)
-        (Printf.sprintf "spec %d: sharded warm solution identical" i)
-        true (Jsonx.equal want warm))
-    [ 0; 1; 2; 3; 4; 5 ];
-  (* per-shard sections: one per shard, and their cache counters add up
-     to the aggregates *)
-  let stats = Service.stats_json sharded in
-  let shards =
-    match get [ "shards" ] stats with
-    | Some (Jsonx.List l) -> l
-    | _ -> Alcotest.fail "stats.shards missing"
-  in
-  Alcotest.(check int) "one section per shard" 3 (List.length shards);
-  let sum path =
-    List.fold_left
-      (fun acc s -> acc + Option.value ~default:0 (get_int path s))
-      0 shards
-  in
+        (Printf.sprintf "spec %d: warm solution identical" i)
+        true
+        (Jsonx.equal (sol ref_warm) (sol warm));
+      Alcotest.(check (option int))
+        (Printf.sprintf "spec %d: warm cache_hits as a memo hit" i)
+        (get_int [ "timing"; "cache_hits" ] ref_warm)
+        (get_int [ "timing"; "cache_hits" ] warm))
+    specs;
+  let stats = Service.stats_json subject in
   Alcotest.(check (option int))
-    "per-shard response hits sum to aggregate"
-    (Some (sum [ "response_cache"; "hits" ]))
+    "one response-cache hit per warm request" (Some (List.length specs))
     (get_int [ "response_cache"; "hits" ] stats);
   Alcotest.(check (option int))
-    "per-shard solve misses sum to aggregate"
-    (Some (sum [ "solve_cache"; "misses" ]))
-    (get_int [ "solve_cache"; "misses" ] stats);
-  check_partition stats
+    "reference has no response cache" (Some 0)
+    (get_int [ "response_cache"; "size" ] (Service.stats_json reference));
+  check_partition stats;
+  check_partition (Service.stats_json reference)
 
-let test_routing_key_ignores_per_call_knobs () =
-  let key s = Service.routing_key (Jsonx.parse_exn s) in
+let test_response_key_ignores_per_call_knobs () =
+  let key s = Service.response_key (Jsonx.parse_exn s) in
   let base =
     {|{"id":1,"kind":"cache","spec":{"tech_nm":45,"capacity_bytes":65536,"assoc":4}}|}
   in
@@ -1047,13 +1052,13 @@ let test_routing_key_ignores_per_call_knobs () =
     {|{"id":99,"kind":"cache","spec":{"assoc":4,"capacity_bytes":65536,"tech_nm":45},"params":{"deadline_ms":5,"jobs":2}}|}
   in
   Alcotest.(check string)
-    "id, key order, deadline and jobs do not affect routing" (key base)
+    "id, key order, deadline and jobs do not affect the key" (key base)
     (key tweaked);
   let other =
     {|{"id":1,"kind":"cache","spec":{"tech_nm":45,"capacity_bytes":131072,"assoc":4}}|}
   in
   Alcotest.(check bool)
-    "a different spec routes differently" true
+    "a different spec keys differently" true
     (key base <> key other)
 
 (* --------------------------- retry_after -------------------------- *)
@@ -1320,7 +1325,7 @@ let test_http_framing_limits () =
 
 let test_presolve_warms_grid () =
   with_cold_cache @@ fun () ->
-  let service = Service.create ~shards:2 ~log:ignore () in
+  let service = Service.create ~log:ignore () in
   (* 55 nm sits between the built-in nodes, so nothing else in the suite
      can have warmed these entries *)
   let grid =
@@ -1424,6 +1429,8 @@ let () =
         [
           Alcotest.test_case "backpressure" `Quick test_queue_backpressure;
           Alcotest.test_case "worker drain" `Quick test_queue_worker_drain;
+          Alcotest.test_case "rate-based retry hint" `Quick
+            test_retry_after_rate_based;
         ] );
       ( "deadline",
         [
@@ -1453,14 +1460,12 @@ let () =
           Alcotest.test_case "fuzz line discipline" `Quick
             test_socket_fuzz_line_discipline;
         ] );
-      ( "sharding",
+      ( "resp_cache",
         [
-          Alcotest.test_case "bit-identical to unsharded" `Quick
-            test_sharded_bit_identity;
-          Alcotest.test_case "routing key" `Quick
-            test_routing_key_ignores_per_call_knobs;
-          Alcotest.test_case "rate-based retry hint" `Quick
-            test_retry_after_rate_based;
+          Alcotest.test_case "= uncached solve" `Quick
+            test_response_cache_uncached_solve;
+          Alcotest.test_case "key" `Quick
+            test_response_key_ignores_per_call_knobs;
         ] );
       ( "http",
         [

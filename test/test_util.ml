@@ -295,79 +295,6 @@ let prop_intmap_model =
         m;
       not !extra)
 
-(* ----------------------------- hashring ---------------------------- *)
-
-let test_hashring_basics () =
-  let r = Hashring.create 4 in
-  Alcotest.(check int) "shards" 4 (Hashring.shards r);
-  Alcotest.(check int) "default vnodes" 64 (Hashring.vnodes r);
-  let s = Hashring.lookup r "fp:anything" in
-  Alcotest.(check bool) "lookup in range" true (s >= 0 && s < 4);
-  Alcotest.(check int) "single shard routes everything to 0" 0
-    (Hashring.lookup (Hashring.create 1) "whatever");
-  Alcotest.check_raises "zero shards rejected"
-    (Invalid_argument "Hashring.create: need at least one shard") (fun () ->
-      ignore (Hashring.create 0))
-
-let keys_of_seed seed n =
-  let rng = Rng.create (Int64.of_int seed) in
-  List.init n (fun i ->
-      Printf.sprintf "fp:%d:%Ld" i (Rng.next_int64 rng))
-
-(* Routing is a pure function of (n, vnodes, key): two independently
-   built rings must agree on every key. *)
-let prop_hashring_deterministic =
-  QCheck.Test.make ~name:"hashring: independent rings agree" ~count:50
-    QCheck.(pair (int_range 1 12) (int_range 0 1000))
-    (fun (n, seed) ->
-      let a = Hashring.create n and b = Hashring.create n in
-      List.for_all
-        (fun k -> Hashring.lookup a k = Hashring.lookup b k)
-        (keys_of_seed seed 100))
-
-(* With 64 vnodes/shard and many random keys, no shard should see more
-   than a small constant multiple of the mean load, and none should
-   starve outright.  The bound is loose on purpose: it catches a broken
-   ring (everything on one shard) without flaking on hash variance. *)
-let prop_hashring_balanced =
-  QCheck.Test.make ~name:"hashring: load stays balanced" ~count:20
-    QCheck.(pair (int_range 2 8) (int_range 0 1000))
-    (fun (n, seed) ->
-      let r = Hashring.create n in
-      let load = Array.make n 0 in
-      let n_keys = 2000 in
-      List.iter
-        (fun k -> load.(Hashring.lookup r k) <- load.(Hashring.lookup r k) + 1)
-        (keys_of_seed seed n_keys);
-      let mean = float_of_int n_keys /. float_of_int n in
-      Array.for_all
-        (fun c ->
-          let c = float_of_int c in
-          c > 0.25 *. mean && c < 2.5 *. mean)
-        load)
-
-(* Growing the ring from n to n+1 shards must only move keys onto the
-   new shard (the n-ring's points are a subset of the (n+1)-ring's), and
-   the moved fraction should be in the ballpark of 1/(n+1). *)
-let prop_hashring_minimal_remap =
-  QCheck.Test.make ~name:"hashring: adding a shard remaps ~1/(n+1)" ~count:20
-    QCheck.(pair (int_range 2 8) (int_range 0 1000))
-    (fun (n, seed) ->
-      let before = Hashring.create n and after = Hashring.create (n + 1) in
-      let keys = keys_of_seed seed 2000 in
-      let moved = ref 0 and stolen_elsewhere = ref false in
-      List.iter
-        (fun k ->
-          let a = Hashring.lookup before k and b = Hashring.lookup after k in
-          if a <> b then begin
-            incr moved;
-            if b <> n then stolen_elsewhere := true
-          end)
-        keys;
-      let frac = float_of_int !moved /. float_of_int (List.length keys) in
-      let expect = 1. /. float_of_int (n + 1) in
-      (not !stolen_elsewhere) && frac < 3. *. expect)
-
 (* ------------------------------ cancel ----------------------------- *)
 
 let test_cancel_flag () =
@@ -470,13 +397,6 @@ let () =
           Alcotest.test_case "map order" `Quick test_pool_map_order;
           Alcotest.test_case "filter_map order" `Quick test_pool_filter_map_order;
           Alcotest.test_case "exception" `Quick test_pool_exception_propagates;
-        ] );
-      ( "hashring",
-        [
-          Alcotest.test_case "basics" `Quick test_hashring_basics;
-          QCheck_alcotest.to_alcotest prop_hashring_deterministic;
-          QCheck_alcotest.to_alcotest prop_hashring_balanced;
-          QCheck_alcotest.to_alcotest prop_hashring_minimal_remap;
         ] );
       ( "cancel",
         [
