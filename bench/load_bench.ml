@@ -36,20 +36,33 @@ open Cacti_server
 (* ----------------------------- workload ----------------------------- *)
 
 (* Distinct, known-solvable specs: power-of-two capacities across the
-   built-in nodes, alternating cache and ram kinds. *)
+   built-in nodes, alternating cache and ram kinds.  (node, capacity)
+   repeats every 20 specs, so each round of 20 takes its own pair of
+   associativities / word widths; the start-up check below refuses a
+   count at which two specs would still coincide, so the cold phase times
+   exactly [n] distinct solves. *)
 let cold_specs n =
   let nodes = [| 90.; 65.; 45.; 32. |] in
-  List.init n (fun i ->
-      let nm = nodes.(i mod Array.length nodes) in
-      let cap = 16384 lsl (i mod 5) in
-      if i mod 3 = 2 then
-        Printf.sprintf
-          {|{"id":%d,"kind":"ram","spec":{"tech_nm":%g,"capacity_bytes":%d,"word_bits":%d}}|}
-          i nm cap (if i mod 2 = 0 then 64 else 128)
-      else
-        Printf.sprintf
-          {|{"id":%d,"kind":"cache","spec":{"tech_nm":%g,"capacity_bytes":%d,"assoc":%d}}|}
-          i nm cap (if i mod 2 = 0 then 4 else 8))
+  let assocs = [| 4; 8; 2; 16 |] and word_bits = [| 64; 128; 32; 256 |] in
+  let bodies =
+    List.init n (fun i ->
+        let nm = nodes.(i mod Array.length nodes) in
+        let cap = 16384 lsl (i mod 5) in
+        let variant = (i mod 2) + (2 * (i / 20 mod 2)) in
+        if i mod 3 = 2 then
+          Printf.sprintf
+            {|"kind":"ram","spec":{"tech_nm":%g,"capacity_bytes":%d,"word_bits":%d}|}
+            nm cap word_bits.(variant)
+        else
+          Printf.sprintf
+            {|"kind":"cache","spec":{"tech_nm":%g,"capacity_bytes":%d,"assoc":%d}|}
+            nm cap assocs.(variant))
+  in
+  if List.length (List.sort_uniq compare bodies) <> n then begin
+    Printf.eprintf "load_bench: %d cold specs are not all distinct\n" n;
+    exit 2
+  end;
+  List.mapi (fun i body -> Printf.sprintf {|{"id":%d,%s}|} i body) bodies
 
 (* ---------------------------- percentiles --------------------------- *)
 

@@ -835,19 +835,20 @@ let speedup () =
   let t_warm, d_warm = solve_suite n_par in
   let st = Cacti.Solve_cache.stats () in
   let t = Table.create [ "solve"; "access (ns)"; "area (mm^2)"; "identical" ] in
+  let n_differ = ref 0 in
   List.iter2
     (fun (name, ta, ar, er) ((name', ta', ar', er'), (_, ta'', ar'', er'')) ->
       assert (name = name');
+      let same =
+        ta = ta' && ar = ar' && er = er' && ta = ta'' && ar = ar'' && er = er''
+      in
+      if not same then incr n_differ;
       Table.add_row t
         [
           name;
           Table.cell_f ~dec:3 (Units.to_ns ta);
           Table.cell_f ~dec:2 (Units.to_mm2 ar);
-          (if
-             ta = ta' && ar = ar' && er = er' && ta = ta'' && ar = ar''
-             && er = er''
-           then "yes"
-           else "NO");
+          (if same then "yes" else "NO");
         ])
     d_serial
     (List.combine d_par d_warm);
@@ -865,7 +866,13 @@ let speedup () =
   if n_par = 1 then
     print_endline
       "(single worker: pass --jobs N or run on a multicore machine to see \
-       the fan-out)"
+       the fan-out)";
+  if !n_differ > 0 then begin
+    Printf.eprintf
+      "speedup: %d solve(s) differ between the serial, parallel and warm runs\n"
+      !n_differ;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                             *)
@@ -969,19 +976,26 @@ let () =
         usage ();
         exit 1
   in
-  let rec parse = function
+  (* Flags may come before or after the experiment names; every flag is
+     applied before the first experiment runs. *)
+  let rec parse cmds = function
     | "--quick" :: rest ->
         instructions := 8_000_000;
-        parse rest
+        parse cmds rest
     | "--instructions" :: n :: rest ->
         instructions := int_arg "--instructions" n;
-        parse rest
+        parse cmds rest
     | "--jobs" :: n :: rest ->
         jobs := Some (int_arg "--jobs" n);
-        parse rest
-    | rest -> rest
+        parse cmds rest
+    | [ ("--instructions" | "--jobs") as flag ] ->
+        Printf.eprintf "%s expects an integer\n" flag;
+        usage ();
+        exit 1
+    | cmd :: rest -> parse (cmd :: cmds) rest
+    | [] -> List.rev cmds
   in
-  match parse args with
+  match parse [] args with
   | [] -> all ()
   | cmds ->
       List.iter

@@ -129,10 +129,9 @@ let evaluate ~spec ~org =
    tied or beaten the eventual winner. *)
 type bounds = { b_area : float; b_time : float; b_energy : float }
 
-(* The bound evaluation: all per-spec constants (including the staged
-   sense-amp area/energy, hoisted into per-degree arrays so the hot path
-   does no association-list lookups) are closed over once; each call is
-   then pure float math over one candidate's {!Soa_kernel} parameter
+(* The bound evaluation: all per-spec constants are closed over once
+   (the staged sense amp is one array load by degree); each call is then
+   pure float math over one candidate's {!Soa_kernel} parameter
    columns. *)
 let bounds_of ~(staged : Staged.t) spec =
   let { Array_spec.n_rows; row_bits; output_bits; _ } = spec in
@@ -157,27 +156,10 @@ let bounds_of ~(staged : Staged.t) spec =
   let r_access = 0.15 *. vdd_cell /. cell.Cell.i_cell_on in
   let cs = cell.Cell.storage_cap in
   let e_restore_per_col = 0.75 *. cs *. vdd_cell *. vdd_cell in
-  let sense_area = Array.make 9 Float.nan in
-  let sense_energy = Array.make 9 Float.nan in
-  List.iter
-    (fun (d, (s : Sense_amp.t)) ->
-      if d >= 0 && d < 9 then begin
-        sense_area.(d) <- s.Sense_amp.area;
-        sense_energy.(d) <- s.Sense_amp.energy
-      end)
-    staged.Staged.sense_by_deg;
-  let sense_of eff_deg =
-    if eff_deg >= 0 && eff_deg < 9 && not (Float.is_nan sense_area.(eff_deg))
-    then (sense_area.(eff_deg), sense_energy.(eff_deg))
-    else
-      (* Degree outside the staged table: same on-demand fallback (and
-         therefore same values) as [Staged.sense]. *)
-      let s = Staged.sense staged ~deg_bl_mux:eff_deg in
-      (s.Sense_amp.area, s.Sense_amp.energy)
-  in
   fun ~eff_deg ~f_n_ctl ~f_out_bits ~f_n_mats ~f_n_sa ~f_wspan ~f_hspan
       ~f_line_cells ~f_rows ~f_sensed_pa ~f_mats_x ->
-    let s_area, s_energy = sense_of eff_deg in
+    let sense = Staged.sense staged ~deg_bl_mux:eff_deg in
+    let s_area = sense.Sense_amp.area and s_energy = sense.Sense_amp.energy in
     let control = (f_n_ctl *. ctl_area) +. (f_out_bits *. 2. *. wr_area) in
     let sa_area = f_n_sa *. s_area in
     let b_area =
@@ -256,15 +238,17 @@ let check_metrics (m : Soa_kernel.metrics) =
   chk "p_leakage" m.Soa_kernel.m_p_leakage;
   chk "p_refresh" m.Soa_kernel.m_p_refresh
 
-(* Cross-sweep memo of the two expensive solver sub-stages.  A salt from
-   [Mat.fingerprint_salt] captures every spec input the subarray and
-   decoder designs read (cell kind, feature size, wire parasitics), so a
-   (salt, dims) key identifies a design across sweeps.  A sweep over
-   ~2000 survivors has only ~300 distinct subarrays and ~125 distinct
-   decoders (the decoder does not depend on the bitline-mux degree —
-   none of its subarray inputs do), and the same designs recur across a
-   study matrix (sizes of one config share most subarray shapes).  Every
-   sweep and every mat re-derivation goes through these tables. *)
+(* Cross-sweep memo of the expensive solver sub-stages: the subarray and
+   the two halves of the row decoder.  A salt from [Mat.fingerprint_salt]
+   captures every spec input these designs read (cell kind, feature size,
+   wire parasitics), so a (salt, dims) key identifies a design across
+   sweeps.  The subarray is a function of (rows, cols, deg), the
+   predecode of (rows, vert) and the wordline driver of (cols, horiz), so
+   a sweep over ~2000 survivors has only ~300 distinct subarrays and far
+   fewer distinct decoder halves, and the same designs recur across a
+   study matrix (sizes of one config share most subarray shapes).  A
+   whole decoder is [Decoder.combine] of its halves, a few additions.
+   Every sweep and every mat re-derivation goes through these tables. *)
 let stage_memo_cap = 8192
 
 (* Memoize a sub-stage computation, storing the result so a raising
@@ -288,37 +272,56 @@ let memoized mu tbl key compute =
           if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key r);
       match r with Ok v -> v | Error e -> raise e)
 
-let g_sub_tbl : (string * (int * int * int), (Subarray.t, exn) result) Hashtbl.t
-    =
-  Hashtbl.create 512
+type 'a memo = {
+  mu : Mutex.t;
+  tbl : (string * (int * int * int), ('a, exn) result) Hashtbl.t;
+}
 
-let g_sub_mu = Mutex.create ()
+let memo n = { mu = Mutex.create (); tbl = Hashtbl.create n }
 
-let g_dec_tbl :
-    (string * (int * int * int * int), (Decoder.t, exn) result) Hashtbl.t =
-  Hashtbl.create 256
-
-let g_dec_mu = Mutex.create ()
+(* Keyed by (rows, cols, deg), (rows, vert, 0) and (cols, horiz, 0). *)
+let g_sub : Subarray.t memo = memo 512
+let g_pre : Decoder.predecode memo = memo 256
+let g_line : Decoder.line_driver memo = memo 256
 
 let reset_stage_memo () =
-  Mutex.protect g_sub_mu (fun () -> Hashtbl.reset g_sub_tbl);
-  Mutex.protect g_dec_mu (fun () -> Hashtbl.reset g_dec_tbl)
+  let reset m = Mutex.protect m.mu (fun () -> Hashtbl.reset m.tbl) in
+  reset g_sub;
+  reset g_pre;
+  reset g_line
 
-(* The mat solver of one spec over the shared stage memo: a pure function
-   of (org, geometry), so the sweep and a later re-derivation of any of
-   its candidates get bit-identical mats. *)
-let mat_solver ~(staged : Staged.t) ~spec =
+(* The mat-base solver of one spec over the shared stage memo: a pure
+   function of (effective degree, geometry), so the sweep and a later
+   re-derivation of any of its candidates get bit-identical mats. *)
+let base_solver ~(staged : Staged.t) ~spec =
   let salt = Mat.fingerprint_salt ~spec in
+  let lookup m dims compute = memoized m.mu m.tbl (salt, dims) compute in
   let sub_of ~rows ~cols ~deg =
-    memoized g_sub_mu g_sub_tbl
-      (salt, (rows, cols, deg))
-      (fun () -> Mat.subarray_of ~staged ~rows ~cols ~deg)
+    lookup g_sub (rows, cols, deg) (fun () ->
+        Mat.subarray_of ~staged ~rows ~cols ~deg)
   and dec_of (sub : Subarray.t) ~horiz ~vert =
-    memoized g_dec_mu g_dec_tbl
-      (salt, (sub.Subarray.rows, sub.Subarray.cols, horiz, vert))
-      (fun () -> Mat.decoder_of ~staged sub ~horiz ~vert)
+    let p =
+      lookup g_pre (sub.Subarray.rows, vert, 0) (fun () ->
+          Mat.predecode_of ~staged sub ~vert)
+    in
+    let l =
+      lookup g_line (sub.Subarray.cols, horiz, 0) (fun () ->
+          Mat.line_driver_of ~staged sub ~horiz)
+    in
+    Decoder.combine p l
   in
-  fun org g -> Mat.eval_geometry ~staged ~sub_of ~dec_of ~org g
+  fun ~deg g -> Mat.eval_base ~staged ~sub_of ~dec_of ~deg g
+
+let finish_org ~staged (org : Org.t) b =
+  Mat.finish ~staged b ~ndsam_lev1:org.Org.ndsam_lev1
+    ~ndsam_lev2:org.Org.ndsam_lev2
+
+(* The mat of one candidate through the stage memo. *)
+let mat_solver ~(staged : Staged.t) ~spec =
+  let base_of = base_solver ~staged ~spec in
+  fun org g ->
+    Option.map (finish_org ~staged org)
+      (base_of ~deg:(Mat.eff_deg ~staged org) g)
 
 (* A completed columnar sweep, before any bank record exists.  It keeps
    metric columns, not mats: a mat kept per evaluated candidate would
@@ -332,6 +335,13 @@ type sweep = {
   sw_staged : Staged.t;
   sw_soa : Soa_kernel.t;
   sw_counts : Cacti_util.Diag.counts;
+}
+
+(* The mat base of the run of candidates an evaluation chunk is in. *)
+type run = {
+  mutable r_geo : Mat.geometry;
+  mutable r_deg : int;  (* -1 before the chunk's first evaluation *)
+  mutable r_base : (Mat.base option, exn) result;
 }
 
 (* The sweep: survivors of the screen flow through {!Soa_kernel} columns —
@@ -393,12 +403,31 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
     if prune <> None || bound <> None then Some (bounds_of ~staged spec)
     else None
   in
-  let mat_of = mat_solver ~staged ~spec in
-  let solve_mat org g =
-    Cacti_util.Profile.time "mat_solve" (fun () -> mat_of org g)
+  let base_of = base_solver ~staged ~spec in
+  (* Candidates of one screen leaf share one physical geometry record and
+     are consecutive, and differ only in their Ndsam pair: each
+     evaluation chunk resolves the mat base (subarray, decoder, and the
+     rest {!Mat.base} computes) once per run of equal (geometry, degree)
+     and then finishes one mat per candidate.  A run's failure is kept
+     and re-raised for every candidate of the run that evaluates, so
+     fault counts stay per candidate. *)
+  let solve_mat run org g =
+    Cacti_util.Profile.time "mat_solve" (fun () ->
+        let deg = Mat.eff_deg ~staged org in
+        if not (g == run.r_geo && deg = run.r_deg) then begin
+          run.r_geo <- g;
+          run.r_deg <- deg;
+          run.r_base <-
+            (try Ok (base_of ~deg g) with
+            | (Out_of_memory | Stack_overflow) as e -> raise e
+            | e -> Error e)
+        end;
+        match run.r_base with
+        | Ok b -> Option.map (finish_org ~staged org) b
+        | Error e -> raise e)
   in
   let status = soa.Soa_kernel.status in
-  let eval_one i =
+  let eval_one run i =
     let org = soa.Soa_kernel.orgs.(i) and g = soa.Soa_kernel.geos.(i) in
     let injected = hook i in
     (* Injected candidates bypass the (evaluation-order-dependent) prunes
@@ -422,7 +451,7 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
           (match injected with
           | Some Fault_exn -> failwith "Bank.enumerate: injected fault"
           | _ -> ());
-          match (solve_mat org g, injected) with
+          match (solve_mat run org g, injected) with
           | None, Some Fault_nan ->
               raise (Cacti_util.Floatx.Non_finite "t_access is nan (injected)")
           | None, _ ->
@@ -482,8 +511,11 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
                 soa.Soa_kernel.b_energy.{i} <- b.b_energy
               done
           | None -> ());
+          let run =
+            { r_geo = soa.Soa_kernel.geos.(lo); r_deg = -1; r_base = Ok None }
+          in
           for i = lo to hi - 1 do
-            eval_one i
+            eval_one run i
           done));
   {
     sw_spec = spec;

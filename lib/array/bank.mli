@@ -114,12 +114,16 @@ type fault = Fault_nan | Fault_exn | Fault_force
     normally but bypasses the prunes (for pruning-soundness properties). *)
 
 val reset_stage_memo : unit -> unit
-(** Clear the cross-sweep subarray/decoder design memo that every sweep
-    and every mat re-derivation ({!sweep_bank}) goes through.  Entries are
-    pure functions of their (salt, dims) keys, so this is never needed for
-    correctness — it releases memory and gives tests a cold-state
-    baseline.  Each of its two tables is also reset whenever it reaches
-    8192 entries. *)
+(** Clear the cross-sweep stage memo that every sweep and every mat
+    re-derivation ({!sweep_bank}) goes through: its three tables hold
+    subarrays keyed by (salt, rows, cols, deg), decoder predecode halves
+    by (salt, rows, vert) and wordline-driver halves by (salt, cols,
+    horiz) (see {!Mat.fingerprint_salt}); a whole decoder is
+    [Decoder.combine] of its halves.  Entries are pure functions of their
+    keys, so this is never needed for correctness — it releases memory
+    and gives tests a cold-state baseline ([Cacti.Solve_cache.clear]
+    calls it).  Each table is also reset whenever it reaches 8192
+    entries. *)
 
 val set_fault_hook : (int -> fault option) option -> unit
 (** Install (or with [None] clear) a hook consulted once per screened
@@ -158,8 +162,14 @@ val enumerate_counts :
 
     The sweep runs through the columnar {!Soa_kernel} store: survivors
     are flattened into float64 parameter columns, bounds and metrics are
-    computed over chunk ranges, and distinct subarray/decoder sub-stages
-    come from the cross-sweep stage memo (see {!reset_stage_memo}).  The
+    computed over chunk ranges, and distinct subarray and decoder-half
+    sub-stages come from the cross-sweep stage memo (see
+    {!reset_stage_memo}).  Within an evaluation chunk, each run of
+    consecutive candidates that share a geometry record and bitline-mux
+    degree (one screen leaf: they differ only in their Ndsam pair)
+    resolves its {!Mat.base} once; each candidate then gets its own
+    {!Mat.finish} and bank metrics.  A failure of the shared stage counts
+    once for every candidate of the run that evaluates.  The
     sweep keeps no mats; each surviving record re-derives its mat from
     the stage memo when it materializes at the end ({!sweep_bank}).  Without prunes the result equals the naive per-candidate
     reference in [test/oracle/solver_naive.ml] ({!evaluate} on every

@@ -336,15 +336,18 @@ let fingerprint_salt ~spec =
     | Wire.Aggressive -> "a"
     | Wire.Conservative -> "c")
 
-(* The mat evaluation is split into its two expensive, highly shared
-   sub-stages — the subarray (bitline RC + cell geometry, a function of
-   (rows, cols, deg)) and the row decoder (a function of the subarray and
-   (horiz, vert)) — plus the closed-form combination of both with the
-   staged sense amp and output muxes.  [make_staged] instantiates the
-   sub-stages directly; the SoA sweep supplies memoizing providers so
-   that a 2000-survivor sweep solves each distinct subarray (~300) and
-   decoder (~125) once.  Both run the exact same expressions on the exact
-   same float inputs, so they are bit-identical. *)
+(* The mat evaluation is split along what its inputs share.  The two
+   expensive sub-stages are the subarray (bitline RC + cell geometry, a
+   function of (rows, cols, deg)) and the row decoder, itself two halves:
+   the predecode (a function of (rows, vert)) and the wordline driver (a
+   function of (cols, horiz)).  On top of them, [base] computes everything
+   a (geometry, degree) pair fixes — the candidates of one screen leaf,
+   which differ only in their Ndsam pair — and [finish] adds the two
+   output-mux levels.  [make_staged] instantiates the sub-stages directly;
+   the sweep supplies memoizing providers and resolves [base] once per run
+   of equal (geometry, degree).  Every path runs the exact same
+   expressions on the exact same float inputs, so they are
+   bit-identical. *)
 
 let subarray_of ~(staged : Staged.t) ~rows ~cols ~deg =
   (* Sense amplifiers first (their input loading feeds the bitline). *)
@@ -352,26 +355,50 @@ let subarray_of ~(staged : Staged.t) ~rows ~cols ~deg =
   Subarray.make ~tech:staged.Staged.tech ~ram:staged.Staged.ram ~rows ~cols
     ~c_sense_input:(sense.Sense_amp.c_input /. float_of_int deg)
 
-let decoder_of ~(staged : Staged.t) (subarray : Subarray.t) ~horiz ~vert =
-  (* Row decoder: one strip serving all wordlines of the mat; the selected
-     wordline spans the horizontal subarrays. *)
-  let c_line = float_of_int horiz *. subarray.Subarray.c_wordline in
-  let r_line = float_of_int horiz *. subarray.Subarray.r_wordline in
-  Decoder.decoder ~periph:staged.Staged.periph ~area:staged.Staged.area
+(* Row decoder: one strip serving all wordlines of the mat; the selected
+   wordline spans the horizontal subarrays. *)
+let predecode_of ~(staged : Staged.t) (subarray : Subarray.t) ~vert =
+  Decoder.predecode ~periph:staged.Staged.periph ~area:staged.Staged.area
     ~feature:staged.Staged.feature ~wire:staged.Staged.wire_local
     ~n_select:(subarray.Subarray.rows * vert)
     ~strip_length:(float_of_int vert *. subarray.Subarray.height)
-    ~c_line ~r_line ~v_line_swing:staged.Staged.cell.Cell.vpp ()
+    ()
 
-let of_parts ~(staged : Staged.t) ~(org : Org.t) (g : geometry)
-    ~(subarray : Subarray.t) ~(decoder : Decoder.t) =
+let line_driver_of ~(staged : Staged.t) (subarray : Subarray.t) ~horiz =
+  let c_line = float_of_int horiz *. subarray.Subarray.c_wordline in
+  let r_line = float_of_int horiz *. subarray.Subarray.r_wordline in
+  Decoder.line_driver ~periph:staged.Staged.periph ~area:staged.Staged.area
+    ~feature:staged.Staged.feature ~c_line ~r_line
+    ~v_line_swing:staged.Staged.cell.Cell.vpp ()
+
+let eff_deg ~(staged : Staged.t) (org : Org.t) =
+  if staged.Staged.is_dram then 1 else org.Org.deg_bl_mux
+
+type base = {
+  b_mat : t;
+      (* every field the Ndsam pair does not touch; [t_column_out],
+         [e_column_read], [leakage], [height] and [area] are 0 *)
+  b_t_col_bl : float;  (* bitline-mux delay; 0 when deg = 1 *)
+  b_e_col_bl : float;  (* bitline-mux energy per output bit *)
+  b_e_col_out : float;  (* output drive energy per output bit *)
+  b_leak_bl : float;  (* bitline-mux leakage per output bit *)
+  b_leak_periph : float;  (* decoder + sense-amp leakage *)
+  b_control_leakage : float;
+  b_control_area : float;
+  b_sa_area_sense : float;  (* sense-amp part of the sense strip *)
+  b_sa_area_bl : float;  (* bitline-mux part of the sense strip *)
+  b_core_w : float;
+  b_core_h : float;
+}
+
+let base ~(staged : Staged.t) ~deg (g : geometry) ~(subarray : Subarray.t)
+    ~(decoder : Decoder.t) =
   let { Staged.cell; periph; feature; is_dram; _ } = staged in
   let { g_rows_sub = rows_sub; g_cols_sub = cols_sub; g_horiz = horiz;
         g_vert = vert; g_out_bits = out_bits; g_sensed = sensed;
         g_sensed_per_access = _ } =
     g
   in
-  let deg = if is_dram then 1 else org.Org.deg_bl_mux in
   let sense = Staged.sense staged ~deg_bl_mux:deg in
   let n_subarrays = horiz * vert in
   let active_cols = horiz * cols_sub in
@@ -395,15 +422,10 @@ let of_parts ~(staged : Staged.t) ~(org : Org.t) (g : geometry)
           bl.Bitline.t_restore )
     | _ -> assert false
   in
-  (* Column path: bitline mux (SRAM), then the two Ndsam levels — all from
-     the staged tables (same pure expressions as inline construction). *)
+  (* Column path: the bitline mux (SRAM) here, the two Ndsam levels in
+     [finish] — all from the staged tables (same pure expressions as
+     inline construction). *)
   let mux_bl = Staged.mux_bl staged ~deg_bl_mux:deg in
-  let mux1 = Staged.mux1 staged ~ndsam:org.Org.ndsam_lev1 in
-  let mux2 = Staged.mux2 staged ~ndsam:org.Org.ndsam_lev2 in
-  let t_column_out =
-    (if deg > 1 then mux_bl.Mux.delay else 0.)
-    +. mux1.Mux.delay +. mux2.Mux.delay
-  in
   (* Per-mat support circuitry that CACTI folds into every mat: write
      drivers on the output columns, address latches/receivers and the
      self-timed control block.  Modeled as inverter-equivalents. *)
@@ -439,12 +461,6 @@ let of_parts ~(staged : Staged.t) ~(org : Org.t) (g : geometry)
     +. (float_of_int active_cols *. e_bl_activate_per_col)
     +. (float_of_int sensed_per_access *. sense.Sense_amp.energy)
   in
-  let e_column_read =
-    float_of_int out_bits
-    *. ((if deg > 1 then mux_bl.Mux.e_per_output_bit else 0.)
-       +. mux1.Mux.e_per_output_bit +. mux2.Mux.e_per_output_bit
-       +. (0.5 *. 30. *. feature *. periph.Device.c_gate *. vdd_p *. vdd_p))
-  in
   let e_column_write = float_of_int out_bits *. e_bl_write_per_col in
   let e_precharge = float_of_int active_cols *. e_pre_per_col in
   (* Leakage. *)
@@ -455,75 +471,118 @@ let of_parts ~(staged : Staged.t) ~(org : Org.t) (g : geometry)
   let n_sa_total =
     if is_dram then active_cols * vert / vert else n_sense_amps
   in
-  let leakage_periph =
-    decoder.Decoder.stage.Stage.leakage
-    +. (float_of_int n_sa_total *. sense.Sense_amp.leakage)
-    +. (float_of_int out_bits
-       *. (mux1.Mux.leakage +. mux2.Mux.leakage
-          +. if deg > 1 then mux_bl.Mux.leakage else 0.))
-  in
-  let leakage = leakage_cells +. leakage_periph +. control_leakage in
   (* Geometry: decoder strip between the subarray halves; sense strip
      below. *)
   let core_w = float_of_int horiz *. subarray.Subarray.width in
   let core_h = float_of_int vert *. subarray.Subarray.height in
   let dec_strip_w = decoder.Decoder.stage.Stage.area /. core_h in
-  let sa_area =
-    (float_of_int n_sa_total *. sense.Sense_amp.area)
-    +. (float_of_int out_bits
-       *. (mux1.Mux.area_per_output_bit +. mux2.Mux.area_per_output_bit))
-    +. float_of_int sensed
-       *.
-       (if deg > 1 then mux_bl.Mux.area_per_output_bit /. float_of_int deg
-        else 0.)
-  in
-  let sa_strip_h = (sa_area +. control_area) /. core_w in
   let width = core_w +. dec_strip_w in
-  let height = core_h +. sa_strip_h in
   {
-    subarray;
-    n_subarrays;
-    horiz_subarrays = horiz;
-    width;
-    height;
-    area = width *. height;
-    decoder;
-    sense;
-    n_sense_amps = n_sa_total;
-    active_cols;
-    sensed_bits = sensed_per_access;
-    out_bits;
-    t_row_path;
-    t_wordline;
-    t_bitline;
-    t_sense;
-    t_column_out;
-    t_precharge;
-    t_restore;
-    e_row_activate;
-    e_column_read;
-    e_column_write;
-    e_precharge;
-    leakage;
-    leakage_cells;
+    b_mat =
+      {
+        subarray;
+        n_subarrays;
+        horiz_subarrays = horiz;
+        width;
+        height = 0.;
+        area = 0.;
+        decoder;
+        sense;
+        n_sense_amps = n_sa_total;
+        active_cols;
+        sensed_bits = sensed_per_access;
+        out_bits;
+        t_row_path;
+        t_wordline;
+        t_bitline;
+        t_sense;
+        t_column_out = 0.;
+        t_precharge;
+        t_restore;
+        e_row_activate;
+        e_column_read = 0.;
+        e_column_write;
+        e_precharge;
+        leakage = 0.;
+        leakage_cells;
+      };
+    b_t_col_bl = (if deg > 1 then mux_bl.Mux.delay else 0.);
+    b_e_col_bl = (if deg > 1 then mux_bl.Mux.e_per_output_bit else 0.);
+    b_e_col_out = 0.5 *. 30. *. feature *. periph.Device.c_gate *. vdd_p *. vdd_p;
+    b_leak_bl = (if deg > 1 then mux_bl.Mux.leakage else 0.);
+    b_leak_periph =
+      decoder.Decoder.stage.Stage.leakage
+      +. (float_of_int n_sa_total *. sense.Sense_amp.leakage);
+    b_control_leakage = control_leakage;
+    b_control_area = control_area;
+    b_sa_area_sense = float_of_int n_sa_total *. sense.Sense_amp.area;
+    b_sa_area_bl =
+      float_of_int sensed
+      *. (if deg > 1 then mux_bl.Mux.area_per_output_bit /. float_of_int deg
+          else 0.);
+    b_core_w = core_w;
+    b_core_h = core_h;
   }
 
-let eval_geometry ~(staged : Staged.t) ~sub_of ~dec_of ~(org : Org.t)
-    (g : geometry) =
-  let deg = if staged.Staged.is_dram then 1 else org.Org.deg_bl_mux in
+(* Every sum keeps the one-piece assembly's association order: the base
+   carries the partial sums that precede the Ndsam terms. *)
+let finish ~(staged : Staged.t) (b : base) ~ndsam_lev1 ~ndsam_lev2 =
+  let m = b.b_mat in
+  let mux1 = Staged.mux1 staged ~ndsam:ndsam_lev1 in
+  let mux2 = Staged.mux2 staged ~ndsam:ndsam_lev2 in
+  let f_out_bits = float_of_int m.out_bits in
+  let t_column_out = b.b_t_col_bl +. mux1.Mux.delay +. mux2.Mux.delay in
+  let e_column_read =
+    f_out_bits
+    *. (b.b_e_col_bl +. mux1.Mux.e_per_output_bit
+       +. mux2.Mux.e_per_output_bit +. b.b_e_col_out)
+  in
+  let leakage_periph =
+    b.b_leak_periph
+    +. (f_out_bits *. (mux1.Mux.leakage +. mux2.Mux.leakage +. b.b_leak_bl))
+  in
+  let leakage = m.leakage_cells +. leakage_periph +. b.b_control_leakage in
+  let sa_area =
+    b.b_sa_area_sense
+    +. (f_out_bits
+       *. (mux1.Mux.area_per_output_bit +. mux2.Mux.area_per_output_bit))
+    +. b.b_sa_area_bl
+  in
+  let sa_strip_h = (sa_area +. b.b_control_area) /. b.b_core_w in
+  let height = b.b_core_h +. sa_strip_h in
+  {
+    m with
+    height;
+    area = m.width *. height;
+    t_column_out;
+    e_column_read;
+    leakage;
+  }
+
+let eval_base ~(staged : Staged.t) ~sub_of ~dec_of ~deg (g : geometry) =
   let subarray = sub_of ~rows:g.g_rows_sub ~cols:g.g_cols_sub ~deg in
   if not (Subarray.viable subarray) then None
   else
     let decoder = dec_of subarray ~horiz:g.g_horiz ~vert:g.g_vert in
-    Some (of_parts ~staged ~org g ~subarray ~decoder)
+    Some (base ~staged ~deg g ~subarray ~decoder)
 
-let make_staged ~(staged : Staged.t) ~spec ~org () =
+let make_staged ~(staged : Staged.t) ~spec ~(org : Org.t) () =
   match geometry ~spec ~org with
   | None -> None
-  | Some g ->
-      eval_geometry ~staged
-        ~sub_of:(fun ~rows ~cols ~deg -> subarray_of ~staged ~rows ~cols ~deg)
-        ~dec_of:(fun sub ~horiz ~vert -> decoder_of ~staged sub ~horiz ~vert)
-        ~org g
+  | Some g -> (
+      let dec_of sub ~horiz ~vert =
+        Decoder.combine
+          (predecode_of ~staged sub ~vert)
+          (line_driver_of ~staged sub ~horiz)
+      in
+      match
+        eval_base ~staged ~sub_of:(subarray_of ~staged) ~dec_of
+          ~deg:(eff_deg ~staged org) g
+      with
+      | None -> None
+      | Some b ->
+          Some
+            (finish ~staged b ~ndsam_lev1:org.Org.ndsam_lev1
+               ~ndsam_lev2:org.Org.ndsam_lev2))
 
 let make ~spec ~org () = make_staged ~staged:(staged_of_spec spec) ~spec ~org ()

@@ -118,39 +118,76 @@ val make_staged :
     [staged_of_spec spec] (or an equal record); the result is then
     bit-identical to [make ~spec ~org ()]. *)
 
-val eval_geometry :
-  staged:Cacti_circuit.Staged.t ->
-  sub_of:(rows:int -> cols:int -> deg:int -> Subarray.t) ->
-  dec_of:
-    (Subarray.t -> horiz:int -> vert:int -> Cacti_circuit.Decoder.t) ->
-  org:Org.t ->
-  geometry ->
-  t option
-(** Evaluate an already-screened geometry through caller-supplied
-    sub-stage providers.  [sub_of] must behave like {!subarray_of} and
-    [dec_of] like {!decoder_of} (e.g. memoized wrappers); the result is
-    then bit-identical to {!make_staged}.  [None] exactly when the
-    subarray is electrically nonviable. *)
-
 val subarray_of :
   staged:Cacti_circuit.Staged.t -> rows:int -> cols:int -> deg:int ->
   Subarray.t
 (** The subarray sub-stage of {!make_staged}: bitline RC and cell
     geometry for a (rows, cols, effective bitline-mux degree) tuple. *)
 
-val decoder_of :
+val predecode_of :
+  staged:Cacti_circuit.Staged.t ->
+  Subarray.t ->
+  vert:int ->
+  Cacti_circuit.Decoder.predecode
+(** The predecode half of the row decoder: depends only on the
+    subarray's rows and the mat's [vert] (its select-line count and strip
+    length), not on the columns or the bitline-mux degree. *)
+
+val line_driver_of :
   staged:Cacti_circuit.Staged.t ->
   Subarray.t ->
   horiz:int ->
-  vert:int ->
-  Cacti_circuit.Decoder.t
-(** The row-decoder sub-stage of {!make_staged}: depends only on the
-    subarray and the (horiz, vert) mat tiling — not on the bitline-mux
-    degree, since none of its subarray inputs do. *)
+  Cacti_circuit.Decoder.line_driver
+(** The wordline-driver half of the row decoder: depends only on the
+    subarray's columns and the mat's [horiz] (the wordline's RC).  The
+    row decoder of {!make_staged} is
+    [Decoder.combine (predecode_of ...) (line_driver_of ...)]. *)
+
+val eff_deg : staged:Cacti_circuit.Staged.t -> Org.t -> int
+(** The effective bitline-mux degree: the organization's, or 1 for DRAM. *)
+
+type base
+(** Everything a mat's (geometry, effective degree) pair fixes: the
+    subarray, the decoder, sensing, the bitline mux, control, energies
+    other than the column read, and the partial sums the Ndsam terms are
+    added to.  The candidates of one screen leaf share one. *)
+
+val base :
+  staged:Cacti_circuit.Staged.t ->
+  deg:int ->
+  geometry ->
+  subarray:Subarray.t ->
+  decoder:Cacti_circuit.Decoder.t ->
+  base
+(** [deg] is the effective bitline-mux degree ({!eff_deg}); [subarray]
+    and [decoder] are the sub-stages designed for [geometry] and [deg]. *)
+
+val finish :
+  staged:Cacti_circuit.Staged.t -> base -> ndsam_lev1:int -> ndsam_lev2:int -> t
+(** The mat of one Ndsam pair: the two output-mux levels added to the
+    base, every sum in the one-piece assembly's association order, so
+    [finish (base ...)] is bit-identical to assembling the mat whole (the
+    reference is [test/oracle/mat_onepiece.ml]). *)
+
+val eval_base :
+  staged:Cacti_circuit.Staged.t ->
+  sub_of:(rows:int -> cols:int -> deg:int -> Subarray.t) ->
+  dec_of:
+    (Subarray.t -> horiz:int -> vert:int -> Cacti_circuit.Decoder.t) ->
+  deg:int ->
+  geometry ->
+  base option
+(** The base of an already-screened geometry through caller-supplied
+    sub-stage providers.  [sub_of] must behave like {!subarray_of} and
+    [dec_of] like the combination of {!predecode_of} and
+    {!line_driver_of} (e.g. memoized wrappers); {!finish} of the result
+    is then bit-identical to {!make_staged}.  [None] exactly when the
+    subarray is electrically nonviable. *)
 
 val fingerprint_salt : spec:Array_spec.t -> string
 (** The spec inputs every subarray and decoder design reads (cell kind,
     feature size, wire projection) as one string.  Two specs with equal
-    salts get bit-identical {!subarray_of} and {!decoder_of} results for
-    equal dimensions, which is what lets a sub-stage memo keyed by
-    (salt, dims) be shared across specs and sweeps. *)
+    salts get bit-identical {!subarray_of}, {!predecode_of} and
+    {!line_driver_of} results for equal dimensions, which is what lets a
+    sub-stage memo keyed by (salt, dims) be shared across specs and
+    sweeps. *)

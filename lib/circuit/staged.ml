@@ -24,10 +24,10 @@ type t = {
   t_port : float;
   ctl_inv : Gate.t;
   wr_drv : Gate.t;
-  sense_by_deg : (int * Sense_amp.t) list;
-  mux_bl_by_deg : (int * Mux.t) list;
-  mux1_by_ndsam : (int * Mux.t) list;
-  mux2_by_ndsam : (int * Mux.t) list;
+  sense_by_deg : Sense_amp.t option array;
+  mux_bl_by_deg : Mux.t option array;
+  mux1_by_ndsam : Mux.t option array;
+  mux2_by_ndsam : Mux.t option array;
 }
 
 let make_sense ~is_dram ~periph ~area ~feature ~cell_pitch deg =
@@ -60,36 +60,30 @@ let make ~tech ~ram ~max_repeater_delay_penalty () =
   let ctl_inv = Gate.inverter ~area periph ~w_n:(10. *. feature) in
   let wr_drv = Gate.inverter ~area periph ~w_n:(24. *. feature) in
   let degs = if is_dram then [ 1 ] else [ 1; 2; 4; 8 ] in
+  (* Tables indexed by degree; [None] marks a degree outside the table. *)
+  let table keys f =
+    let a = Array.make (List.fold_left max 0 keys + 1) None in
+    List.iter (fun k -> a.(k) <- Some (f k)) keys;
+    a
+  in
   let sense_by_deg =
-    List.map
-      (fun d ->
-        (d, make_sense ~is_dram ~periph ~area ~feature ~cell_pitch:cell_w d))
-      degs
+    table degs (make_sense ~is_dram ~periph ~area ~feature ~cell_pitch:cell_w)
   in
   let mux_bl_by_deg =
-    List.map
-      (fun d ->
-        let s = List.assoc d sense_by_deg in
-        ( d,
-          Mux.pass_gate_mux ~device:periph ~area ~feature ~degree:d
-            ~c_in_next:s.Sense_amp.c_input () ))
-      degs
+    table degs (fun d ->
+        let s = Option.get sense_by_deg.(d) in
+        Mux.pass_gate_mux ~device:periph ~area ~feature ~degree:d
+          ~c_in_next:s.Sense_amp.c_input ())
   in
   let mux1_by_ndsam =
-    List.map
-      (fun n ->
-        ( n,
-          Mux.pass_gate_mux ~device:periph ~area ~feature ~degree:n
-            ~c_in_next:(20. *. feature *. periph.Device.c_gate) () ))
-      staged_ndsams
+    table staged_ndsams (fun n ->
+        Mux.pass_gate_mux ~device:periph ~area ~feature ~degree:n
+          ~c_in_next:(20. *. feature *. periph.Device.c_gate) ())
   in
   let mux2_by_ndsam =
-    List.map
-      (fun n ->
-        ( n,
-          Mux.pass_gate_mux ~device:periph ~area ~feature ~degree:n
-            ~c_in_next:(30. *. feature *. periph.Device.c_gate) () ))
-      staged_ndsams
+    table staged_ndsams (fun n ->
+        Mux.pass_gate_mux ~device:periph ~area ~feature ~degree:n
+          ~c_in_next:(30. *. feature *. periph.Device.c_gate) ())
   in
   {
     ram;
@@ -112,8 +106,10 @@ let make ~tech ~ram ~max_repeater_delay_penalty () =
     mux2_by_ndsam;
   }
 
+let entry a k = if k >= 0 && k < Array.length a then a.(k) else None
+
 let sense t ~deg_bl_mux =
-  match List.assoc_opt deg_bl_mux t.sense_by_deg with
+  match entry t.sense_by_deg deg_bl_mux with
   | Some s -> s
   | None ->
       (* Unknown mux degree (not in the staged table): compute on demand;
@@ -122,7 +118,7 @@ let sense t ~deg_bl_mux =
         ~feature:t.feature ~cell_pitch:t.cell_w deg_bl_mux
 
 let mux_bl t ~deg_bl_mux =
-  match List.assoc_opt deg_bl_mux t.mux_bl_by_deg with
+  match entry t.mux_bl_by_deg deg_bl_mux with
   | Some m -> m
   | None ->
       Mux.pass_gate_mux ~device:t.periph ~area:t.area ~feature:t.feature
@@ -130,7 +126,7 @@ let mux_bl t ~deg_bl_mux =
         ~c_in_next:(sense t ~deg_bl_mux).Sense_amp.c_input ()
 
 let mux1 t ~ndsam =
-  match List.assoc_opt ndsam t.mux1_by_ndsam with
+  match entry t.mux1_by_ndsam ndsam with
   | Some m -> m
   | None ->
       Mux.pass_gate_mux ~device:t.periph ~area:t.area ~feature:t.feature
@@ -138,7 +134,7 @@ let mux1 t ~ndsam =
         ~c_in_next:(20. *. t.feature *. t.periph.Device.c_gate) ()
 
 let mux2 t ~ndsam =
-  match List.assoc_opt ndsam t.mux2_by_ndsam with
+  match entry t.mux2_by_ndsam ndsam with
   | Some m -> m
   | None ->
       Mux.pass_gate_mux ~device:t.periph ~area:t.area ~feature:t.feature

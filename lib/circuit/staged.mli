@@ -5,8 +5,9 @@
     penalty — device and cell parameters, the area model, local wire RC,
     the semi-global H-tree {!Repeater.design} (a spacing × sizing scan that
     dominates per-candidate cost when recomputed inline), port timing,
-    control-logic inverter equivalents and the sense-amp designs for every
-    bitline-mux degree.  Computing it once per design-space sweep and
+    control-logic inverter equivalents, and the sense-amp and mux designs
+    for every degree of the partition grid, in arrays indexed by degree
+    (a lookup is one bounds check and one load).  Computing it once per design-space sweep and
     threading it through {!Cacti_array.Mat} / {!Cacti_array.Bank} leaves
     only flat float math in the per-candidate inner loop.
 
@@ -28,15 +29,16 @@ type t = {
   t_port : float;  (** H-tree port latency (3 FO4), s *)
   ctl_inv : Gate.t;  (** control-block inverter equivalent (10 F) *)
   wr_drv : Gate.t;  (** write-driver inverter equivalent (24 F) *)
-  sense_by_deg : (int * Sense_amp.t) list;
-      (** sense-amp design per bitline-mux degree *)
-  mux_bl_by_deg : (int * Mux.t) list;
-      (** bitline output mux per bitline-mux degree (drives the matching
-          staged sense amp) *)
-  mux1_by_ndsam : (int * Mux.t) list;
-      (** first-level sense-amp output mux per partition degree *)
-  mux2_by_ndsam : (int * Mux.t) list;
-      (** second-level sense-amp output mux per partition degree *)
+  sense_by_deg : Sense_amp.t option array;
+      (** sense-amp design, indexed by bitline-mux degree ([None] outside
+          the partition grid's degrees) *)
+  mux_bl_by_deg : Mux.t option array;
+      (** bitline output mux, indexed by bitline-mux degree (drives the
+          matching staged sense amp) *)
+  mux1_by_ndsam : Mux.t option array;
+      (** first-level sense-amp output mux, indexed by partition degree *)
+  mux2_by_ndsam : Mux.t option array;
+      (** second-level sense-amp output mux, indexed by partition degree *)
 }
 
 val staged_ndsams : int list
@@ -53,7 +55,8 @@ val make :
 val sense : t -> deg_bl_mux:int -> Sense_amp.t
 (** The staged sense-amp design for the given (effective) bitline-mux
     degree; falls back to computing one on demand for degrees outside the
-    staged table. *)
+    staged table (any int, negative included).  The fallback runs the
+    staged entries' expression, so both are bit-identical. *)
 
 val mux_bl : t -> deg_bl_mux:int -> Mux.t
 (** The staged bitline output mux for the given (effective) bitline-mux

@@ -684,10 +684,18 @@ let handle_keyed ?admitted_at t ~key j =
 let handle_json ?admitted_at t j =
   handle_keyed ?admitted_at t ~key:(response_key j) j
 
+(* The batch transport's warm path is the admission one: a
+   response-cache hit is answered by splicing the stored rendering, and a
+   miss (probed uncounted, like [admit]) goes to [handle_keyed]. *)
 let handle_line t line =
   count_line t;
   match Jsonx.parse line with
-  | Ok j -> Jsonx.to_string (handle_json t j)
+  | Ok j -> (
+      let key = response_key j in
+      let now = Unix.gettimeofday () in
+      match try_fast_line t ~key ~admitted:now j now with
+      | Some response -> response
+      | None -> Jsonx.to_string (handle_keyed ~admitted_at:now t ~key j))
   | Error msg ->
       let t0 = Unix.gettimeofday () in
       count_kind t `Malformed;

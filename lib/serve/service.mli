@@ -91,7 +91,10 @@ val handle_json :
 
 val handle_line : t -> string -> string
 (** The full wire path: parse one JSONL line, answer it, print the
-    response line (without the trailing newline). *)
+    response line (without the trailing newline).  A response-cache hit
+    is answered as {!admit} answers it, by splicing the solution text
+    stored with the entry into the line (no tree is re-rendered); the
+    bytes equal the tree path's, [timing.wall_ms] aside. *)
 
 val stats_json : t -> Cacti_util.Jsonx.t
 (** The ["stats"] solution object. *)

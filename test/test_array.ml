@@ -381,6 +381,90 @@ let prop_subarray_geometry =
       Float.abs (Subarray.cell_area s -. (s.Subarray.width *. s.Subarray.height))
       < 1e-18)
 
+(* --- finish (base ...) = the one-piece mat assembly, bit for bit ---- *)
+
+(* Every field of a mat: the floats as bit patterns, the ints, and the
+   sub-records it carries. *)
+let mat_bits (m : Mat.t) =
+  ( List.map Int64.bits_of_float
+      [
+        m.Mat.width; m.Mat.height; m.Mat.area; m.Mat.t_row_path;
+        m.Mat.t_wordline; m.Mat.t_bitline; m.Mat.t_sense; m.Mat.t_column_out;
+        m.Mat.t_precharge; m.Mat.t_restore; m.Mat.e_row_activate;
+        m.Mat.e_column_read; m.Mat.e_column_write; m.Mat.e_precharge;
+        m.Mat.leakage; m.Mat.leakage_cells;
+      ],
+    [
+      m.Mat.n_subarrays; m.Mat.horiz_subarrays; m.Mat.n_sense_amps;
+      m.Mat.active_cols; m.Mat.sensed_bits; m.Mat.out_bits;
+    ],
+    (m.Mat.subarray, m.Mat.decoder, m.Mat.sense) )
+
+(* Every Ndsam pair of the partition grid, plus pairs outside the staged
+   mux tables (the on-demand fallback). *)
+let ndsam_pairs =
+  List.concat_map (fun a -> List.map (fun b -> (a, b)) Org.ndsams) Org.ndsams
+  @ [ (5, 1); (1, 32); (24, 7) ]
+
+(* Random mat inputs over all three cell kinds and several nodes: subarray
+   dimensions across the screen's bounds, both tilings, the grid's
+   bitline-mux degrees and degrees outside the staged table, and an
+   output width.  [finish] of the shared [base] must equal the one-piece
+   assembly for every Ndsam pair. *)
+let prop_mat_finish_base_equal_onepiece =
+  QCheck.Test.make ~name:"finish of base = one-piece mat" ~count:60
+    QCheck.(
+      pair
+        (triple
+           (oneofl [ Cell.Sram; Cell.Lp_dram; Cell.Comm_dram ])
+           (oneofl [ 90.; 65.; 45.; 32. ])
+           (oneofl [ 1; 2; 4; 8; 3; 16 ]))
+        (triple
+           (pair (int_range 16 4096) (int_range 16 8192))
+           (pair (int_range 1 2) (int_range 1 2))
+           (int_range 1 512)))
+    (fun ((ram, nm, deg_bl_mux), ((rows, cols), (horiz, vert), out_bits)) ->
+      let spec =
+        Array_spec.create ~ram ~tech:(Technology.at_nm nm) ~n_rows:rows
+          ~row_bits:cols ~output_bits:64 ()
+      in
+      let staged = Mat.staged_of_spec spec in
+      let deg = if Cell.is_dram ram then 1 else deg_bl_mux in
+      let sensed = max 1 (horiz * cols / deg) in
+      let g =
+        {
+          Mat.g_rows_sub = rows;
+          g_cols_sub = cols;
+          g_horiz = horiz;
+          g_vert = vert;
+          g_out_bits = out_bits;
+          g_sensed = sensed;
+          g_sensed_per_access =
+            (if Cell.is_dram ram then horiz * cols else sensed);
+        }
+      in
+      let subarray = Mat.subarray_of ~staged ~rows ~cols ~deg in
+      let decoder =
+        Cacti_circuit.Decoder.combine
+          (Mat.predecode_of ~staged subarray ~vert)
+          (Mat.line_driver_of ~staged subarray ~horiz)
+      in
+      let b = Mat.base ~staged ~deg g ~subarray ~decoder in
+      List.for_all
+        (fun (ndsam_lev1, ndsam_lev2) ->
+          let org =
+            org ~ndwl:2 ~ndbl:2 ~mux:deg_bl_mux ~ns1:ndsam_lev1 ~ns2:ndsam_lev2
+              ()
+          in
+          Mat.eff_deg ~staged org = deg
+          && compare
+               (mat_bits (Mat.finish ~staged b ~ndsam_lev1 ~ndsam_lev2))
+               (mat_bits
+                  (Oracle.Mat_onepiece.of_parts ~staged ~org g ~subarray
+                     ~decoder))
+             = 0)
+        ndsam_pairs)
+
 let prop_bank_energy_scales_with_output =
   QCheck.Test.make ~name:"wider output never cheaper to read" ~count:10
     (QCheck.int_range 6 8)
@@ -415,6 +499,7 @@ let () =
           Alcotest.test_case "screen tree = fresh screen" `Quick
             test_screen_tree_instantiation;
           QCheck_alcotest.to_alcotest prop_subarray_geometry;
+          QCheck_alcotest.to_alcotest prop_mat_finish_base_equal_onepiece;
         ] );
       ( "bank",
         [

@@ -507,6 +507,42 @@ let test_strict_mode_reraises () =
            false
          with Cacti_util.Floatx.Non_finite _ -> true))
 
+let test_shared_stage_fault_per_candidate () =
+  (* The sweep resolves a mat base once per run of candidates sharing a
+     geometry record; a failure there must still count once per candidate
+     that evaluates.  A zero-row geometry makes the predecode half raise
+     (no select lines); three candidates share it, then one valid
+     candidate follows. *)
+  let spec =
+    Array_spec.create ~ram:Cacti_tech.Cell.Sram ~tech:t32 ~n_rows:256
+      ~row_bits:2048 ~output_bits:512 ()
+  in
+  let org_ok, g_ok =
+    match Mat.screen ~max_ndwl:4 ~max_ndbl:4 ~spec () with
+    | first :: _, _, _, _ -> first
+    | [], _, _, _ -> Alcotest.fail "no survivor"
+  in
+  let g0 = { g_ok with Mat.g_rows_sub = 0 } in
+  let bad ns = ({ org_ok with Org.ndsam_lev1 = ns }, g0) in
+  let survivors = [ bad 1; bad 2; bad 4; (org_ok, g_ok) ] in
+  let screened = (survivors, 4, 0, 0) in
+  Fun.protect ~finally:Bank.reset_stage_memo @@ fun () ->
+  List.iter
+    (fun jobs ->
+      let pool = Cacti_util.Pool.create ~jobs () in
+      let banks, c = Bank.enumerate_counts ~pool ~screened spec in
+      let name what = Printf.sprintf "jobs %d: %s" jobs what in
+      Alcotest.(check int) (name "raised per candidate") 3
+        c.Cacti_util.Diag.raised;
+      Alcotest.(check int) (name "the valid one evaluates") 1
+        c.Cacti_util.Diag.evaluated;
+      Alcotest.(check int) (name "one bank") 1 (List.length banks))
+    [ 1; 2 ];
+  Alcotest.(check bool) "strict lets it out" true
+    (match Bank.enumerate_counts ~strict:true ~screened spec with
+    | _ -> false
+    | exception Assert_failure _ -> true)
+
 (* --- staged solver: mat re-derivation and branch-and-bound ----------- *)
 
 (* Whether a selected bank is the naive reference solver's pick over its
@@ -577,6 +613,160 @@ let policy_of (p : Opt_params.t) =
       w.Opt_params.w_dynamic > 0. && w.Opt_params.w_leakage = 0.
       && w.Opt_params.w_cycle = 0. && w.Opt_params.w_interleave = 0.;
   }
+
+(* --- the grouped sweep = per-candidate one-piece evaluation ---------- *)
+
+(* The bench batch of [test_bench_batch_oracle] as the array sweeps the
+   solver runs: (name, array spec, grid bounds, optimizer parameters). *)
+let bench_batch_arrays () =
+  let t45 = Cacti_tech.Technology.at_nm 45. in
+  let params = Opt_params.default in
+  let cache name spec =
+    let c = Cache_model.solve spec in
+    [
+      (name ^ " data", c.Cache_model.data.Bank.spec, 64, 64, params);
+      (name ^ " tag", c.Cache_model.tag.Bank.spec, 64, 64, params);
+    ]
+  in
+  let mib n = n * 1024 * 1024 in
+  let m =
+    Mainmem.solve
+      (Mainmem.create ~tech:(Cacti_tech.Technology.at_nm 78.)
+         ~capacity_bits:(1024 * 1024 * 1024 * 8)
+         ())
+  in
+  List.concat
+    [
+      cache "32KB sram"
+        (Cache_spec.create ~tech:t32 ~capacity_bytes:(32 * 1024) ~assoc:4 ());
+      cache "1MB sram"
+        (Cache_spec.create ~tech:t32 ~capacity_bytes:(mib 1) ~assoc:8 ());
+      cache "8MB sram"
+        (Cache_spec.create ~tech:t32 ~capacity_bytes:(mib 8) ~assoc:16 ());
+      cache "8MB lp-dram"
+        (Cache_spec.create ~tech:t32 ~capacity_bytes:(mib 8) ~assoc:16
+           ~ram:Cacti_tech.Cell.Lp_dram ());
+      cache "8MB comm-dram"
+        (Cache_spec.create ~tech:t32 ~capacity_bytes:(mib 8) ~assoc:16
+           ~ram:Cacti_tech.Cell.Comm_dram ());
+      cache "512KB sram 45nm"
+        (Cache_spec.create ~tech:t45 ~capacity_bytes:(512 * 1024) ~assoc:8 ());
+      [
+        ( "1Gb main memory",
+          m.Mainmem.bank.Bank.spec,
+          128,
+          256,
+          Opt_params.area_optimal );
+      ];
+    ]
+
+let metric_bits (m : Soa_kernel.metrics) =
+  List.map Int64.bits_of_float
+    Soa_kernel.
+      [
+        m.m_width; m.m_height; m.m_area; m.m_area_efficiency; m.m_t_access;
+        m.m_t_random_cycle; m.m_t_interleave; m.m_e_read; m.m_e_write;
+        m.m_e_activate; m.m_e_precharge; m.m_p_leakage; m.m_p_refresh;
+        m.m_t_rcd; m.m_t_cas; m.m_t_ras; m.m_t_rp; m.m_t_rc; m.m_t_rrd;
+      ]
+
+(* Check a sweep against the per-candidate reference: every candidate's
+   mat assembled by [Oracle.Mat_onepiece.eval] (its own subarray and
+   one-piece decoder, no memo, no grouping) and put through the bank
+   model.  An evaluated candidate's metric columns must equal the
+   reference's bit for bit, and a nonviable one must be nonviable there.
+   [exact] (a serial sweep) also replays the prune rule over the
+   reference's own champion in enumeration order, so every status byte
+   must match; with several domains the prune decisions depend on the
+   evaluation order, so only evaluated candidates are compared. *)
+let check_sweep_oracle ~name ~exact ?prune ?bound (sw : Bank.sweep) =
+  let spec = sw.Bank.sw_spec and staged = sw.Bank.sw_staged in
+  let soa = sw.Bank.sw_soa in
+  let ch_area = ref Float.infinity
+  and ch_time = ref Float.infinity
+  and ch_energy = ref Float.infinity in
+  let fail i what = Alcotest.failf "%s: candidate %d: %s" name i what in
+  let n_checked = ref 0 in
+  for i = 0 to soa.Soa_kernel.n - 1 do
+    let org = soa.Soa_kernel.orgs.(i) and g = soa.Soa_kernel.geos.(i) in
+    let st = Bytes.get soa.Soa_kernel.status i in
+    let b_area = soa.Soa_kernel.b_area.{i}
+    and b_time = soa.Soa_kernel.b_time.{i}
+    and b_energy = soa.Soa_kernel.b_energy.{i} in
+    let expected_prune =
+      if not exact then None
+      else if
+        match prune with
+        | Some pct -> b_area > !ch_area *. (1. +. pct)
+        | None -> false
+      then Some Soa_kernel.st_area_pruned
+      else
+        match bound with
+        | Some bp
+          when b_area > !ch_area
+               && (b_time > !ch_time *. (1. +. bp.Bank.acctime_pct)
+                  || bp.Bank.energy_only && b_time > !ch_time
+                     && b_energy > !ch_energy) ->
+            Some Soa_kernel.st_bound_pruned
+        | _ -> None
+    in
+    match expected_prune with
+    | Some want -> if st <> want then fail i "prune decision differs"
+    | None when
+        (not exact)
+        && (st = Soa_kernel.st_area_pruned || st = Soa_kernel.st_bound_pruned)
+      ->
+        ()
+    | None -> (
+        match Oracle.Mat_onepiece.eval ~staged ~org g with
+        | None ->
+            if st <> Soa_kernel.st_nonviable then fail i "should be nonviable"
+        | Some mat ->
+            let m = Soa_kernel.metrics_of_mat ~staged ~spec ~org mat in
+            if st <> Soa_kernel.st_ok then fail i "should have evaluated";
+            incr n_checked;
+            if metric_bits (Soa_kernel.get_metrics soa i) <> metric_bits m then
+              fail i "metric columns differ from the reference";
+            if m.Soa_kernel.m_area < !ch_area then begin
+              ch_area := m.Soa_kernel.m_area;
+              ch_time := m.Soa_kernel.m_t_access;
+              ch_energy := m.Soa_kernel.m_e_read
+            end)
+  done;
+  Alcotest.(check int)
+    (name ^ ": every evaluated candidate checked")
+    sw.Bank.sw_counts.Cacti_util.Diag.evaluated !n_checked;
+  if !n_checked = 0 then Alcotest.failf "%s: nothing evaluated" name
+
+let test_bench_batch_sweep_oracle () =
+  (* Every sweep of the bench batch, as the solver runs it (pruned) at 1
+     and 2 domains — with 2, the 64-candidate chunks are claimed by both
+     domains, so runs of one geometry are split between them — plus
+     unpruned at 2 domains, where every status byte is decided by the
+     reference alone. *)
+  Fun.protect ~finally:Solve_cache.clear @@ fun () ->
+  let arrays = bench_batch_arrays () in
+  Solve_cache.clear ();
+  List.iter
+    (fun jobs ->
+      let pool = Cacti_util.Pool.create ~jobs () in
+      List.iter
+        (fun (name, spec, max_ndwl, max_ndbl, params) ->
+          let prune = params.Opt_params.max_area_pct
+          and bound = policy_of params in
+          let sw =
+            Bank.enumerate_soa ~pool ~prune ~bound ~max_ndwl ~max_ndbl spec
+          in
+          check_sweep_oracle
+            ~name:(Printf.sprintf "%s, jobs %d" name jobs)
+            ~exact:(jobs = 1) ~prune ~bound sw;
+          if jobs > 1 then
+            check_sweep_oracle
+              ~name:(Printf.sprintf "%s, jobs %d, unpruned" name jobs)
+              ~exact:true
+              (Bank.enumerate_soa ~pool ~max_ndwl ~max_ndbl spec))
+        arrays)
+    [ 1; 2 ]
 
 let test_materialize_cold_stage_memo () =
   (* The sweep keeps metric columns, not mats: [Bank.sweep_bank]
@@ -960,6 +1150,8 @@ let () =
         [
           Alcotest.test_case "materialize on cold memo = evaluate" `Slow
             test_materialize_cold_stage_memo;
+          Alcotest.test_case "bench batch sweeps = one-piece mats" `Slow
+            test_bench_batch_sweep_oracle;
           Alcotest.test_case "bench batch = oracle" `Slow
             test_bench_batch_oracle;
           Alcotest.test_case "prune identity + soundness" `Slow
@@ -980,6 +1172,8 @@ let () =
           Alcotest.test_case "fault injection containment" `Slow
             test_fault_injection_containment;
           Alcotest.test_case "strict re-raises" `Slow test_strict_mode_reraises;
+          Alcotest.test_case "shared-stage fault per candidate" `Quick
+            test_shared_stage_fault_per_candidate;
           QCheck_alcotest.to_alcotest prop_cache_spec_structured;
           QCheck_alcotest.to_alcotest prop_mainmem_spec_structured;
           QCheck_alcotest.to_alcotest prop_solve_diag_total;

@@ -239,6 +239,63 @@ let prop_bitline_positive =
       && bl.Bitline.e_read_per_column > 0.
       && bl.Bitline.c_bitline > 0.)
 
+(* --- decoder halves = the one-piece decoder, bit for bit ----------- *)
+
+let decoder_bits (d : Decoder.t) =
+  let s = d.Decoder.stage in
+  ( List.map Int64.bits_of_float
+      [
+        s.Stage.delay; s.Stage.energy; s.Stage.leakage; s.Stage.area;
+        d.Decoder.t_predecode; d.Decoder.t_gate_drive; d.Decoder.t_line;
+      ],
+    d.Decoder.n_stages )
+
+let ram_kinds = [ Cell.Sram; Cell.Lp_dram; Cell.Comm_dram ]
+
+(* Random decoder inputs over every cell kind: the peripheral device and
+   local wire of a node, a select-line count across the whole range the
+   mat tiling yields (and the 1-line corner), random line parasitics, and
+   with or without a VPP swing and an input ramp. *)
+let decoder_input_arb =
+  QCheck.(
+    pair
+      (triple (oneofl ram_kinds) (oneofl [ 90.; 78.; 65.; 45.; 32. ])
+         (int_range 1 16384))
+      (pair
+         (triple (float_range 1e-6 2e-3) (float_range 1e-16 5e-12)
+            (float_range 1. 1e5))
+         (pair (option (float_range 0.5 3.5)) (option (float_range 0. 2e-10)))))
+
+let prop_decoder_halves_equal_onepiece =
+  QCheck.Test.make ~name:"decoder halves = one-piece"
+    ~count:500 decoder_input_arb
+    (fun ((ram, nm, n_select), ((strip_length, c_line, r_line), (v_swing, ramp))) ->
+      let tech = Technology.at_nm nm in
+      let periph = Technology.peripheral_device tech ram in
+      let feature = Technology.feature_size tech in
+      let area =
+        Area_model.create ~feature_size:feature ~l_gate:periph.Device.l_phy
+      in
+      let wire = Technology.wire tech Wire.Local in
+      let split =
+        Decoder.combine
+          (Decoder.predecode ~periph ~area ~feature ~wire ~n_select
+             ~strip_length ?input_ramp:ramp ())
+          (Decoder.line_driver ~periph ~area ~feature ~c_line ~r_line
+             ?v_line_swing:v_swing ())
+      in
+      let whole =
+        Decoder.decoder ~periph ~area ~feature ~wire ~n_select ~strip_length
+          ~c_line ~r_line ?v_line_swing:v_swing ?input_ramp:ramp ()
+      in
+      let reference =
+        Oracle.Decoder_onepiece.decoder ~periph ~area ~feature ~wire
+          ~n_select ~strip_length ~c_line ~r_line ?v_line_swing:v_swing
+          ?input_ramp:ramp ()
+      in
+      decoder_bits split = decoder_bits reference
+      && decoder_bits whole = decoder_bits reference)
+
 let () =
   Alcotest.run "circuit"
     [
@@ -269,6 +326,7 @@ let () =
         [
           Alcotest.test_case "decoder size" `Quick test_decoder_bigger_is_slower;
           Alcotest.test_case "decoder vpp" `Quick test_decoder_vpp_energy;
+          QCheck_alcotest.to_alcotest prop_decoder_halves_equal_onepiece;
           Alcotest.test_case "sram bitline" `Quick test_sram_bitline;
           Alcotest.test_case "dram signal limit" `Quick test_dram_bitline_signal_limit;
           Alcotest.test_case "destructive readout" `Quick test_dram_destructive_readout_cost;

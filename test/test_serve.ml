@@ -1282,6 +1282,103 @@ let test_http_end_to_end () =
   Server.stop server;
   check_partition (Service.stats_json service)
 
+(* A response line with the digits of its [timing.wall_ms] value
+   replaced by "_": the one field that is genuinely per-request. *)
+let without_wall_ms line =
+  let tag = {|"wall_ms":|} in
+  let n = String.length line and m = String.length tag in
+  let rec find i =
+    if i + m > n then Alcotest.failf "no wall_ms in %s" line
+    else if String.sub line i m = tag then i + m
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < n && line.[!stop] <> ',' && line.[!stop] <> '}' do
+    incr stop
+  done;
+  String.sub line 0 start ^ "_" ^ String.sub line !stop (n - !stop)
+
+let test_warm_path_all_transports () =
+  (* One warm path for every transport: after one cold solve, a repeat
+     through handle_line (the batch transport), admit (the socket
+     transport) and POST /solve is answered from the response cache by
+     splicing the stored rendering.  Each must print exactly what the
+     tree path prints for a bank-memo hit (a service without a response
+     cache, solving against the now-warm memo), wall_ms aside. *)
+  with_cold_cache @@ fun () ->
+  let service = Service.create ~log:ignore () in
+  let req = cache_req ~id:7 in
+  let cold = Service.handle_line service req in
+  let tree = Service.handle_line (Service.create ~resp_cache:0 ()) req in
+  let batch = Service.handle_line service req in
+  let reply, replies = collector () in
+  Service.admit service ~reply req;
+  let socket =
+    match replies () with
+    | [ r ] -> r
+    | rs -> Alcotest.failf "admit answered %d lines inline" (List.length rs)
+  in
+  let server = Server.start ~workers:1 service ~http:("127.0.0.1", 0) () in
+  let http =
+    Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+    let port = Option.get (Server.http_port server) in
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let st, _, body =
+      http_exchange (Unix.in_channel_of_descr fd)
+        (Unix.out_channel_of_descr fd) ~meth:"POST" ~target:"/solve"
+        ~body:req ()
+    in
+    Alcotest.(check int) "POST /solve 200" 200 st;
+    body
+  in
+  List.iter
+    (fun (name, line) ->
+      Alcotest.(check string)
+        (name ^ " = tree path, wall_ms aside")
+        (without_wall_ms tree) (without_wall_ms line))
+    [ ("handle_line", batch); ("admit", socket); ("POST /solve", http) ];
+  let cold = Jsonx.parse_exn cold and warm = Jsonx.parse_exn batch in
+  Alcotest.(check bool)
+    "warm solution = cold solution" true
+    (Jsonx.equal
+       (Option.get (get [ "solution" ] cold))
+       (Option.get (get [ "solution" ] warm)));
+  Alcotest.(check (option int))
+    "warm cache_hits = a bank-memo hit's" (Some 2)
+    (get_int [ "timing"; "cache_hits" ] warm);
+  let stats = Service.stats_json service in
+  Alcotest.(check (option int))
+    "three response-cache hits" (Some 3)
+    (get_int [ "response_cache"; "hits" ] stats);
+  Alcotest.(check (option int))
+    "one response-cache miss" (Some 1)
+    (get_int [ "response_cache"; "misses" ] stats);
+  check_partition stats
+
+let test_warm_handle_line_allocation () =
+  (* A warm handle_line splices the stored rendering, so its allocation is
+     the request's parse, its key and the line, not a walk of the
+     multi-kilobyte solution tree.  Counted over 200 repeats (the count
+     is deterministic up to the digits of wall_ms): 1,329 words per
+     request when spliced, 2,478 when the tree is re-rendered. *)
+  with_cold_cache @@ fun () ->
+  let service = Service.create ~log:ignore () in
+  let req = cache_req ~id:1 in
+  ignore (Service.handle_line service req);
+  ignore (Service.handle_line service req);
+  let n = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Service.handle_line service req))
+  done;
+  let per_request = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_request > 1600. then
+    Alcotest.failf "warm handle_line allocates %.0f minor words (bound 1600)"
+      per_request
+
 let test_http_framing_limits () =
   let service = Service.create ~log:ignore () in
   let server = Server.start ~workers:1 service ~http:("127.0.0.1", 0) () in
@@ -1466,6 +1563,10 @@ let () =
             test_response_cache_uncached_solve;
           Alcotest.test_case "key" `Quick
             test_response_key_ignores_per_call_knobs;
+          Alcotest.test_case "one warm path for every transport" `Quick
+            test_warm_path_all_transports;
+          Alcotest.test_case "warm handle_line allocation" `Quick
+            test_warm_handle_line_allocation;
         ] );
       ( "http",
         [
