@@ -191,39 +191,18 @@ let bench_study ~quick ~jobs =
 
 (* ------------------------------ JSON ------------------------------ *)
 
-(* The checked-in baseline is a flat JSON object; this pulls one numeric
-   field out without a JSON dependency. *)
-let json_number_field s key =
-  let pat = "\"" ^ key ^ "\"" in
-  let plen = String.length pat in
-  let n = String.length s in
-  let rec find i =
-    if i + plen > n then None
-    else if String.sub s i plen = pat then
-      let j = ref (i + plen) in
-      while !j < n && (s.[!j] = ':' || s.[!j] = ' ' || s.[!j] = '\t') do
-        incr j
-      done;
-      let k = ref !j in
-      while
-        !k < n
-        && (match s.[!k] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr k
-      done;
-      float_of_string_opt (String.sub s !j (!k - !j))
-    else find (i + 1)
-  in
-  find 0
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* The numeric field [key] of the baseline file [path]; exits 1 when the
+   file is not JSON. *)
+let baseline_field path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match Cacti_util.Jsonx.parse text with
+  | Ok json ->
+      fun key ->
+        Option.bind (Cacti_util.Jsonx.member key json)
+          Cacti_util.Jsonx.get_float
+  | Error e ->
+      Printf.eprintf "%s: %s\n" path e;
+      exit 1
 
 let write_json path ~quick ~jobs (e : engine_result) (s : study_result)
     baseline =
@@ -328,11 +307,8 @@ let () =
     match !floor_file with
     | None -> None
     | Some f -> (
-        let text = read_file f in
-        match
-          ( json_number_field text "mips",
-            json_number_field text "minor_words_per_instr",
-            json_number_field text "mips_floor" )
+        let get = baseline_field f in
+        match (get "mips", get "minor_words_per_instr", get "mips_floor")
         with
         | Some m, Some w, Some fl -> Some (m, w, fl)
         | _ ->

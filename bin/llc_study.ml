@@ -70,100 +70,34 @@ let run_trace ?jobs ~params kinds tr =
 
 (* Real-trace replay (--replay): re-run the study's configurations
    against a recorded memory-access trace with real CPU replacement
-   policies (lib/replay), instead of the timed synthetic engine.  The
-   trace is loaded once (binary files memory-mapped zero-copy), bucketed
-   once on the set-index bits every configuration's hierarchy supports,
-   and the flat (config × shard) work items fan out over one pool — so a
-   single-config replay still uses every domain.  Per-config summaries
-   merge additively in fixed shard order: results are identical for any
+   policies (lib/replay), instead of the timed synthetic engine.
+   [Replayer.run_configs] buckets the trace once and fans the (config ×
+   shard) work items out over one pool; results are identical for any
    --jobs value. *)
 let run_replay_mode ?jobs ~cpu kinds path csv =
   let policies_r =
     match cpu with
-    | None -> Ok Mcsim.Engine.lru_policies
+    | None -> Ok Fun.id
     | Some name ->
-        Result.map
-          (fun (p : Mcsim.Policy.preset) ->
-            {
-              Mcsim.Engine.l1_policy = p.Mcsim.Policy.l1;
-              l2_policy = p.Mcsim.Policy.l2;
-              l3_policy = p.Mcsim.Policy.l3;
-            })
+        Result.map Mcreplay.Replayer.with_preset
           (Mcsim.Policy.preset_of_string name)
   in
   match policies_r with
   | Error d -> fail_diags [ d ] Cacti_util.Diag.exit_invalid_spec
-  | Ok policies ->
+  | Ok with_policies ->
       let source = Mcreplay.Trace_io.load_source path in
       let builts = List.map (fun kind -> Mcsim.Study.build ?jobs kind) kinds in
       let cfgs =
         Array.of_list
           (List.map
              (fun (b : Mcsim.Study.built) ->
-               Mcreplay.Replayer.of_machine ~policies b.Mcsim.Study.machine)
+               with_policies
+                 (Mcreplay.Replayer.of_machine b.Mcsim.Study.machine))
              builts)
       in
-      let jobs_n =
-        match jobs with
-        | Some j -> max 1 j
-        | None -> Cacti_util.Pool.default_jobs ()
-      in
-      (* One shard count shared by every config: the finest plan all the
-         hierarchies support (0 when any rejects sharding or line sizes
-         differ), so a single bucketing pass serves every config. *)
-      let bits =
-        if Array.length cfgs = 0 then 0
-        else begin
-          let lb0 = cfgs.(0).Mcreplay.Replayer.line_bytes in
-          if
-            Array.exists
-              (fun (c : Mcreplay.Replayer.config) -> c.line_bytes <> lb0)
-              cfgs
-          then 0
-          else
-            Array.fold_left
-              (fun acc cfg ->
-                match Mcreplay.Replayer.shard_plan cfg ~bits:acc with
-                | Ok m -> m
-                | Error _ -> 0)
-              (Cacti_util.Floatx.clog2 (max 1 jobs_n))
-              cfgs
-        end
-      in
-      let ns = 1 lsl bits in
-      let bk =
-        if bits = 0 then None
-        else
-          Some
-            (Mcreplay.Trace_io.bucket source
-               ~line_shift:
-                 (Cacti_util.Floatx.clog2
-                    cfgs.(0).Mcreplay.Replayer.line_bytes)
-               ~bits)
-      in
-      let ncfg = Array.length cfgs in
-      let sums = Array.make (ncfg * ns) Mcreplay.Replayer.empty_summary in
-      let pool = Cacti_util.Pool.create ?jobs () in
-      Cacti_util.Pool.run_chunked ~chunk:1 pool (ncfg * ns) (fun i ->
-          let r = Mcreplay.Replayer.create cfgs.(i / ns) in
-          (match bk with
-          | None ->
-              Mcreplay.Trace_io.iter_source source
-                ~f:(fun ~tid ~write ~addr ->
-                  ignore (Mcreplay.Replayer.step r ~tid ~write ~addr))
-          | Some bk ->
-              Mcreplay.Replayer.replay_shard r source bk ~shard:(i mod ns));
-          sums.(i) <- Mcreplay.Replayer.summary r);
-      let results =
-        List.mapi
-          (fun c b ->
-            let acc = ref Mcreplay.Replayer.empty_summary in
-            for sh = 0 to ns - 1 do
-              acc := Mcreplay.Replayer.add_summary !acc sums.((c * ns) + sh)
-            done;
-            (b, !acc))
-          builts
-      in
+      let sums, diags = Mcreplay.Replayer.run_configs ?jobs cfgs source in
+      if diags <> [] then prerr_endline (Cacti_util.Diag.render diags);
+      let results = List.mapi (fun c b -> (b, sums.(c))) builts in
       let pct n d = if d = 0 then 0. else 100. *. float_of_int n /. float_of_int d in
       let rows =
         List.map

@@ -35,26 +35,24 @@ let with_policies ~l1 ~l2 ~l3 cfg =
 let with_preset (p : Policy.preset) cfg =
   with_policies ~l1:p.Policy.l1 ~l2:p.Policy.l2 ~l3:p.Policy.l3 cfg
 
-let of_machine ?(policies = Engine.lru_policies) (m : Machine.t) =
-  let level (c : Machine.cache_params) policy =
-    { lines = c.Machine.lines; assoc = c.Machine.assoc;
-      latency = c.Machine.latency; policy }
+let of_machine (m : Machine.t) =
+  let level (c : Machine.cache_params) =
+    lru_level ~lines:c.Machine.lines ~assoc:c.Machine.assoc
+      ~latency:c.Machine.latency
   in
   let l3 =
     Option.map
       (fun (p : Machine.l3_params) ->
-        {
-          lines = p.Machine.bank.Machine.lines * p.Machine.n_banks;
-          assoc = p.Machine.bank.Machine.assoc;
-          latency = p.Machine.bank.Machine.latency + p.Machine.xbar_latency;
-          policy = policies.Engine.l3_policy;
-        })
+        lru_level
+          ~lines:(p.Machine.bank.Machine.lines * p.Machine.n_banks)
+          ~assoc:p.Machine.bank.Machine.assoc
+          ~latency:(p.Machine.bank.Machine.latency + p.Machine.xbar_latency))
       m.Machine.l3
   in
   let t = m.Machine.mem.Machine.timing in
   {
-    l1 = level m.Machine.l1 policies.Engine.l1_policy;
-    l2 = level m.Machine.l2 policies.Engine.l2_policy;
+    l1 = level m.Machine.l1;
+    l2 = level m.Machine.l2;
     l3;
     mem_latency =
       t.Dram_sim.t_ctrl + t.Dram_sim.t_rcd + t.Dram_sim.t_cas
@@ -470,66 +468,15 @@ let run_serial ?render ?(emit = fun (_ : string) -> ()) cfg records =
       if Buffer.length buf > 0 then emit (Buffer.contents buf));
   summary r
 
-let replay_shard r source (bk : Trace_io.buckets) ~shard =
-  match source with
-  | Trace_io.Packed tr ->
-      let idx = bk.Trace_io.seqs.(shard) in
-      let addrs = tr.Trace_io.addrs and meta = tr.Trace_io.meta in
-      for k = 0 to Array.length idx - 1 do
-        let i = Array.unsafe_get idx k in
-        let m = Array.unsafe_get meta i in
-        ignore
-          (step r ~tid:(m lsr 1) ~write:(m land 1 = 1)
-             ~addr:(Array.unsafe_get addrs i)
-            : outcome)
-      done
-  | Trace_io.Mapped mp ->
-      let offs = bk.Trace_io.offs.(shard) in
-      for k = 0 to Array.length offs - 1 do
-        let o = Array.unsafe_get offs k in
-        let m = Trace_io.off_meta mp o in
-        ignore
-          (step r ~tid:(m lsr 1) ~write:(m land 1 = 1)
-             ~addr:(Trace_io.off_addr mp o)
-            : outcome)
-      done
-
-let replay_shard_render r source (bk : Trace_io.buckets) ~shard rd buf =
-  match source with
-  | Trace_io.Packed tr ->
-      let idx = bk.Trace_io.seqs.(shard) in
-      let addrs = tr.Trace_io.addrs and meta = tr.Trace_io.meta in
-      for k = 0 to Array.length idx - 1 do
-        let i = Array.unsafe_get idx k in
-        let m = Array.unsafe_get meta i in
-        let tid = m lsr 1
-        and write = m land 1 = 1
-        and addr = Array.unsafe_get addrs i in
-        let o = step r ~tid ~write ~addr in
-        rd buf ~seq:i ~tid ~write ~addr o
-      done
-  | Trace_io.Mapped mp ->
-      let idx = bk.Trace_io.seqs.(shard) in
-      let offs = bk.Trace_io.offs.(shard) in
-      for k = 0 to Array.length offs - 1 do
-        let off = Array.unsafe_get offs k in
-        let m = Trace_io.off_meta mp off in
-        let tid = m lsr 1
-        and write = m land 1 = 1
-        and addr = Trace_io.off_addr mp off in
-        let o = step r ~tid ~write ~addr in
-        rd buf ~seq:(Array.unsafe_get idx k) ~tid ~write ~addr o
-      done
-
 (* Merge per-shard row buffers back into original trace order: record [i]'s
-   row is the next unconsumed row of shard [shard_of.(i)] (each shard
+   row is the next unconsumed row of shard [shard_of bk i] (each shard
    rendered its records in ascending [i], so a per-shard cursor suffices). *)
-let merge_rows (bk : Trace_io.buckets) outs n ~emit =
+let merge_rows bk outs n ~emit =
   let ns = Array.length outs in
   let cur = Array.make ns 0 in
   let ob = Buffer.create flush_bytes in
   for i = 0 to n - 1 do
-    let s = Char.code (Bytes.unsafe_get bk.Trace_io.shard_of i) in
+    let s = Trace_io.shard_of bk i in
     let rows = Array.unsafe_get outs s in
     let c = Array.unsafe_get cur s in
     let j = String.index_from rows c '\n' in
@@ -542,17 +489,67 @@ let merge_rows (bk : Trace_io.buckets) outs n ~emit =
   done;
   if Buffer.length ob > 0 then emit (Buffer.contents ob)
 
+let resolve_jobs = function
+  | Some j -> max 1 j
+  | None -> Cacti_util.Pool.default_jobs ()
+
+let line_shift cfg = Cacti_util.Floatx.clog2 cfg.line_bytes
+
+(* Summary-only replay of every config in [cfgs] (all of one line size)
+   over one pool: at [bits] > 0 the trace is bucketed once and the
+   (config × shard) work items fan out, so even a single config uses
+   every domain; at 0 bits each config replays serially.  A config's
+   shard summaries add up in fixed shard order. *)
+let replay_summaries ~jobs ~bits cfgs source =
+  let ns = 1 lsl bits in
+  let bk =
+    if bits = 0 || Array.length cfgs = 0 then None
+    else Some (Trace_io.bucket source ~line_shift:(line_shift cfgs.(0)) ~bits)
+  in
+  let sums = Array.make (Array.length cfgs * ns) empty_summary in
+  let pool = Cacti_util.Pool.create ~jobs () in
+  Cacti_util.Pool.run_chunked ~chunk:1 pool (Array.length sums) (fun i ->
+      let cfg = cfgs.(i / ns) in
+      sums.(i) <-
+        (match bk with
+        | None -> run_serial cfg (Trace_io.iter_source source)
+        | Some bk ->
+            let r = create cfg in
+            Trace_io.iter_shard source bk ~shard:(i mod ns)
+              ~f:(fun ~seq:_ ~tid ~write ~addr ->
+                ignore (step r ~tid ~write ~addr : outcome));
+            summary r));
+  Array.init (Array.length cfgs) (fun c ->
+      Array.fold_left add_summary empty_summary (Array.sub sums (c * ns) ns))
+
+let run_configs ?jobs cfgs source =
+  let jobs = resolve_jobs jobs in
+  (* One shard count for every config: the finest plan all of them
+     support, so a single bucketing pass serves them all. *)
+  let plan (bits, diags) cfg =
+    if bits > 0 && cfg.line_bytes <> cfgs.(0).line_bytes then
+      ( 0,
+        [
+          Cacti_util.Diag.warning ~component:"replay"
+            ~reason:"shard_unsupported"
+            "the configurations differ in line_bytes — falling back to \
+             serial replay";
+        ] )
+    else
+      match shard_plan cfg ~bits with
+      | Ok m -> (m, diags)
+      | Error d -> (0, [ d ])
+  in
+  let bits, diags =
+    Array.fold_left plan (Cacti_util.Floatx.clog2 jobs, []) cfgs
+  in
+  (replay_summaries ~jobs ~bits cfgs source, diags)
+
 let run_sharded ?jobs ?bits ?render ?(emit = fun (_ : string) -> ()) cfg
     source =
-  let jobs_n =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> Cacti_util.Pool.default_jobs ()
-  in
+  let jobs = resolve_jobs jobs in
   let requested =
-    match bits with
-    | Some b -> b
-    | None -> Cacti_util.Floatx.clog2 (max 1 jobs_n)
+    match bits with Some b -> b | None -> Cacti_util.Floatx.clog2 jobs
   in
   let m, diags =
     match shard_plan cfg ~bits:requested with
@@ -561,26 +558,22 @@ let run_sharded ?jobs ?bits ?render ?(emit = fun (_ : string) -> ()) cfg
   in
   if m = 0 then
     (run_serial ?render ~emit cfg (Trace_io.iter_source source), diags)
-  else begin
-    let ns = 1 lsl m in
-    let bk =
-      Trace_io.bucket source
-        ~line_shift:(Cacti_util.Floatx.clog2 cfg.line_bytes) ~bits:m
-    in
-    let sums = Array.make ns empty_summary in
-    let outs = Array.make ns "" in
-    let pool = Cacti_util.Pool.create ~jobs:jobs_n () in
-    Cacti_util.Pool.run_chunked ~chunk:1 pool ns (fun s ->
-        let r = create cfg in
-        (match render with
-        | None -> replay_shard r source bk ~shard:s
-        | Some rd ->
+  else
+    match render with
+    | None -> ((replay_summaries ~jobs ~bits:m [| cfg |] source).(0), diags)
+    | Some rd ->
+        let ns = 1 lsl m in
+        let bk = Trace_io.bucket source ~line_shift:(line_shift cfg) ~bits:m in
+        let sums = Array.make ns empty_summary in
+        let outs = Array.make ns "" in
+        let pool = Cacti_util.Pool.create ~jobs () in
+        Cacti_util.Pool.run_chunked ~chunk:1 pool ns (fun s ->
+            let r = create cfg in
             let buf = Buffer.create flush_bytes in
-            replay_shard_render r source bk ~shard:s rd buf;
-            outs.(s) <- Buffer.contents buf);
-        sums.(s) <- summary r);
-    (match render with
-    | None -> ()
-    | Some _ -> merge_rows bk outs (Trace_io.source_length source) ~emit);
-    (Array.fold_left add_summary empty_summary sums, diags)
-  end
+            Trace_io.iter_shard source bk ~shard:s
+              ~f:(fun ~seq ~tid ~write ~addr ->
+                rd buf ~seq ~tid ~write ~addr (step r ~tid ~write ~addr));
+            outs.(s) <- Buffer.contents buf;
+            sums.(s) <- summary r);
+        merge_rows bk outs (Trace_io.source_length source) ~emit;
+        (Array.fold_left add_summary empty_summary sums, diags)

@@ -51,13 +51,12 @@ val with_policies :
 val with_preset : Mcsim.Policy.preset -> config -> config
 (** Applies the preset's per-level policy tuple, keeping the geometry. *)
 
-val of_machine :
-  ?policies:Mcsim.Engine.level_policies -> Mcsim.Machine.t -> config
+val of_machine : Mcsim.Machine.t -> config
 (** The hierarchy geometry of a simulator machine (L3 capacity summed over
     its banks, L3 latency includes one crossbar traversal, memory latency
-    estimated from the DRAM timing), with the given policies (default
-    all-LRU).  Used by [llc_study --replay] to re-run the stacked-LLC
-    configurations on a real trace. *)
+    estimated from the DRAM timing), LRU at every level ({!with_preset}
+    applies a CPU's policies).  Used by [llc_study --replay] to re-run the
+    stacked-LLC configurations on a real trace. *)
 
 type outcome = {
   mutable level : int;  (** 0 = L1 hit, 1 = L2 hit, 2 = L3 hit, 3 = memory *)
@@ -145,7 +144,7 @@ val run_serial :
 (** Replays the records that the iterator passes to [f], in order, through
     one replayer; rendered rows are streamed through [emit] in ~64 KB
     slabs.  This is the loop of {!run_sharded} at 0 shard bits, and the
-    only way to replay a trace that can be neither mapped nor re-read,
+    way to replay a stream that is read once and never held in memory,
     such as [Trace_io.iter_channel] over stdin. *)
 
 val run_sharded :
@@ -164,7 +163,17 @@ val run_sharded :
     When the plan resolves to 0 bits (including the [shard_unsupported]
     fallback, returned in the diag list) {!run_serial} replays the trace. *)
 
-val replay_shard : t -> Trace_io.source -> Trace_io.buckets -> shard:int -> unit
-(** Replays only the records of one shard into [t] (no rendering).
-    Building block for callers that schedule (config × shard) work items
-    on their own pool, e.g. [llc_study --replay]. *)
+val run_configs :
+  ?jobs:int ->
+  config array ->
+  Trace_io.source ->
+  summary array * Cacti_util.Diag.t list
+(** The summary of every config over the whole trace, as {!run_sharded}
+    without rendering returns it for each one alone.  The trace is bucketed
+    once on the finest shard plan that every config supports (from [clog2
+    jobs] bits), and the (config × shard) work items fan out over one
+    [Cacti_util.Pool] of [jobs] domains, so a single config still uses
+    every domain.  When the plan resolves to 0 bits each config replays
+    serially; a [shard_unsupported] warning (also for configs of different
+    [line_bytes]) is returned in the diag list.  Summaries are identical
+    for any [jobs]. *)

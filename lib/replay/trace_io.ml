@@ -298,18 +298,22 @@ let iter_file ?format path ~f =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> iter_channel ~path format ic ~f)
 
-(* ---------------- zero-copy mapped traces ---------------- *)
+(* ---------------- sources ---------------- *)
 
 type bigbytes =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type mapped = {
+(* Every replayable trace is the binary layout's records in one char
+   Bigarray: a read-only mapping of a binary file (its chunk table read
+   from the file), or an in-memory image that a text file or
+   [of_records] fills as one chunk. *)
+type source = {
   buf : bigbytes;
-  m_path : string;
-  m_n : int;
+  path : string;  (** labels validation errors *)
+  n : int;
   chunk_first : int array;
       (** record index of chunk [c]'s first record; length [n_chunks + 1],
-          last entry = [m_n] *)
+          last entry = [n] *)
   chunk_off : int array;  (** byte offset of chunk [c]'s first record *)
 }
 
@@ -323,6 +327,9 @@ let mu32 path (buf : bigbytes) size pos what =
   lor (mbyte buf (pos + 2) lsl 16)
   lor (mbyte buf (pos + 3) lsl 24)
 
+(* Maps a binary trace file read-only and indexes its chunk table.  Only
+   framing is validated here, in O(chunks); records are validated by the
+   first full pass ([iter_source] or [bucket]). *)
 let map_binary path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   let size, buf =
@@ -364,99 +371,14 @@ let map_binary path =
       walk (pos + 4 + (n * record_bytes)) (first + n)
     end
   in
-  let m_n = walk (m + 4) 0 in
+  let n = walk (m + 4) 0 in
   {
     buf;
-    m_path = path;
-    m_n;
-    chunk_first = Array.of_list (List.rev (m_n :: !firsts));
+    path;
+    n;
+    chunk_first = Array.of_list (List.rev (n :: !firsts));
     chunk_off = Array.of_list (List.rev !offs);
   }
-
-let mapped_length mp = mp.m_n
-
-(* Validate-and-decode the record at byte offset [o] (index [i] labels
-   errors), mirroring [iter_binary]'s diagnostics. *)
-let checked_flags mp i o =
-  let flags = mbyte mp.buf o in
-  if flags land lnot 1 <> 0 then
-    fail mp.m_path (i + 1) "invalid flag byte 0x%02x" flags;
-  flags
-
-let checked_addr mp i o =
-  let b7 = mbyte mp.buf (o + 10) in
-  if b7 land 0xC0 <> 0 then begin
-    (* out of [0, 2^62): render the full 64-bit value for the message *)
-    let a = ref 0L in
-    for k = 10 downto 3 do
-      a := Int64.logor (Int64.shift_left !a 8) (Int64.of_int (mbyte mp.buf (o + k)))
-    done;
-    fail mp.m_path (i + 1) "address 0x%Lx out of range [0, 2^62)" !a
-  end;
-  mbyte mp.buf (o + 3)
-  lor (mbyte mp.buf (o + 4) lsl 8)
-  lor (mbyte mp.buf (o + 5) lsl 16)
-  lor (mbyte mp.buf (o + 6) lsl 24)
-  lor (mbyte mp.buf (o + 7) lsl 32)
-  lor (mbyte mp.buf (o + 8) lsl 40)
-  lor (mbyte mp.buf (o + 9) lsl 48)
-  lor (b7 lsl 56)
-
-(* Unchecked accessors for replay hot loops: [o] must be a record offset
-   produced by {!bucket} (which validated the record). *)
-let off_meta mp o =
-  let tid = mbyte mp.buf (o + 1) lor (mbyte mp.buf (o + 2) lsl 8) in
-  (tid lsl 1) lor (mbyte mp.buf o land 1)
-
-let off_addr mp o =
-  mbyte mp.buf (o + 3)
-  lor (mbyte mp.buf (o + 4) lsl 8)
-  lor (mbyte mp.buf (o + 5) lsl 16)
-  lor (mbyte mp.buf (o + 6) lsl 24)
-  lor (mbyte mp.buf (o + 7) lsl 32)
-  lor (mbyte mp.buf (o + 8) lsl 40)
-  lor (mbyte mp.buf (o + 9) lsl 48)
-  lor (mbyte mp.buf (o + 10) lsl 56)
-
-let iter_mapped mp ~f =
-  for c = 0 to Array.length mp.chunk_off - 1 do
-    let first = mp.chunk_first.(c) in
-    let count = mp.chunk_first.(c + 1) - first in
-    let o = ref mp.chunk_off.(c) in
-    for k = 0 to count - 1 do
-      let i = first + k in
-      let flags = checked_flags mp i !o in
-      let addr = checked_addr mp i !o in
-      let tid = mbyte mp.buf (!o + 1) lor (mbyte mp.buf (!o + 2) lsl 8) in
-      f ~tid ~write:(flags land 1 = 1) ~addr;
-      o := !o + record_bytes
-    done
-  done
-
-(* ---------------- in-memory traces ---------------- *)
-
-type packed = { n : int; addrs : int array; meta : int array }
-
-let load ?format path =
-  let addrs = ref (Array.make 4096 0) in
-  let meta = ref (Array.make 4096 0) in
-  let n = ref 0 in
-  let push ~tid ~write ~addr =
-    if !n = Array.length !addrs then begin
-      let grow a =
-        let b = Array.make (2 * Array.length a) 0 in
-        Array.blit a 0 b 0 (Array.length a);
-        b
-      in
-      addrs := grow !addrs;
-      meta := grow !meta
-    end;
-    !addrs.(!n) <- addr;
-    !meta.(!n) <- (tid lsl 1) lor Bool.to_int write;
-    incr n
-  in
-  ignore (iter_file ?format path ~f:push);
-  { n = !n; addrs = !addrs; meta = !meta }
 
 let check_record tid write addr =
   ignore write;
@@ -465,116 +387,159 @@ let check_record tid write addr =
   if addr < 0 || addr > max_addr then
     invalid_arg (Printf.sprintf "Trace_io: address 0x%x out of range" addr)
 
+let create_image bytes =
+  Bigarray.Array1.create Bigarray.char Bigarray.c_layout bytes
+
+let set_byte (buf : bigbytes) o v =
+  Bigarray.Array1.unsafe_set buf o (Char.unsafe_chr v)
+
+(* Encodes one record at byte offset [o] as the binary writer does. *)
+let set_record buf o ~tid ~write ~addr =
+  set_byte buf o (Bool.to_int write);
+  set_byte buf (o + 1) (tid land 0xFF);
+  set_byte buf (o + 2) (tid lsr 8);
+  for k = 0 to 7 do
+    set_byte buf (o + 3 + k) ((addr lsr (8 * k)) land 0xFF)
+  done
+
+let one_chunk path buf n =
+  { buf; path; n; chunk_first = [| 0; n |]; chunk_off = [| 0 |] }
+
+(* A text file parsed into an image that doubles as it fills. *)
+let load_text path =
+  let buf = ref (create_image (4096 * record_bytes)) in
+  let n = ref 0 in
+  let push ~tid ~write ~addr =
+    let o = !n * record_bytes in
+    if o = Bigarray.Array1.dim !buf then begin
+      let b = create_image (2 * o) in
+      Bigarray.Array1.blit !buf (Bigarray.Array1.sub b 0 o);
+      buf := b
+    end;
+    set_record !buf o ~tid ~write ~addr;
+    incr n
+  in
+  ignore (iter_file ~format:Text path ~f:push : int);
+  one_chunk path !buf !n
+
 let of_records recs =
-  let n = Array.length recs in
-  let addrs = Array.make (max 1 n) 0 in
-  let meta = Array.make (max 1 n) 0 in
+  let buf = create_image (Array.length recs * record_bytes) in
   Array.iteri
     (fun i (tid, write, addr) ->
       check_record tid write addr;
-      addrs.(i) <- addr;
-      meta.(i) <- (tid lsl 1) lor Bool.to_int write)
+      set_record buf (i * record_bytes) ~tid ~write ~addr)
     recs;
-  { n; addrs; meta }
-
-let iter_packed t ~f =
-  for i = 0 to t.n - 1 do
-    let m = Array.unsafe_get t.meta i in
-    f ~tid:(m lsr 1) ~write:(m land 1 = 1) ~addr:(Array.unsafe_get t.addrs i)
-  done
-
-(* ---------------- sources and shard bucketing ---------------- *)
-
-type source = Packed of packed | Mapped of mapped
+  one_chunk "<records>" buf (Array.length recs)
 
 let load_source ?format path =
   let format =
     match format with Some fmt -> fmt | None -> detect_file path
   in
-  match format with
-  | Binary -> Mapped (map_binary path)
-  | Text -> Packed (load ~format path)
+  match format with Binary -> map_binary path | Text -> load_text path
 
-let source_length = function Packed p -> p.n | Mapped m -> m.m_n
+let source_length src = src.n
+
+(* Validate-and-decode the record at byte offset [o] (index [i] labels
+   errors), mirroring [iter_binary]'s diagnostics. *)
+let checked_flags src i o =
+  let flags = mbyte src.buf o in
+  if flags land lnot 1 <> 0 then
+    fail src.path (i + 1) "invalid flag byte 0x%02x" flags;
+  flags
+
+let checked_addr src i o =
+  let b7 = mbyte src.buf (o + 10) in
+  if b7 land 0xC0 <> 0 then begin
+    (* out of [0, 2^62): render the full 64-bit value for the message *)
+    let a = ref 0L in
+    for k = 10 downto 3 do
+      let byte = Int64.of_int (mbyte src.buf (o + k)) in
+      a := Int64.logor (Int64.shift_left !a 8) byte
+    done;
+    fail src.path (i + 1) "address 0x%Lx out of range [0, 2^62)" !a
+  end;
+  mbyte src.buf (o + 3)
+  lor (mbyte src.buf (o + 4) lsl 8)
+  lor (mbyte src.buf (o + 5) lsl 16)
+  lor (mbyte src.buf (o + 6) lsl 24)
+  lor (mbyte src.buf (o + 7) lsl 32)
+  lor (mbyte src.buf (o + 8) lsl 40)
+  lor (mbyte src.buf (o + 9) lsl 48)
+  lor (b7 lsl 56)
 
 let iter_source src ~f =
-  match src with Packed p -> iter_packed p ~f | Mapped m -> iter_mapped m ~f
+  for c = 0 to Array.length src.chunk_off - 1 do
+    let first = src.chunk_first.(c) in
+    let count = src.chunk_first.(c + 1) - first in
+    let o = ref src.chunk_off.(c) in
+    for k = 0 to count - 1 do
+      let i = first + k in
+      let flags = checked_flags src i !o in
+      let addr = checked_addr src i !o in
+      let tid = mbyte src.buf (!o + 1) lor (mbyte src.buf (!o + 2) lsl 8) in
+      f ~tid ~write:(flags land 1 = 1) ~addr;
+      o := !o + record_bytes
+    done
+  done
+
+(* ---------------- shard bucketing ---------------- *)
 
 type buckets = {
-  b_bits : int;
-  shard_of : Bytes.t;  (** shard id of record [i] (merge walks this) *)
-  seqs : int array array;
-      (** per shard, ascending original record indices *)
-  offs : int array array;
-      (** per shard, the matching byte offsets ([Mapped] sources only;
-          [[||]]s for [Packed]) *)
+  shard_ids : Bytes.t;  (** shard id of record [i] *)
+  seqs : int array array;  (** per shard, ascending record indices *)
 }
 
 let max_shard_bits = 8
 
-let bucket source ~line_shift ~bits =
+let bucket src ~line_shift ~bits =
   if bits < 1 || bits > max_shard_bits then
     invalid_arg "Trace_io.bucket: bits must be in 1..8";
   let ns = 1 lsl bits in
   let mask = ns - 1 in
-  let n = source_length source in
-  let shard_of = Bytes.create n in
-  let push tab len s v =
-    let a = tab.(s) in
-    let l = len.(s) in
-    let a =
-      if l = Array.length a then begin
-        let b = Array.make (2 * l) 0 in
-        Array.blit a 0 b 0 l;
-        tab.(s) <- b;
-        b
-      end
-      else a
-    in
-    Array.unsafe_set a l v;
-    len.(s) <- l + 1
-  in
+  let shard_ids = Bytes.create src.n in
   let seqs = Array.init ns (fun _ -> Array.make 16 0) in
-  let seq_len = Array.make ns 0 in
-  match source with
-  | Packed tr ->
-      for i = 0 to n - 1 do
-        let s = (Array.unsafe_get tr.addrs i lsr line_shift) land mask in
-        Bytes.unsafe_set shard_of i (Char.unsafe_chr s);
-        push seqs seq_len s i
-      done;
-      {
-        b_bits = bits;
-        shard_of;
-        seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 seq_len.(s));
-        offs = Array.make ns [||];
-      }
-  | Mapped mp ->
-      let offs = Array.init ns (fun _ -> Array.make 16 0) in
-      let off_len = Array.make ns 0 in
-      (* One validating pass: record index and byte offset advance
-         together chunk by chunk. *)
-      for c = 0 to Array.length mp.chunk_off - 1 do
-        let first = mp.chunk_first.(c) in
-        let count = mp.chunk_first.(c + 1) - first in
-        let o = ref mp.chunk_off.(c) in
-        for k = 0 to count - 1 do
-          let i = first + k in
-          ignore (checked_flags mp i !o : int);
-          let addr = checked_addr mp i !o in
-          let s = (addr lsr line_shift) land mask in
-          Bytes.unsafe_set shard_of i (Char.unsafe_chr s);
-          push seqs seq_len s i;
-          push offs off_len s !o;
-          o := !o + record_bytes
-        done
-      done;
-      {
-        b_bits = bits;
-        shard_of;
-        seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 seq_len.(s));
-        offs = Array.init ns (fun s -> Array.sub offs.(s) 0 off_len.(s));
-      }
+  let len = Array.make ns 0 in
+  let i = ref 0 in
+  iter_source src ~f:(fun ~tid:_ ~write:_ ~addr ->
+      let s = (addr lsr line_shift) land mask in
+      Bytes.unsafe_set shard_ids !i (Char.unsafe_chr s);
+      let a = seqs.(s) and l = len.(s) in
+      let a =
+        if l = Array.length a then begin
+          let b = Array.make (2 * l) 0 in
+          Array.blit a 0 b 0 l;
+          seqs.(s) <- b;
+          b
+        end
+        else a
+      in
+      Array.unsafe_set a l !i;
+      len.(s) <- l + 1;
+      incr i);
+  { shard_ids; seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 len.(s)) }
+
+let shard_of bk i = Char.code (Bytes.get bk.shard_ids i)
+
+(* A shard's indices ascend, so its byte offsets are found by walking the
+   chunk table forward alongside them.  The length check keeps every
+   offset inside [src]: [bk]'s indices are below its record count. *)
+let iter_shard src bk ~shard ~f =
+  if Bytes.length bk.shard_ids <> src.n then
+    invalid_arg "Trace_io.iter_shard: buckets of another source";
+  let idx = bk.seqs.(shard) in
+  let c = ref 0 in
+  for k = 0 to Array.length idx - 1 do
+    let i = Array.unsafe_get idx k in
+    while Array.unsafe_get src.chunk_first (!c + 1) <= i do incr c done;
+    let o =
+      Array.unsafe_get src.chunk_off !c
+      + ((i - Array.unsafe_get src.chunk_first !c) * record_bytes)
+    in
+    let flags = checked_flags src i o in
+    let addr = checked_addr src i o in
+    let tid = mbyte src.buf (o + 1) lor (mbyte src.buf (o + 2) lsl 8) in
+    f ~seq:i ~tid ~write:(flags land 1 = 1) ~addr
+  done
 
 (* ---------------- writers ---------------- *)
 

@@ -37,7 +37,14 @@
     are canonical: [0x]/[0X] and 1-15 hex digits or 1-18 decimal digits
     for the address, 1-5 decimal digits for the thread id.  Other spellings
     are converted through [int_of_string].  Addresses are byte addresses;
-    thread ids are bounded by 65535. *)
+    thread ids are bounded by 65535.
+
+    A trace loaded for replay ({!source}) has one form whatever its
+    encoding: the binary records above in a char Bigarray — a binary file
+    mapped as it is, a text file parsed into an in-memory image of the
+    same layout.  Consumers iterate it ({!iter_source}) or bucket it into
+    shards and iterate one shard ({!bucket}, {!iter_shard}); the record
+    layout never leaves this module. *)
 
 exception Parse_error of { path : string; line : int; msg : string }
 (** Malformed input, typed: bad op/address/tid on a text line, bad magic,
@@ -79,91 +86,64 @@ val iter_file :
 (** Opens, {!detect_file}s when [format] is omitted, iterates, closes
     (also on exception). *)
 
-(** {1 In-memory traces}
+(** {1 Sources}
 
-    For consumers that replay the same trace several times (the study's
-    config matrix, benchmarks): two flat int arrays, no per-record boxing. *)
+    A replayable trace, for consumers that replay the same trace several
+    times (sharded replay, the study's config matrix, benchmarks).  Every
+    source holds the binary layout's 11-byte records: a binary file is
+    memory-mapped read-only and replayed straight out of the page cache
+    (only framing — magic, version, chunk table — is validated when it is
+    mapped, records by the first full pass); a text file or
+    {!of_records} fills an in-memory image of the same layout as one
+    chunk. *)
 
-type packed = {
-  n : int;
-  addrs : int array;  (** byte addresses, [0 .. n-1] *)
-  meta : int array;  (** [(tid lsl 1) lor write], [0 .. n-1] *)
-}
-
-val load : ?format:format -> string -> packed
-val of_records : (int * bool * int) array -> packed
-(** [(tid, write, addr)] records, validated against the encodable bounds. *)
-
-val iter_packed :
-  packed -> f:(tid:int -> write:bool -> addr:int -> unit) -> unit
-
-(** {1 Zero-copy mapped traces}
-
-    Binary trace files can be memory-mapped instead of stream-parsed: the
-    replay path then reads records straight out of the page cache with no
-    copy and no per-record channel I/O.  Only framing (magic, version,
-    chunk table) is validated at map time — O(chunks); record contents are
-    validated by the first full pass ({!iter_mapped} or {!bucket}). *)
-
-type mapped
-
-val map_binary : string -> mapped
-(** Maps a binary trace file ([Unix.map_file], read-only) and indexes its
-    chunk table.  Raises {!Parse_error} on bad magic/version, truncated or
-    oversized chunks, or trailing bytes; [Unix.Unix_error] if the file
-    cannot be opened. *)
-
-val mapped_length : mapped -> int
-(** Total record count (from the chunk table). *)
-
-val iter_mapped :
-  mapped -> f:(tid:int -> write:bool -> addr:int -> unit) -> unit
-(** Streams every record through [f] in trace order, validating flags and
-    address range exactly like the channel reader ({!Parse_error} labels
-    the 1-based record index). *)
-
-val off_meta : mapped -> int -> int
-(** [(tid lsl 1) lor write] of the record at a byte offset taken from
-    {!bucket}'s [offs].  Unchecked: offsets must come from {!bucket},
-    which validated the record. *)
-
-val off_addr : mapped -> int -> int
-(** Byte address of the record at a {!bucket} byte offset (unchecked, see
-    {!off_meta}). *)
-
-(** {1 Sources and shard bucketing} *)
-
-type source = Packed of packed | Mapped of mapped
-(** A replayable trace: either parsed into flat arrays or mapped
-    zero-copy.  {!load_source} picks [Mapped] for binary files. *)
+type source
 
 val load_source : ?format:format -> string -> source
+(** Maps a binary file or parses a text file ({!detect_file} when [format]
+    is omitted).  Raises {!Parse_error} on malformed text or binary framing
+    (bad magic/version, truncated or oversized chunks, trailing bytes),
+    [Unix.Unix_error] or [Sys_error] if the file cannot be opened. *)
+
+val of_records : (int * bool * int) array -> source
+(** [(tid, write, addr)] records, validated against the encodable bounds
+    ([Invalid_argument]). *)
 
 val source_length : source -> int
 
 val iter_source :
   source -> f:(tid:int -> write:bool -> addr:int -> unit) -> unit
+(** Streams every record through [f] in trace order, validating flags and
+    address range exactly like the channel reader ({!Parse_error} labels
+    the 1-based record index). *)
 
-type buckets = {
-  b_bits : int;
-  shard_of : Bytes.t;  (** shard id of record [i] (merge walks this) *)
-  seqs : int array array;
-      (** per shard, ascending original record indices *)
-  offs : int array array;
-      (** per shard, the matching byte offsets ([Mapped] sources only;
-          [[||]]s for [Packed]) *)
-}
+(** {1 Shard bucketing} *)
+
+type buckets
+(** Per shard, the ascending indices of its records, and the shard id of
+    every record. *)
 
 val max_shard_bits : int
 (** 8 — shard ids must fit a byte. *)
 
 val bucket : source -> line_shift:int -> bits:int -> buckets
-(** One pass over [source] assigning record [i] to shard
-    [(addr lsr line_shift) land (2^bits - 1)] and collecting each shard's
-    record indices (and, for [Mapped], byte offsets) in trace order.
-    For [Mapped] sources this pass also validates every record
-    ({!Parse_error} as in {!iter_mapped}).  [bits] must be in
-    [1 .. max_shard_bits]. *)
+(** One validating pass over [source] (errors as in {!iter_source})
+    assigning record [i] to shard [(addr lsr line_shift) land (2^bits - 1)].
+    [bits] must be in [1 .. max_shard_bits]. *)
+
+val shard_of : buckets -> int -> int
+(** The shard of record [i]. *)
+
+val iter_shard :
+  source ->
+  buckets ->
+  shard:int ->
+  f:(seq:int -> tid:int -> write:bool -> addr:int -> unit) ->
+  unit
+(** Passes the records of one shard to [f] in ascending index order;
+    [seq] is the record's 0-based index in the trace.  [buckets] must come
+    from {!bucket} on the same source ([Invalid_argument] when its record
+    count differs). *)
 
 (** {1 Writing} *)
 

@@ -326,16 +326,7 @@ let access s (th : thread) line write =
     end
   end
 
-type level_policies = {
-  l1_policy : Policy.t;
-  l2_policy : Policy.t;
-  l3_policy : Policy.t;
-}
-
-let lru_policies =
-  { l1_policy = Policy.Lru; l2_policy = Policy.Lru; l3_policy = Policy.Lru }
-
-let make_sim ?make_gen ?(policies = lru_policies) cfg app params =
+let make_sim ?make_gen cfg app params =
   Workload.validate app;
   let n_threads = Machine.n_threads cfg in
   let quota = max 1 (params.total_instructions / n_threads) in
@@ -379,18 +370,15 @@ let make_sim ?make_gen ?(policies = lru_policies) cfg app params =
     quota;
     l1s =
       Array.init cfg.Machine.n_cores (fun _ ->
-          Cache_sim.create ~assoc:l1.Machine.assoc ~policy:policies.l1_policy
-            ~lines:l1.Machine.lines ());
+          Cache_sim.create ~assoc:l1.Machine.assoc ~lines:l1.Machine.lines ());
     l2s =
       Array.init cfg.Machine.n_cores (fun _ ->
-          Cache_sim.create ~assoc:l2.Machine.assoc ~policy:policies.l2_policy
-            ~lines:l2.Machine.lines ());
+          Cache_sim.create ~assoc:l2.Machine.assoc ~lines:l2.Machine.lines ());
     l3 =
       (match l3_cfg with
       | Some p ->
           Array.init l3_banks (fun _ ->
               Cache_sim.create ~assoc:p.Machine.bank.Machine.assoc
-                ~policy:policies.l3_policy
                 ~lines:p.Machine.bank.Machine.lines ())
       | None -> [||]);
     l3_free = Array.make (max 1 l3_banks) 0;
@@ -552,10 +540,10 @@ let run_sim s =
   st.Stats.dram <- Some (Dram_sim.counts s.dram);
   st
 
-let run ?(params = default_params) ?make_gen ?policies cfg app =
-  run_sim (make_sim ?make_gen ?policies cfg app params)
+let run ?(params = default_params) ?make_gen cfg app =
+  run_sim (make_sim ?make_gen cfg app params)
 
-let run_audited ?(params = default_params) ?make_gen ?policies cfg app =
-  let s = make_sim ?make_gen ?policies cfg app params in
+let run_audited ?(params = default_params) ?make_gen cfg app =
+  let s = make_sim ?make_gen cfg app params in
   let st = run_sim s in
   (st, audit_directory s)

@@ -18,23 +18,9 @@ type run_params = {
 val default_params : run_params
 (** 16 M instructions, seed 42, 60-cycle barrier release. *)
 
-type level_policies = {
-  l1_policy : Policy.t;
-  l2_policy : Policy.t;
-  l3_policy : Policy.t;
-}
-(** Replacement policy per cache level (the L3 policy applies to every
-    bank). *)
-
-val lru_policies : level_policies
-(** All-LRU — the historical behaviour and the default; running with it is
-    bit-identical to the pre-policy engine (pinned by the golden counter
-    tests). *)
-
 val run :
   ?params:run_params ->
   ?make_gen:(thread_id:int -> Workload.gen) ->
-  ?policies:level_policies ->
   Machine.t ->
   Workload.app ->
   Stats.t
@@ -43,8 +29,7 @@ val run :
     wall-clock).  Deterministic for fixed [seed].  [make_gen] overrides the
     synthetic address generators — used to drive the machine from recorded
     traces ({!Trace}); the [app] still supplies the instruction mix and
-    synchronization cadences.  [policies] (default {!lru_policies}) selects
-    the replacement policy per cache level. *)
+    synchronization cadences. *)
 
 type audit = {
   directory_population : int;  (** lines with at least one sharer bit *)
@@ -61,7 +46,6 @@ type audit = {
 val run_audited :
   ?params:run_params ->
   ?make_gen:(thread_id:int -> Workload.gen) ->
-  ?policies:level_policies ->
   Machine.t ->
   Workload.app ->
   Stats.t * audit

@@ -193,10 +193,10 @@ let test_golden_lru () =
     [ F 60; F 61; F 62; F 63; A 60; F 64; F 65 ]
     [ -1; -1; -1; -1; 61; 62 ]
 
-(* ------------------- LRU engine bit-identity ----------------------- *)
+(* ----------------------- study machines --------------------------- *)
 
-(* Passing the policy machinery explicitly (all-LRU) must leave the
-   engine's counters bit-identical to the historical default path. *)
+(* A small simulator machine for [Replayer.of_machine]: 2 cores, a
+   2-bank L3 behind a crossbar. *)
 
 let tiny_cache ~lines ~assoc ~latency : Mcsim.Machine.cache_params =
   {
@@ -242,42 +242,6 @@ let test_machine : Mcsim.Machine.t =
     core_power = 10.;
     instr_per_fetch_line = 8;
   }
-
-let test_app : Mcsim.Workload.app =
-  {
-    Mcsim.Workload.name = "replay-test";
-    mem_ratio = 0.3;
-    fp_ratio = 0.3;
-    write_ratio = 0.3;
-    regions =
-      [
-        {
-          Mcsim.Workload.rname = "hot";
-          size_bytes = 32 * 1024;
-          pattern = Mcsim.Workload.Random_burst 4;
-          sharing = Mcsim.Workload.Shared;
-          weight = 1.0;
-          wr_scale = 1.0;
-        };
-      ];
-    barrier_interval = 10_000;
-    lock_interval = 10_000;
-    lock_hold = 50;
-    n_locks = 2;
-  }
-
-let test_lru_engine_identity () =
-  let params =
-    { Mcsim.Engine.default_params with total_instructions = 100_000 }
-  in
-  let st_default = Mcsim.Engine.run ~params test_machine test_app in
-  let st_explicit =
-    Mcsim.Engine.run ~params ~policies:Mcsim.Engine.lru_policies test_machine
-      test_app
-  in
-  Alcotest.(check bool)
-    "explicit LRU policies leave Stats.t bit-identical" true
-    (st_default = st_explicit)
 
 (* --------------------------- trace I/O ----------------------------- *)
 
@@ -669,16 +633,20 @@ let test_convert_output_dir () =
 
 (* ---------------------- zero-copy mapped traces -------------------- *)
 
-let write_binary_trace recs =
-  let path = tmp_file ".crtb" in
+let write_trace format recs =
+  let path =
+    tmp_file (match format with Trace_io.Binary -> ".crtb" | Text -> ".trc")
+  in
   let oc = open_out_bin path in
-  let w = Trace_io.open_writer Trace_io.Binary oc in
+  let w = Trace_io.open_writer format oc in
   Array.iter
     (fun (tid, write, addr) -> Trace_io.write_record w ~tid ~write ~addr)
     recs;
   Trace_io.close_writer w;
   close_out oc;
   path
+
+let write_binary_trace = write_trace Trace_io.Binary
 
 let test_map_binary () =
   (* more records than one writer chunk (65536), so the chunk table has
@@ -689,10 +657,10 @@ let test_map_binary () =
         (i land 0xFFFF, i land 1 = 0, (i * 2654435761) land 0xFFFFFFFF))
   in
   let path = write_binary_trace recs in
-  let mp = Trace_io.map_binary path in
-  Alcotest.(check int) "mapped_length" n (Trace_io.mapped_length mp);
+  let src = Trace_io.load_source path in
+  Alcotest.(check int) "source_length" n (Trace_io.source_length src);
   let i = ref 0 in
-  Trace_io.iter_mapped mp ~f:(fun ~tid ~write ~addr ->
+  Trace_io.iter_source src ~f:(fun ~tid ~write ~addr ->
       let etid, ewrite, eaddr = recs.(!i) in
       if tid <> etid || write <> ewrite || addr <> eaddr then
         Alcotest.failf "record %d differs" !i;
@@ -701,7 +669,7 @@ let test_map_binary () =
   (* empty trace maps fine *)
   let empty = write_binary_trace [||] in
   Alcotest.(check int) "empty" 0
-    (Trace_io.mapped_length (Trace_io.map_binary empty))
+    (Trace_io.source_length (Trace_io.load_source empty))
 
 let test_map_malformed () =
   let magic = "CACTIRPB" in
@@ -733,19 +701,20 @@ let test_map_malformed () =
       output_string oc bytes;
       close_out oc;
       match
-        let mp = Trace_io.map_binary path in
-        Trace_io.iter_mapped mp ~f:(fun ~tid:_ ~write:_ ~addr:_ -> ())
+        Trace_io.iter_source
+          (Trace_io.load_source ~format:Trace_io.Binary path)
+          ~f:(fun ~tid:_ ~write:_ ~addr:_ -> ())
       with
       | exception Trace_io.Parse_error _ -> ()
       | () -> Alcotest.failf "%s: accepted" name)
     cases
 
-let prop_packed_roundtrip =
-  QCheck.Test.make ~name:"of_records/iter_packed roundtrips" ~count:100
+let prop_records_roundtrip =
+  QCheck.Test.make ~name:"of_records/iter_source roundtrips" ~count:100
     gen_records (fun recs ->
-      let p = Trace_io.of_records (Array.of_list recs) in
+      let src = Trace_io.of_records (Array.of_list recs) in
       let acc = ref [] in
-      Trace_io.iter_packed p ~f:(fun ~tid ~write ~addr ->
+      Trace_io.iter_source src ~f:(fun ~tid ~write ~addr ->
           acc := (tid, write, addr) :: !acc);
       List.rev !acc = recs)
 
@@ -987,7 +956,7 @@ let test_sharded_fallback () =
   in
   let recs = synthetic_records 2_000 in
   let serial_csv, serial_sum = replay_csv cfg recs in
-  let source = Trace_io.Packed (Trace_io.of_records recs) in
+  let source = Trace_io.of_records recs in
   let csv, sum, diags = run_sharded_csv ~jobs:4 ~bits:2 cfg source in
   Alcotest.(check bool) "fell back with a diagnostic" true
     (List.exists
@@ -996,13 +965,20 @@ let test_sharded_fallback () =
   Alcotest.(check bool) "summary equals serial" true (sum = serial_sum);
   Alcotest.(check string) "stream equals serial" serial_csv csv
 
+(* The same records from each origin of a source: a text file, a binary
+   file (mapped) and [of_records]. *)
+let sources_of recs =
+  [
+    ("text", Trace_io.load_source (write_trace Trace_io.Text recs));
+    ("binary", Trace_io.load_source (write_binary_trace recs));
+    ("of_records", Trace_io.of_records recs);
+  ]
+
 (* Sharded replay is bit-identical to serial for every policy kind and
-   core count, from both Packed (text) and Mapped (mmap) sources. *)
+   core count, from every origin of a source. *)
 let test_sharded_all_policies () =
   let recs = synthetic_records 3_000 in
-  let path = write_binary_trace recs in
-  let mapped = Trace_io.load_source path in
-  let packed = Trace_io.Packed (Trace_io.of_records recs) in
+  let sources = sources_of recs in
   List.iter
     (fun p ->
       List.iter
@@ -1013,12 +989,13 @@ let test_sharded_all_policies () =
           in
           let serial_csv, serial_sum = replay_csv cfg recs in
           List.iter
-            (fun source ->
+            (fun (origin, source) ->
+              let name = name ^ " " ^ origin in
               let csv, sum, _ = run_sharded_csv ~jobs:4 ~bits:2 cfg source in
               Alcotest.(check bool) (name ^ " summary") true
                 (sum = serial_sum);
               Alcotest.(check string) (name ^ " stream") serial_csv csv)
-            [ packed; mapped ])
+            sources)
         [ 1; 2; 4 ])
     all_policies
 
@@ -1038,7 +1015,7 @@ let prop_sharded_identity =
       let cfg = with_policy p cores small_config in
       let recs = Array.of_list recs in
       let serial_csv, serial_sum = replay_csv cfg recs in
-      let source = Trace_io.Packed (Trace_io.of_records recs) in
+      let source = Trace_io.of_records recs in
       List.for_all
         (fun jobs ->
           List.for_all
@@ -1047,6 +1024,163 @@ let prop_sharded_identity =
               sum = serial_sum && String.equal csv serial_csv)
             [ 0; 1; 2; 3 ])
         [ 1; 2; 4 ])
+
+(* A binary trace cut into chunks of the given sizes, written byte by
+   byte: the writer always uses 65,536-record chunks, other writers may
+   not. *)
+let write_chunked_trace recs sizes =
+  let path = tmp_file ".crtb" in
+  let oc = open_out_bin path in
+  let u32 v =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int v);
+    output_bytes oc b
+  in
+  output_string oc "CACTIRPB";
+  u32 1;
+  let next = ref 0 in
+  List.iter
+    (fun k ->
+      u32 k;
+      for i = !next to !next + k - 1 do
+        let tid, write, addr = recs.(i) in
+        let b = Bytes.create 11 in
+        Bytes.set_uint8 b 0 (Bool.to_int write);
+        Bytes.set_uint16_le b 1 tid;
+        Bytes.set_int64_le b 3 (Int64.of_int addr);
+        output_bytes oc b
+      done;
+      next := !next + k)
+    sizes;
+  u32 0;
+  close_out oc;
+  path
+
+(* For every shard count, [bucket] + [iter_shard] visit each record
+   exactly once, in ascending index order within its shard, with the
+   record [iter_source] yields at that index — whatever the chunk table,
+   including a text file's one chunk, grown while it was parsed. *)
+let test_uneven_chunks () =
+  let sizes = [ 1; 2; 3; 65_536; 70_000 ] in
+  let n = List.fold_left ( + ) 0 sizes in
+  let recs = synthetic_records n in
+  let chunked sizes =
+    ( String.concat "," (List.map string_of_int sizes),
+      Trace_io.load_source (write_chunked_trace recs sizes) )
+  in
+  List.iter
+    (fun (layout, src) ->
+      Alcotest.(check int) (layout ^ " length") n (Trace_io.source_length src);
+      let tids = Array.make n 0 and writes = Array.make n false in
+      let addrs = Array.make n 0 and k = ref 0 in
+      Trace_io.iter_source src ~f:(fun ~tid ~write ~addr ->
+          tids.(!k) <- tid;
+          writes.(!k) <- write;
+          addrs.(!k) <- addr;
+          incr k);
+      Alcotest.(check bool) (layout ^ " iter_source = records") true
+        (Array.init n (fun i -> (tids.(i), writes.(i), addrs.(i))) = recs);
+      for bits = 1 to Trace_io.max_shard_bits do
+        let bk = Trace_io.bucket src ~line_shift:6 ~bits in
+        let seen = Bytes.make n '0' in
+        for shard = 0 to (1 lsl bits) - 1 do
+          let last = ref (-1) in
+          Trace_io.iter_shard src bk ~shard ~f:(fun ~seq ~tid ~write ~addr ->
+              if seq <= !last || Bytes.get seen seq <> '0' then
+                Alcotest.failf "%s bits %d shard %d: record %d after %d"
+                  layout bits shard seq !last;
+              last := seq;
+              Bytes.set seen seq '1';
+              if tid <> tids.(seq) || write <> writes.(seq)
+                 || addr <> addrs.(seq)
+              then
+                Alcotest.failf "%s bits %d: record %d differs" layout bits
+                  seq;
+              if (addr lsr 6) land ((1 lsl bits) - 1) <> shard
+                 || Trace_io.shard_of bk seq <> shard
+              then
+                Alcotest.failf "%s bits %d: record %d in shard %d" layout
+                  bits seq shard)
+        done;
+        Alcotest.(check string)
+          (Printf.sprintf "%s bits %d: every record visited" layout bits)
+          (String.make n '1') (Bytes.to_string seen)
+      done)
+    [
+      chunked sizes;
+      chunked (List.rev sizes);
+      chunked [ 70_000; 3; 65_536; 1; 2 ];
+      ("text", Trace_io.load_source (write_trace Trace_io.Text recs));
+    ];
+  let other = Trace_io.of_records (Array.sub recs 0 10) in
+  let bk = Trace_io.bucket other ~line_shift:6 ~bits:1 in
+  match
+    Trace_io.iter_shard (Trace_io.of_records recs) bk ~shard:0
+      ~f:(fun ~seq:_ ~tid:_ ~write:_ ~addr:_ -> ())
+  with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "buckets of another source accepted"
+
+(* [of_machine]: the machine's geometry, LRU at every level. *)
+let test_of_machine () =
+  let cfg = Replayer.of_machine test_machine in
+  let lru (lv : Replayer.level) = lv.Replayer.policy = Mcsim.Policy.Lru in
+  Alcotest.(check (list int)) "L1, L2 lines / assoc / latency"
+    [ 128; 4; 2; 1024; 8; 5 ]
+    [
+      cfg.Replayer.l1.lines; cfg.l1.assoc; cfg.l1.latency; cfg.l2.lines;
+      cfg.l2.assoc; cfg.l2.latency;
+    ];
+  (match cfg.Replayer.l3 with
+  | Some l3 ->
+      Alcotest.(check (list int)) "L3 over both banks, + crossbar"
+        [ 8192; 8; 9 ] [ l3.lines; l3.assoc; l3.latency ];
+      Alcotest.(check bool) "L3 LRU" true (lru l3)
+  | None -> Alcotest.fail "no L3");
+  Alcotest.(check bool) "L1, L2 LRU" true (lru cfg.l1 && lru cfg.l2);
+  Alcotest.(check (list int)) "memory latency, line, cores" [ 75; 64; 2 ]
+    [ cfg.mem_latency; cfg.line_bytes; cfg.n_cores ]
+
+(* [run_configs] returns what [run_sharded] returns for each config
+   alone, for any [jobs], and surfaces the planner's warning. *)
+let test_run_configs () =
+  let machine = Replayer.of_machine test_machine in
+  let skl =
+    match Mcsim.Policy.preset_of_string "skl" with
+    | Ok p -> Replayer.with_preset p machine
+    | Error d -> Alcotest.fail d.Cacti_util.Diag.message
+  in
+  let odd_sets =
+    {
+      small_config with
+      Replayer.l2 =
+        { Replayer.lines = 24; assoc = 4; latency = 14;
+          policy = Mcsim.Policy.Lru };
+    }
+  in
+  let src = Trace_io.of_records (synthetic_records 4_000) in
+  let serial cfgs =
+    Array.map (fun cfg -> fst (Replayer.run_sharded ~jobs:1 cfg src)) cfgs
+  in
+  let check name cfgs ~warns =
+    let expected = serial cfgs in
+    List.iter
+      (fun jobs ->
+        let name = Printf.sprintf "%s jobs %d" name jobs in
+        let sums, diags = Replayer.run_configs ~jobs cfgs src in
+        Alcotest.(check bool) (name ^ " summaries") true (sums = expected);
+        Alcotest.(check (list string)) (name ^ " diagnostics")
+          (if warns && jobs > 1 then [ "shard_unsupported" ] else [])
+          (List.map (fun d -> d.Cacti_util.Diag.reason) diags))
+      [ 1; 2; 4; 8 ]
+  in
+  check "shardable" [| machine; skl; small_config |] ~warns:false;
+  check "one unshardable" [| machine; odd_sets; skl |] ~warns:true;
+  check "mixed line sizes"
+    [| machine; { machine with Replayer.line_bytes = 128 } |]
+    ~warns:true;
+  Alcotest.(check int) "no configs" 0
+    (Array.length (fst (Replayer.run_configs ~jobs:4 [||] src)))
 
 (* --------------------------- row encoding -------------------------- *)
 
@@ -1282,8 +1416,6 @@ let () =
           Alcotest.test_case "QLRU_H11_M1_R1_U2" `Quick test_golden_qlru_r1_u2;
           Alcotest.test_case "MRU" `Quick test_golden_mru;
           Alcotest.test_case "MRU_N fallback" `Quick test_golden_mru_n;
-          Alcotest.test_case "LRU engine bit-identity" `Quick
-            test_lru_engine_identity;
         ] );
       ( "trace io",
         [
@@ -1305,7 +1437,7 @@ let () =
           QCheck_alcotest.to_alcotest
             (prop_writer_roundtrip Trace_io.Binary "binary writer roundtrips");
           QCheck_alcotest.to_alcotest prop_convert_roundtrip;
-          QCheck_alcotest.to_alcotest prop_packed_roundtrip;
+          QCheck_alcotest.to_alcotest prop_records_roundtrip;
           QCheck_alcotest.to_alcotest prop_trace_v1_roundtrip;
         ] );
       ( "replayer",
@@ -1326,6 +1458,10 @@ let () =
             test_sharded_fallback;
           Alcotest.test_case "all policies, all core counts" `Quick
             test_sharded_all_policies;
+          Alcotest.test_case "uneven chunk tables" `Quick test_uneven_chunks;
+          Alcotest.test_case "of_machine geometry" `Quick test_of_machine;
+          Alcotest.test_case "run_configs = run_sharded per config" `Quick
+            test_run_configs;
           QCheck_alcotest.to_alcotest prop_sharded_identity;
         ] );
       ( "report",
