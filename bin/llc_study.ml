@@ -2,12 +2,13 @@
 
      llc_study --apps ft.B,cg.C --configs nol3,sram,cm_dram_c \
                --instructions 48000000 --csv results.csv
-     llc_study --trace refs.trc --configs sram,cm_dram_c
+     llc_study --trace refs.trc --apps lu.C --configs sram,cm_dram_c
      llc_study --replay refs.trc --cpu skl --configs sram,cm_dram_c
 
-   Exit codes: 0 success, 1 usage error, 2 invalid input (bad trace file,
-   bad spec), 3 no solution in a CACTI solve.  Errors are rendered as one
-   structured diagnostic per line on stderr — never a backtrace.
+   Exit codes: 0 success, 1 usage error, 2 invalid input (bad or empty
+   trace file, bad spec, unwritable CSV), 3 no solution in a CACTI solve.
+   Errors are rendered as one structured diagnostic per line on stderr —
+   never a backtrace.
 *)
 
 open Cmdliner
@@ -48,25 +49,26 @@ let fail_diags ds code =
   prerr_endline (Cacti_util.Diag.render ds);
   code
 
-(* Trace replay: one synthetic "app" per configuration, driven by the
-   recorded references instead of the NPB generators.  Like the synthetic
-   study, the builds run serially (memoized CACTI solves) and the
-   per-configuration simulations fan out over a domain pool; the replayed
-   reference streams come from the immutable trace arrays, so every
-   configuration reads them independently. *)
-let run_trace ?jobs ~params kinds tr =
-  let app = Mcsim.Trace.to_app tr in
-  let builts = List.map (fun kind -> Mcsim.Study.build ?jobs kind) kinds in
-  let pool = Cacti_util.Pool.create ?jobs () in
-  Cacti_util.Pool.parallel_map ~chunk:1 pool
-    (fun (b : Mcsim.Study.built) ->
-      let stats =
-        Mcsim.Engine.run ~params ~make_gen:(Mcsim.Trace.make_gen tr)
-          b.Mcsim.Study.machine app
-      in
-      let sys = Mcsim.Energy.system b.Mcsim.Study.machine app stats in
-      { Mcsim.Study.app; config = b; stats; sys })
-    builts
+(* Writes [header] and [rows] to the --csv file, if one was given.  A file
+   that cannot be opened or written is an error of llc_study's own output,
+   not of its input. *)
+let write_csv csv header rows =
+  match csv with
+  | None -> []
+  | Some path -> (
+      match
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc header;
+            List.iter (output_string oc) rows)
+      with
+      | () ->
+          Printf.printf "wrote %s\n" path;
+          []
+      | exception Sys_error msg ->
+          [
+            Cacti_util.Diag.error ~component:"output"
+              ~reason:"csv_write_error" msg;
+          ])
 
 (* Real-trace replay (--replay): re-run the study's configurations
    against a recorded memory-access trace with real CPU replacement
@@ -135,22 +137,22 @@ let run_replay_mode ?jobs ~cpu kinds path csv =
             ])
         rows;
       Cacti_util.Table.print t;
-      (match csv with
-      | None -> ()
-      | Some out ->
-          let oc = open_out out in
-          output_string oc
-            "config,l1_hit_pct,l2_hit_pct,l3_hit_pct,mem_accesses,writebacks,avg_cycles\n";
-          List.iter
-            (fun (cfg, l1, l2, l3, mem, wb, avg) ->
-              Printf.fprintf oc "%s,%.4f,%.4f,%.4f,%d,%d,%.4f\n" cfg l1 l2 l3
-                mem wb avg)
-            rows;
-          close_out oc;
-          Printf.printf "wrote %s\n" out);
-      Cacti_util.Diag.exit_ok
+      let csv_diags =
+        write_csv csv
+          "config,l1_hit_pct,l2_hit_pct,l3_hit_pct,mem_accesses,writebacks,avg_cycles\n"
+          (List.map
+             (fun (cfg, l1, l2, l3, mem, wb, avg) ->
+               Printf.sprintf "%s,%.4f,%.4f,%.4f,%d,%d,%.4f\n" cfg l1 l2 l3
+                 mem wb avg)
+             rows)
+      in
+      if csv_diags = [] then Cacti_util.Diag.exit_ok
+      else fail_diags csv_diags Cacti_util.Diag.exit_invalid_spec
 
-let run_study kinds apps instructions seed csv jobs trace =
+(* The (app × config) grid.  With [make_gen] (--trace) every engine thread
+   takes its references from the trace; the apps still set the
+   instruction mix, synchronization and energy write mix. *)
+let run_study ?make_gen kinds apps instructions seed csv jobs =
   let params =
     {
       Mcsim.Engine.default_params with
@@ -159,9 +161,7 @@ let run_study kinds apps instructions seed csv jobs trace =
     }
   in
   let results, diags =
-    match trace with
-    | None -> Mcsim.Study.run_all_diag ?jobs ~params ~kinds ~apps ()
-    | Some path -> (run_trace ?jobs ~params kinds (Mcsim.Trace.load path), [])
+    Mcsim.Study.run_all_diag ?jobs ~params ?make_gen ~kinds ~apps ()
   in
   let t =
     Cacti_util.Table.create
@@ -206,40 +206,36 @@ let run_study kinds apps instructions seed csv jobs trace =
         ])
     rows;
   Cacti_util.Table.print t;
-  (match csv with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc
-        "app,config,ipc,read_latency_cycles,l3_hit_pct,mem_hierarchy_w,system_w,exec_ms,edp_js\n";
-      List.iter
-        (fun (app, cfg, ipc, lat, hit, mh, sysw, ms, edp) ->
-          Printf.fprintf oc "%s,%s,%.4f,%.2f,%.2f,%.4f,%.3f,%.3f,%.6e\n" app
-            cfg ipc lat hit mh sysw ms edp)
-        rows;
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
+  let csv_diags =
+    write_csv csv
+      "app,config,ipc,read_latency_cycles,l3_hit_pct,mem_hierarchy_w,system_w,exec_ms,edp_js\n"
+      (List.map
+         (fun (app, cfg, ipc, lat, hit, mh, sysw, ms, edp) ->
+           Printf.sprintf "%s,%s,%.4f,%.2f,%.2f,%.4f,%.3f,%.3f,%.6e\n" app cfg
+             ipc lat hit mh sysw ms edp)
+         rows)
+  in
   (* Partial failure: the surviving cells were printed above, the failed
      ones are reported as structured diagnostics, and the exit code says
      the run is incomplete. *)
+  let diags = diags @ csv_diags in
   if diags = [] then Cacti_util.Diag.exit_ok
   else fail_diags diags Cacti_util.Diag.exit_invalid_spec
 
 let run kinds apps instructions seed csv jobs trace replay cpu =
-  match replay with
-  | Some path -> run_replay_mode ?jobs ~cpu kinds path csv
-  | None -> run_study kinds apps instructions seed csv jobs trace
+  match (replay, trace) with
+  | Some path, _ -> run_replay_mode ?jobs ~cpu kinds path csv
+  | None, None -> run_study kinds apps instructions seed csv jobs
+  | None, Some path -> (
+      let source = Mcreplay.Trace_io.load_source path in
+      match Mcreplay.Trace_io.thread_gens source with
+      | Error d -> fail_diags [ d ] Cacti_util.Diag.exit_invalid_spec
+      | Ok make_gen ->
+          run_study ~make_gen kinds apps instructions seed csv jobs)
 
 let run_guarded kinds apps instructions seed csv jobs trace replay cpu =
   let open Cacti_util in
   try run kinds apps instructions seed csv jobs trace replay cpu with
-  | Mcsim.Trace.Parse_error { path; line; msg } ->
-      fail_diags
-        [
-          Diag.errorf ~component:"trace" ~reason:"parse_error" "%s:%d: %s"
-            path line msg;
-        ]
-        Diag.exit_invalid_spec
   | Mcreplay.Trace_io.Parse_error { path; line; msg } ->
       fail_diags
         [
@@ -270,7 +266,10 @@ let cmd =
   let apps =
     Arg.(value & opt apps_conv Mcsim.Apps.all
          & info [ "apps" ] ~docv:"LIST"
-             ~doc:"Comma-separated NPB apps (bt.C,cg.C,ft.B,is.C,lu.C,mg.B,sp.C,ua.C).")
+             ~doc:"Comma-separated NPB apps (bt.C,cg.C,ft.B,is.C,lu.C,mg.B,sp.C,ua.C). \
+                   With $(b,--trace) each app supplies the instruction mix, \
+                   synchronization and energy write mix of its row, and \
+                   the trace supplies the references.")
   in
   let instructions =
     Arg.(value & opt int 48_000_000
@@ -292,9 +291,15 @@ let cmd =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Replay a recorded reference trace (see lib/sim/trace.mli \
-                   for the format) instead of the synthetic NPB apps; \
-                   $(b,--apps) is ignored.")
+             ~doc:"Drive the engine from a recorded trace (text or binary, \
+                   see cacti_replay) instead of the synthetic address \
+                   generators: engine thread i replays, wrapping at the \
+                   end, the records of the (i mod D)-th smallest of the D \
+                   thread ids in the trace, as 64-byte lines.  The study \
+                   grid is unchanged: $(b,--apps) still sets each row's \
+                   instruction mix and synchronization, and \
+                   $(b,--instructions) the budget.  An empty trace is \
+                   rejected.")
   in
   let replay =
     Arg.(value & opt (some string) None
@@ -327,7 +332,8 @@ let cmd =
            Cmd.Exit.info Cacti_util.Diag.exit_usage
              ~doc:"on command-line parsing errors.";
            Cmd.Exit.info Cacti_util.Diag.exit_invalid_spec
-             ~doc:"on an invalid trace file or memory specification.";
+             ~doc:"on an invalid or empty trace file, an invalid memory \
+                   specification or an unwritable CSV file.";
            Cmd.Exit.info Cacti_util.Diag.exit_no_solution
              ~doc:"when a CACTI solve finds no valid organization.";
          ])

@@ -390,58 +390,41 @@ let summary t =
 
 (* ---------------- set-sharded parallel replay ----------------
 
-   With power-of-two [line_bytes] and power-of-two set counts at every
-   level, an address's L1/L2/L3 set indices all embed the same low bits
+   With power-of-two [line_bytes] ([Cache_sim] always builds a power-of-two
+   set count), an address's L1/L2/L3 set indices all embed the same low bits
    of [addr lsr line_shift].  Partitioning the trace on those m bits
    therefore hands each worker a disjoint slice of every level: a fill's
    victim shares the inserted line's set index, inclusion kills and dirty
-   push-downs act on that same line, and peer invalidations / c2c probes
-   act on the missing line itself — so no shard ever touches another
-   shard's sets.  Replacement state is per-set for every policy (LRU's
-   global clock only ever compares stamps within one set, and the
-   per-set access order is preserved inside a shard), the timing model is
-   additive with no cross-access contention, and all counters are sums —
-   so the per-shard runs compose to bit-identical summaries, and merging
-   the per-access rows back in original trace order reproduces the serial
-   CSV/JSONL byte for byte. *)
+   push-downs act on that same line, and peer invalidations / c2c probes act
+   on the missing line itself — so no shard ever touches another shard's
+   sets.  Replacement state is per-set for every policy (LRU's global clock
+   only ever compares stamps within one set, and the per-set access order is
+   preserved inside a shard), the timing model is additive with no
+   cross-access contention, and all counters are sums — so the per-shard runs
+   compose to bit-identical summaries, and merging the per-access rows back
+   in original trace order reproduces the serial CSV/JSONL byte for byte. *)
 
 type render =
   Buffer.t -> seq:int -> tid:int -> write:bool -> addr:int -> outcome -> unit
 
 let shard_plan cfg ~bits =
-  let unsupported fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Error
-          (Cacti_util.Diag.warning ~component:"replay"
-             ~reason:"shard_unsupported"
-             (msg ^ " — falling back to serial replay")))
-      fmt
-  in
   if bits <= 0 then Ok 0
   else if cfg.line_bytes <= 0 || not (Cacti_util.Floatx.is_pow2 cfg.line_bytes)
-  then unsupported "line_bytes %d is not a power of two" cfg.line_bytes
+  then
+    Error
+      (Cacti_util.Diag.warningf ~component:"replay" ~reason:"shard_unsupported"
+         "line_bytes %d is not a power of two — falling back to serial replay"
+         cfg.line_bytes)
   else begin
-    let level_bits name (lv : level) =
-      if lv.lines <= 0 || lv.assoc <= 0 || lv.lines mod lv.assoc <> 0 then
-        unsupported "%s geometry (%d lines, %d-way) has no integral set count"
-          name lv.lines lv.assoc
-      else begin
-        let sets = lv.lines / lv.assoc in
-        if not (Cacti_util.Floatx.is_pow2 sets) then
-          unsupported "%s set count %d is not a power of two" name sets
-        else Ok (Cacti_util.Floatx.clog2 sets)
-      end
+    let level_bits (lv : level) =
+      Cacti_util.Floatx.clog2
+        (Cache_sim.set_count ~assoc:lv.assoc ~lines:lv.lines)
     in
-    let ( let* ) = Result.bind in
-    let* b1 = level_bits "L1" cfg.l1 in
-    let* b2 = level_bits "L2" cfg.l2 in
-    let* b3 =
-      match cfg.l3 with
-      | None -> Ok max_int
-      | Some lv -> level_bits "L3" lv
-    in
-    Ok (min (min bits Trace_io.max_shard_bits) (min b1 (min b2 b3)))
+    let b3 = match cfg.l3 with None -> max_int | Some lv -> level_bits lv in
+    Ok
+      (min
+         (min bits Trace_io.max_shard_bits)
+         (min (level_bits cfg.l1) (min (level_bits cfg.l2) b3)))
   end
 
 let flush_bytes = 1 lsl 16

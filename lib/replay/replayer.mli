@@ -113,10 +113,11 @@ val add_summary : summary -> summary -> summary
 
 (** {1 Set-sharded parallel replay}
 
-    With power-of-two [line_bytes] and power-of-two set counts at every
-    level, the L1/L2/L3 set indices of an address all embed the same low
-    bits of [addr / line_bytes].  Partitioning a trace on [m] of those
-    bits gives each worker a disjoint slice of every cache level — all
+    With power-of-two [line_bytes], the L1/L2/L3 set indices of an
+    address all embed the same low bits of [addr / line_bytes]: every
+    level is a {!Mcsim.Cache_sim}, which always builds a power-of-two set
+    count ({!Mcsim.Cache_sim.set_count}).  Partitioning a trace on [m] of
+    those bits gives each worker a disjoint slice of every cache level — all
     evictions, inclusion kills, writeback cascades, peer invalidations and
     c2c transfers stay inside one shard — so per-shard replays compose to
     {b bit-identical} summaries, and an original-index merge reproduces the
@@ -124,10 +125,14 @@ val add_summary : summary -> summary -> summary
 
 val shard_plan : config -> bits:int -> (int, Cacti_util.Diag.t) result
 (** The shard bit-count actually usable for [cfg]: [min] of the request,
-    every level's set bits, and {!Trace_io.max_shard_bits}.  [Ok 0] for
+    the set bits of every level as {!Mcsim.Cache_sim.set_count} builds it
+    (a geometry whose set count is not a power of two shards on the
+    rounded-down count), and {!Trace_io.max_shard_bits}.  [Ok 0] for
     [bits <= 0] (serial).  [Error] (warning severity, reason
-    ["shard_unsupported"]) when [line_bytes] or any level's set count is
-    not a power of two — callers fall back to serial replay. *)
+    ["shard_unsupported"]) when [line_bytes] is not a power of two —
+    callers fall back to serial replay.  Raises [Invalid_argument], as
+    {!Mcsim.Cache_sim.create} does, when a level's [lines] is not a
+    positive multiple of its [assoc]. *)
 
 type render =
   Buffer.t -> seq:int -> tid:int -> write:bool -> addr:int -> outcome -> unit

@@ -482,6 +482,37 @@ let iter_source src ~f =
     done
   done
 
+(* ---------------- engine streams ---------------- *)
+
+(* Two passes: the first counts each thread id's records, so the second
+   fills exactly sized arrays. *)
+let thread_gens src =
+  let counts = Array.make (max_tid + 1) 0 in
+  iter_source src ~f:(fun ~tid ~write:_ ~addr:_ ->
+      counts.(tid) <- counts.(tid) + 1);
+  let tids =
+    List.filter (fun tid -> counts.(tid) > 0) (List.init (max_tid + 1) Fun.id)
+  in
+  if tids = [] then
+    Error
+      (Cacti_util.Diag.errorf ~component:"replay" ~reason:"empty_trace"
+         "%s: the trace has no records to drive the engine with" src.path)
+  else begin
+    let refs =
+      Array.of_list (List.map (fun tid -> Array.make counts.(tid) 0) tids)
+    in
+    let rank = Array.make (max_tid + 1) 0 in
+    List.iteri (fun k tid -> rank.(tid) <- k) tids;
+    let fill = Array.make (Array.length refs) 0 in
+    let shift = Cacti_util.Floatx.clog2 Mcsim.Study_config.line_bytes in
+    iter_source src ~f:(fun ~tid ~write ~addr ->
+        let k = rank.(tid) in
+        refs.(k).(fill.(k)) <- ((addr lsr shift) lsl 1) lor Bool.to_int write;
+        fill.(k) <- fill.(k) + 1);
+    let d = Array.length refs in
+    Ok (fun ~thread_id -> Mcsim.Workload.replay refs.(thread_id mod d))
+  end
+
 (* ---------------- shard bucketing ---------------- *)
 
 type buckets = {

@@ -42,9 +42,10 @@
     A trace loaded for replay ({!source}) has one form whatever its
     encoding: the binary records above in a char Bigarray — a binary file
     mapped as it is, a text file parsed into an in-memory image of the
-    same layout.  Consumers iterate it ({!iter_source}) or bucket it into
-    shards and iterate one shard ({!bucket}, {!iter_shard}); the record
-    layout never leaves this module. *)
+    same layout.  Consumers iterate it ({!iter_source}), bucket it into
+    shards and iterate one shard ({!bucket}, {!iter_shard}), or split it
+    into per-thread streams for the study engine ({!thread_gens}); the
+    record layout never leaves this module. *)
 
 exception Parse_error of { path : string; line : int; msg : string }
 (** Malformed input, typed: bad op/address/tid on a text line, bad magic,
@@ -116,6 +117,21 @@ val iter_source :
 (** Streams every record through [f] in trace order, validating flags and
     address range exactly like the channel reader ({!Parse_error} labels
     the 1-based record index). *)
+
+(** {1 Driving the study engine} *)
+
+val thread_gens :
+  source -> (thread_id:int -> Mcsim.Workload.gen, Cacti_util.Diag.t) result
+(** The trace as the address generators of {!Mcsim.Engine.run}'s
+    [make_gen]: engine thread [i] replays, wrapping at the end, the
+    records of the [(i mod D)]-th smallest of the [D] distinct thread ids
+    in the trace, in trace order, each as the 64-byte line
+    [addr / Mcsim.Study_config.line_bytes] and its write flag.  One
+    packed array per thread id is filled up front (errors as in
+    {!iter_source}); each call of the returned function starts a fresh
+    {!Mcsim.Workload.replay} over its array, so it can serve every cell
+    of a study.  [Error] (reason ["empty_trace"]) when the trace has no
+    records. *)
 
 (** {1 Shard bucketing} *)
 

@@ -34,15 +34,18 @@ let pack line state = (line lsl 2) lor state
 let line_of w = w lsr 2
 let state_int_of w = w land 3
 
-let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
+let set_count ~assoc ~lines =
   if lines <= 0 || assoc <= 0 then invalid_arg "Cache_sim.create";
   if lines mod assoc <> 0 then
     invalid_arg "Cache_sim.create: lines not divisible by assoc";
   let sets_raw = lines / assoc in
-  (* Round the set count DOWN to a power of two and widen associativity to
-     preserve capacity. *)
-  let sets = if Cacti_util.Floatx.is_pow2 sets_raw then sets_raw
-    else Cacti_util.Floatx.pow2_ge sets_raw / 2 in
+  (* Round the set count DOWN to a power of two ([create] widens the
+     associativity to preserve capacity). *)
+  if Cacti_util.Floatx.is_pow2 sets_raw then sets_raw
+  else Cacti_util.Floatx.pow2_ge sets_raw / 2
+
+let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
+  let sets = set_count ~assoc ~lines in
   let assoc = lines / sets in
   let kind = Policy.kind_int policy in
   if kind = 1 && not (Cacti_util.Floatx.is_pow2 assoc) then

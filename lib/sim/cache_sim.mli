@@ -36,6 +36,12 @@ val create : ?assoc:int -> ?policy:Policy.t -> lines:int -> unit -> t
     the replacement policy; [Tree_plru] additionally requires the (possibly
     widened) associativity to be a power of two, else [Invalid_argument]. *)
 
+val set_count : assoc:int -> lines:int -> int
+(** The set count {!create} builds for [~assoc ~lines]: [lines / assoc]
+    rounded down to a power of two, so a line's set index is always its
+    low bits.  Raises [Invalid_argument] on a geometry {!create}
+    rejects. *)
+
 val lines : t -> int
 val assoc : t -> int
 val sets : t -> int

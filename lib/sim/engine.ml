@@ -543,7 +543,7 @@ let run_sim s =
 let run ?(params = default_params) ?make_gen cfg app =
   run_sim (make_sim ?make_gen cfg app params)
 
-let run_audited ?(params = default_params) ?make_gen cfg app =
-  let s = make_sim ?make_gen cfg app params in
+let run_audited ?(params = default_params) cfg app =
+  let s = make_sim cfg app params in
   let st = run_sim s in
   (st, audit_directory s)

@@ -27,9 +27,11 @@ val run :
 (** Simulates the application to completion of its instruction quota and
     returns the collected statistics (with [exec_cycles] set to the parallel
     wall-clock).  Deterministic for fixed [seed].  [make_gen] overrides the
-    synthetic address generators — used to drive the machine from recorded
-    traces ({!Trace}); the [app] still supplies the instruction mix and
-    synchronization cadences. *)
+    synthetic address generators: it is called once per thread, and must
+    return a fresh generator on each call.  [Mcreplay.Trace_io.thread_gens]
+    builds one that drives the machine from a recorded trace
+    ({!Workload.replay}); the [app] still supplies the instruction mix
+    and the synchronization cadences. *)
 
 type audit = {
   directory_population : int;  (** lines with at least one sharer bit *)
@@ -45,7 +47,6 @@ type audit = {
 
 val run_audited :
   ?params:run_params ->
-  ?make_gen:(thread_id:int -> Workload.gen) ->
   Machine.t ->
   Workload.app ->
   Stats.t * audit

@@ -233,10 +233,12 @@ let build ?jobs ?tech kind =
   { kind; machine; l1_model = l1m; l2_model = l2m; l3_model = l3m;
     mem_model = mm; l3_bank_area }
 
-let run_app ?params built app =
-  let stats = Engine.run ?params built.machine app in
+let run_cell ?params ?make_gen built app =
+  let stats = Engine.run ?params ?make_gen built.machine app in
   let sys = Energy.system built.machine app stats in
   { app; config = built; stats; sys }
+
+let run_app ?params built app = run_cell ?params built app
 
 (* The (app × config) simulation matrix, fanned over a domain pool.  The
    CACTI builds run serially up front (they memoize against shared tables
@@ -245,7 +247,7 @@ let run_app ?params built app =
    [Pool.parallel_map], which preserves input order, yields exactly the
    serial result list for any [jobs].  [chunk:1] because a cell costs
    seconds, not microseconds.  Failures are contained per cell. *)
-let run_cells ?jobs ?params ~kinds ~apps () =
+let run_cells ?jobs ?params ?make_gen ~kinds ~apps () =
   let builts = List.map (fun k -> build ?jobs k) kinds in
   let cells =
     List.concat_map (fun app -> List.map (fun b -> (app, b)) builts) apps
@@ -253,7 +255,7 @@ let run_cells ?jobs ?params ~kinds ~apps () =
   let pool = Cacti_util.Pool.create ?jobs () in
   Cacti_util.Pool.parallel_map ~chunk:1 pool
     (fun (app, b) ->
-      match run_app ?params b app with
+      match run_cell ?params ?make_gen b app with
       | r -> (app, b, Ok r)
       | exception e -> (app, b, Error (e, Printexc.get_raw_backtrace ())))
     cells
@@ -265,8 +267,9 @@ let run_all ?jobs ?params ?(kinds = all_kinds) ?(apps = Apps.all) () =
          | Ok r -> r
          | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
-let run_all_diag ?jobs ?params ?(kinds = all_kinds) ?(apps = Apps.all) () =
-  let results = run_cells ?jobs ?params ~kinds ~apps () in
+let run_all_diag ?jobs ?params ?make_gen ?(kinds = all_kinds)
+    ?(apps = Apps.all) () =
+  let results = run_cells ?jobs ?params ?make_gen ~kinds ~apps () in
   let oks =
     List.filter_map
       (fun (_, _, res) -> match res with Ok r -> Some r | Error _ -> None)

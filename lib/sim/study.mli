@@ -74,10 +74,16 @@ val run_all :
 val run_all_diag :
   ?jobs:int ->
   ?params:Engine.run_params ->
+  ?make_gen:(thread_id:int -> Workload.gen) ->
   ?kinds:llc_kind list ->
   ?apps:Workload.app list ->
   unit ->
   app_result list * Cacti_util.Diag.t list
 (** {!run_all} with per-cell fault containment: a failing cell becomes an
     [error[study/cell_failed]] diagnostic naming the app and configuration,
-    and the remaining cells are returned (still in grid order). *)
+    and the remaining cells are returned (still in grid order).
+    [make_gen] replaces the synthetic address generators of every cell,
+    as in {!Engine.run} ([llc_study --trace] passes the one
+    [Mcreplay.Trace_io.thread_gens] builds); each app still supplies its
+    instruction mix and synchronization, and its write ratio to
+    {!Energy.system}. *)

@@ -74,7 +74,9 @@ type synth = {
           by 2^53 is exact), but allocation-free *)
 }
 
-type gen = Synthetic of synth | Custom of (unit -> int * bool)
+type gen =
+  | Synthetic of synth
+  | Replay of { refs : int array; mutable pos : int }
 
 let gen a ~n_threads ~thread_id ~seed =
   validate a;
@@ -124,7 +126,9 @@ let gen a ~n_threads ~thread_id ~seed =
     states;
   Synthetic { app = a; rng; states; cum_bits = cum }
 
-let custom f = Custom f
+let replay refs =
+  if Array.length refs = 0 then invalid_arg "Workload.replay: no references";
+  Replay { refs; pos = 0 }
 
 let pick_region g =
   let bits = Cacti_util.Rng.bits53 g.rng in
@@ -168,14 +172,13 @@ let next_synth g =
   let write = Cacti_util.Rng.bernoulli g.rng st.wr_prob in
   (line lsl 1) lor (if write then 1 else 0)
 
-let next = function
-  | Synthetic g ->
-      let p = next_synth g in
-      (p lsr 1, p land 1 = 1)
-  | Custom f -> f ()
-
 let next_packed = function
   | Synthetic g -> next_synth g
-  | Custom f ->
-      let line, write = f () in
-      (line lsl 1) lor (if write then 1 else 0)
+  | Replay r ->
+      let i = r.pos in
+      r.pos <- (if i + 1 = Array.length r.refs then 0 else i + 1);
+      Array.unsafe_get r.refs i
+
+let next g =
+  let p = next_packed g in
+  (p lsr 1, p land 1 = 1)

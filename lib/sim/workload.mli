@@ -69,9 +69,13 @@ type gen
 val gen :
   app -> n_threads:int -> thread_id:int -> seed:int64 -> gen
 
-val custom : (unit -> int * bool) -> gen
-(** Wrap an arbitrary reference source (e.g. a loaded trace — see {!Trace})
-    as a generator the engine can drive. *)
+val replay : int array -> gen
+(** A recorded reference stream: element [k] is the [k]-th reference
+    packed as {!next_packed} returns it, [(line lsl 1) lor write].  The
+    generator returns the elements in order and wraps at the end, so the
+    instruction quota, not the array length, ends a run.  The array is
+    only read, so one array can feed generators on several domains.
+    Raises [Invalid_argument] when it is empty. *)
 
 val next : gen -> int * bool
 (** [(line, write)] of the next memory reference; [line] is a 64-byte line

@@ -718,30 +718,6 @@ let prop_records_roundtrip =
           acc := (tid, write, addr) :: !acc);
       List.rev !acc = recs)
 
-(* Satellite: the v1 engine-trace format roundtrips too. *)
-let prop_trace_v1_roundtrip =
-  let gen =
-    QCheck.(
-      pair
-        (pair (int_range 1 4) (pair (int_range 0 100) (int_range 0 100)))
-        (list_of_size (Gen.int_range 1 50)
-           (pair (int_range 0 100_000) bool)))
-  in
-  QCheck.Test.make ~name:"Trace.save/load roundtrips" ~count:50 gen
-    (fun ((n_threads, (mr, fr)), refs) ->
-      let refs = Array.of_list refs in
-      let t =
-        {
-          Mcsim.Trace.n_threads;
-          mem_ratio = float_of_int mr /. 100.;
-          fp_ratio = float_of_int fr /. 100.;
-          refs = Array.make n_threads refs;
-        }
-      in
-      let path = tmp_file ".v1" in
-      Mcsim.Trace.save path t;
-      Mcsim.Trace.load path = t)
-
 (* --------------------------- replayer ------------------------------ *)
 
 let small_config =
@@ -935,35 +911,69 @@ let test_shard_plan () =
   in
   check_unsupported "non-pow2 line_bytes"
     { small_config with Replayer.line_bytes = 48 };
-  check_unsupported "non-pow2 set count"
-    {
-      small_config with
-      Replayer.l2 =
-        { Replayer.lines = 24; assoc = 4; latency = 14;
-          policy = Mcsim.Policy.Lru };
-    }
+  (* 12 lines of 4 ways ask for 3 sets: Cache_sim builds 2 sets of 6
+     ways, so the L2 as built allows 1 bit. *)
+  match
+    Replayer.shard_plan
+      {
+        small_config with
+        Replayer.l2 =
+          { Replayer.lines = 12; assoc = 4; latency = 14;
+            policy = Mcsim.Policy.Lru };
+      }
+      ~bits:8
+  with
+  | Ok m -> Alcotest.(check int) "non-pow2 set count: built set bits" 1 m
+  | Error d -> Alcotest.failf "non-pow2 set count: %s" d.Cacti_util.Diag.reason
 
-(* A geometry the planner rejects still replays — serially, with the
-   typed warning surfaced — and matches the plain serial path exactly. *)
-let test_sharded_fallback () =
-  let cfg =
-    {
-      small_config with
-      Replayer.l2 =
-        { Replayer.lines = 24; assoc = 4; latency = 14;
-          policy = Mcsim.Policy.Lru };
-    }
+(* A level whose requested set count [lines / assoc] is not a power of
+   two is built with the count rounded down (ways widened), so its set
+   index is still the line's low bits: the replay shards, with no
+   warning, and equals the serial replay for every policy whose widened
+   ways it accepts, every core count and 1 to 3 shard bits. *)
+let test_rounded_sets_shard () =
+  let lv lines assoc latency =
+    { Replayer.lines; assoc; latency; policy = Mcsim.Policy.Lru }
+  in
+  let geometries =
+    [
+      (* L1 6 -> 4 sets of 3 ways; L2 12 -> 8 sets of 6; L3 10 -> 8 of 5 *)
+      ("odd L1/L2/L3", lv 12 2 4, lv 48 4 14, Some (lv 40 4 42));
+      ("odd L2", lv 8 2 4, lv 24 4 14, Some (lv 32 4 42));
+      ("odd L1, no L3", lv 20 2 4, lv 64 4 14, None);
+    ]
   in
   let recs = synthetic_records 2_000 in
-  let serial_csv, serial_sum = replay_csv cfg recs in
   let source = Trace_io.of_records recs in
-  let csv, sum, diags = run_sharded_csv ~jobs:4 ~bits:2 cfg source in
-  Alcotest.(check bool) "fell back with a diagnostic" true
-    (List.exists
-       (fun d -> d.Cacti_util.Diag.reason = "shard_unsupported")
-       diags);
-  Alcotest.(check bool) "summary equals serial" true (sum = serial_sum);
-  Alcotest.(check string) "stream equals serial" serial_csv csv
+  List.iter
+    (fun (gname, l1, l2, l3) ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun cores ->
+              let cfg =
+                with_policy p cores { small_config with Replayer.l1; l2; l3 }
+              in
+              let serial_csv, serial_sum = replay_csv cfg recs in
+              List.iter
+                (fun bits ->
+                  let name =
+                    Printf.sprintf "%s %s/%d-core bits %d" gname
+                      (Mcsim.Policy.to_string p) cores bits
+                  in
+                  let csv, sum, diags =
+                    run_sharded_csv ~jobs:4 ~bits cfg source
+                  in
+                  Alcotest.(check (list string)) (name ^ " no warning") []
+                    (List.map (fun d -> d.Cacti_util.Diag.reason) diags);
+                  Alcotest.(check bool) (name ^ " summary") true
+                    (sum = serial_sum);
+                  Alcotest.(check string) (name ^ " stream") serial_csv csv)
+                [ 1; 2; 3 ])
+            [ 1; 2; 4 ])
+        (* Tree-PLRU needs power-of-two ways, which widening breaks *)
+        (List.filter (fun p -> p <> Mcsim.Policy.Tree_plru) all_policies))
+    geometries
 
 (* The same records from each origin of a source: a text file, a binary
    file (mapped) and [of_records]. *)
@@ -1150,6 +1160,7 @@ let test_run_configs () =
     | Ok p -> Replayer.with_preset p machine
     | Error d -> Alcotest.fail d.Cacti_util.Diag.message
   in
+  (* 24 lines of 4 ways: built as 4 sets of 6 ways, so it shards *)
   let odd_sets =
     {
       small_config with
@@ -1175,12 +1186,175 @@ let test_run_configs () =
       [ 1; 2; 4; 8 ]
   in
   check "shardable" [| machine; skl; small_config |] ~warns:false;
-  check "one unshardable" [| machine; odd_sets; skl |] ~warns:true;
+  check "rounded set count" [| machine; odd_sets; skl |] ~warns:false;
   check "mixed line sizes"
     [| machine; { machine with Replayer.line_bytes = 128 } |]
     ~warns:true;
   Alcotest.(check int) "no configs" 0
     (Array.length (fst (Replayer.run_configs ~jobs:4 [||] src)))
+
+(* ----------------------- trace-driven engine ----------------------- *)
+
+let gens_of source =
+  match Trace_io.thread_gens source with
+  | Ok make_gen -> make_gen
+  | Error d -> Alcotest.fail (Cacti_util.Diag.render [ d ])
+
+(* Engine thread [i] replays the records of the [(i mod D)]-th smallest of
+   the trace's [D] thread ids, in trace order, as 64-byte lines, and wraps
+   at the end; every call starts a fresh cursor. *)
+let prop_thread_gens =
+  let gen =
+    QCheck.(
+      pair (int_range 1 12)
+        (list_of_size (Gen.int_range 1 60)
+           (triple
+              (oneofl [ 0; 1; 5; 6; 300; Trace_io.max_tid ])
+              bool
+              (map (fun a -> a land Trace_io.max_addr) int))))
+  in
+  QCheck.Test.make ~name:"engine thread i replays the (i mod D)-th tid"
+    ~count:200 gen (fun (n_threads, recs) ->
+      let recs = Array.of_list recs in
+      let tids =
+        Array.of_list
+          (List.sort_uniq compare
+             (Array.to_list (Array.map (fun (t, _, _) -> t) recs)))
+      in
+      let make_gen = gens_of (Trace_io.of_records recs) in
+      List.for_all
+        (fun i ->
+          let tid = tids.(i mod Array.length tids) in
+          let expected =
+            Array.of_list
+              (List.filter_map
+                 (fun (t, write, addr) ->
+                   if t = tid then Some (addr / 64, write) else None)
+                 (Array.to_list recs))
+          in
+          let n = Array.length expected in
+          let g = make_gen ~thread_id:i in
+          (* two laps and a few more: the wrap *)
+          List.for_all
+            (fun k -> Mcsim.Workload.next g = expected.(k mod n))
+            (List.init ((2 * n) + 3) Fun.id))
+        (List.init n_threads Fun.id))
+
+(* A trace with no records drives nothing: a typed error from every
+   origin, never a division by zero or an empty generator. *)
+let test_empty_trace () =
+  let empty = tmp_file ".trc" in
+  write_file empty "# no records\n";
+  List.iter
+    (fun (origin, source) ->
+      match Trace_io.thread_gens source with
+      | Ok _ -> Alcotest.failf "%s: empty trace accepted" origin
+      | Error d ->
+          Alcotest.(check string) (origin ^ " reason") "empty_trace"
+            d.Cacti_util.Diag.reason;
+          Alcotest.(check bool) (origin ^ " is an error") true
+            (d.Cacti_util.Diag.severity = Cacti_util.Diag.Error))
+    [
+      ("of_records", Trace_io.of_records [||]);
+      ("text", Trace_io.load_source empty);
+      ("binary", Trace_io.load_source (write_binary_trace [||]));
+    ];
+  match Mcsim.Workload.replay [||] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Workload.replay accepted an empty array"
+
+(* A replayed reference is an array read, so the trace-driven engine
+   allocates per instruction no more than the synthetic one (about 0
+   minor words).  The marginal words of 200k more instructions exclude
+   each run's set-up. *)
+let test_trace_engine_alloc () =
+  let app = Mcsim.Apps.lu_c in
+  let n_threads = Mcsim.Machine.n_threads test_machine in
+  let recs =
+    Array.concat
+      (List.init n_threads (fun thread_id ->
+           let g = Mcsim.Workload.gen app ~n_threads ~thread_id ~seed:3L in
+           Array.init 20_000 (fun _ ->
+               let line, write = Mcsim.Workload.next g in
+               (thread_id, write, line * 64))))
+  in
+  let make_gen = gens_of (Trace_io.of_records recs) in
+  let words ?make_gen n =
+    let params =
+      { Mcsim.Engine.default_params with total_instructions = n }
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Mcsim.Engine.run ~params ?make_gen test_machine app);
+    Gc.minor_words () -. w0
+  in
+  let per_instr ?make_gen () =
+    (words ?make_gen 400_000 -. words ?make_gen 200_000) /. 200_000.
+  in
+  let synthetic = per_instr () and traced = per_instr ~make_gen () in
+  Alcotest.(check bool)
+    (Printf.sprintf "synthetic %.4f minor words/instr <= 0.01" synthetic)
+    true (synthetic <= 0.01);
+  Alcotest.(check bool)
+    (Printf.sprintf "trace-driven %.4f minor words/instr <= 0.01" traced)
+    true (traced <= 0.01)
+
+(* Every thread's first quota of references, recorded from the live
+   generators (seed 11) as a trace with thread id = engine thread and
+   addr = line * 64, and replayed through [thread_gens] with the same app
+   and seed, reproduces the live cell exactly: the engine's own draws
+   (gaps, locks) are unchanged and only the source of the references
+   differs.  8 apps x 2 machines x 3 origins at 200k instructions: about
+   2.3 s on a 2-vCPU host in the dev profile. *)
+let test_recorded_trace_equals_live () =
+  let params =
+    { Mcsim.Engine.default_params with total_instructions = 200_000;
+      seed = 11L }
+  in
+  let kinds = [ Mcsim.Study.No_l3; Mcsim.Study.Sram_l3 ] in
+  let n_threads =
+    Mcsim.Machine.n_threads (Mcsim.Study.build Mcsim.Study.No_l3).machine
+  in
+  let quota = params.total_instructions / n_threads in
+  List.iter
+    (fun (app : Mcsim.Workload.app) ->
+      let gens =
+        Array.init n_threads (fun thread_id ->
+            Mcsim.Workload.gen app ~n_threads ~thread_id ~seed:params.seed)
+      in
+      (* interleaved, as a capture of concurrent threads would be *)
+      let recs = Array.make (quota * n_threads) (0, false, 0) in
+      for k = 0 to quota - 1 do
+        Array.iteri
+          (fun tid g ->
+            let line, write = Mcsim.Workload.next g in
+            recs.((k * n_threads) + tid) <- (tid, write, line * 64))
+          gens
+      done;
+      let live = Mcsim.Study.run_all ~params ~kinds ~apps:[ app ] () in
+      List.iter
+        (fun (origin, source) ->
+          let replayed, diags =
+            Mcsim.Study.run_all_diag ~params ~make_gen:(gens_of source) ~kinds
+              ~apps:[ app ] ()
+          in
+          Alcotest.(check int) "no failed cells" 0 (List.length diags);
+          List.iter2
+            (fun (l : Mcsim.Study.app_result) (r : Mcsim.Study.app_result) ->
+              let name =
+                Printf.sprintf "%s on %s from %s" app.name
+                  (Mcsim.Study.kind_name r.config.kind) origin
+              in
+              Alcotest.(check bool) (name ^ ": Stats.t") true
+                (compare l.stats r.stats = 0);
+              Alcotest.(check bool) (name ^ ": Energy.system") true
+                (compare l.sys r.sys = 0))
+            live replayed)
+        [
+          ("text", Trace_io.load_source (write_trace Trace_io.Text recs));
+          ("binary", Trace_io.load_source (write_binary_trace recs));
+          ("of_records", Trace_io.of_records recs);
+        ])
+    Mcsim.Apps.all
 
 (* --------------------------- row encoding -------------------------- *)
 
@@ -1438,7 +1612,6 @@ let () =
             (prop_writer_roundtrip Trace_io.Binary "binary writer roundtrips");
           QCheck_alcotest.to_alcotest prop_convert_roundtrip;
           QCheck_alcotest.to_alcotest prop_records_roundtrip;
-          QCheck_alcotest.to_alcotest prop_trace_v1_roundtrip;
         ] );
       ( "replayer",
         [
@@ -1454,8 +1627,8 @@ let () =
       ( "sharded replay",
         [
           Alcotest.test_case "shard plan" `Quick test_shard_plan;
-          Alcotest.test_case "unsupported geometry falls back" `Quick
-            test_sharded_fallback;
+          Alcotest.test_case "rounded set counts shard" `Quick
+            test_rounded_sets_shard;
           Alcotest.test_case "all policies, all core counts" `Quick
             test_sharded_all_policies;
           Alcotest.test_case "uneven chunk tables" `Quick test_uneven_chunks;
@@ -1463,6 +1636,16 @@ let () =
           Alcotest.test_case "run_configs = run_sharded per config" `Quick
             test_run_configs;
           QCheck_alcotest.to_alcotest prop_sharded_identity;
+        ] );
+      ( "traced engine",
+        [
+          QCheck_alcotest.to_alcotest prop_thread_gens;
+          Alcotest.test_case "empty trace is a typed error" `Quick
+            test_empty_trace;
+          Alcotest.test_case "minor words per instruction" `Quick
+            test_trace_engine_alloc;
+          Alcotest.test_case "recorded trace = live run" `Quick
+            test_recorded_trace_equals_live;
         ] );
       ( "report",
         [

@@ -502,79 +502,6 @@ let test_engine_directory_audit () =
         (a.Engine.directory_population <= a.Engine.directory_sharer_bits))
     [ true; false ]
 
-(* -------------------- trace -------------------- *)
-
-let test_trace_roundtrip () =
-  let t = Trace.record small_app ~n_threads:4 ~refs_per_thread:500 ~seed:9L in
-  let path = Filename.temp_file "cacti_trace" ".txt" in
-  Trace.save path t;
-  let t2 = Trace.load path in
-  Sys.remove path;
-  Alcotest.(check int) "threads" t.Trace.n_threads t2.Trace.n_threads;
-  Alcotest.(check bool) "refs identical" true (t.Trace.refs = t2.Trace.refs);
-  Alcotest.(check (float 1e-6)) "mem ratio" t.Trace.mem_ratio t2.Trace.mem_ratio
-
-let test_trace_drives_engine () =
-  let t = Trace.record small_app ~n_threads:8 ~refs_per_thread:2_000 ~seed:9L in
-  let st = Trace.run (machine ()) t in
-  Alcotest.(check bool) "executes" true (st.Stats.instructions > 10_000);
-  Alcotest.(check bool) "references replayed" true (st.Stats.l1_accesses > 8_000);
-  match Stats.check_consistency st with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
-let test_trace_replay_matches_synthetic_locality () =
-  (* Replaying a recorded synthetic app must hit the caches like the
-     original generator did (same addresses). *)
-  let n_threads = 8 in
-  let t = Trace.record small_app ~n_threads ~refs_per_thread:5_000 ~seed:9L in
-  let st = Trace.run (machine ()) t in
-  let hit_rate =
-    float_of_int st.Stats.l1_hits /. float_of_int (max 1 st.Stats.l1_accesses)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "L1 hit rate %.2f plausible" hit_rate)
-    true
-    (hit_rate > 0.3 && hit_rate < 0.999)
-
-let test_trace_load_errors () =
-  (* Every malformed input is a structured [Trace.Parse_error] carrying the
-     path and 1-based line number — never a bare [Failure]. *)
-  let check_bad name content ~line ~substring =
-    let path = Filename.temp_file "cacti_trace" ".txt" in
-    let oc = open_out path in
-    output_string oc content;
-    close_out oc;
-    (match Trace.load path with
-    | exception Trace.Parse_error { path = p; line = l; msg } ->
-        Alcotest.(check string) (name ^ ": path") path p;
-        Alcotest.(check int) (name ^ ": line") line l;
-        let contains s sub =
-          let n = String.length sub in
-          let rec go i = i + n <= String.length s
-                         && (String.sub s i n = sub || go (i + 1)) in
-          go 0
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %S mentions %S" name msg substring)
-          true (contains msg substring)
-    | exception e ->
-        Alcotest.fail (name ^ ": unexpected " ^ Printexc.to_string e)
-    | _ -> Alcotest.fail (name ^ ": accepted"));
-    Sys.remove path
-  in
-  check_bad "missing header" "0 12 r\n" ~line:1 ~substring:"out of range";
-  check_bad "bad thread count" "threads nope\n" ~line:1 ~substring:"not an integer";
-  check_bad "nonpositive threads" "threads 0\n" ~line:1 ~substring:"positive";
-  check_bad "tid out of range" "threads 2\n5 1 r\n" ~line:2
-    ~substring:"out of range";
-  check_bad "bad rw flag" "threads 1\n0 1 x\n" ~line:2
-    ~substring:"expected r or w";
-  check_bad "short line" "threads 1\n0 1\n" ~line:2 ~substring:"malformed";
-  check_bad "empty thread" "threads 2\n0 1 r\n" ~line:0
-    ~substring:"no references";
-  check_bad "empty file" "" ~line:0 ~substring:"header"
-
 (* -------------------- dram extras -------------------- *)
 
 let timing_full : Dram_sim.timing =
@@ -959,13 +886,6 @@ let () =
           Alcotest.test_case "directory audit" `Quick
             test_engine_directory_audit;
           QCheck_alcotest.to_alcotest prop_engine_instruction_conservation;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "drives engine" `Quick test_trace_drives_engine;
-          Alcotest.test_case "locality preserved" `Quick test_trace_replay_matches_synthetic_locality;
-          Alcotest.test_case "load errors" `Quick test_trace_load_errors;
         ] );
       ( "energy",
         [
