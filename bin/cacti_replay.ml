@@ -88,30 +88,32 @@ let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
                     ~line_bytes o)
           | No_output -> None
         in
+        (* A trace file is loaded before the output is opened, so a
+           trace that cannot be read leaves no output behind. *)
+        let replay =
+          match trace with
+          | "-" ->
+              (* stdin cannot be mapped or re-read: stream serially. *)
+              let records ~f =
+                ignore
+                  (Trace_io.iter_channel ~path:"<stdin>"
+                     (Option.value format ~default:Trace_io.Text)
+                     stdin ~f
+                    : int)
+              in
+              fun ~emit -> (Replayer.run_serial ?render ~emit cfg records, [])
+          | path ->
+              (* Files replay sharded on the low set-index bits: output
+                 is byte-identical to serial for any --jobs. *)
+              let source = Trace_io.load_source ?format path in
+              fun ~emit -> Replayer.run_sharded ?jobs ?render ~emit cfg source
+        in
         let run_stream oc =
           if output = Csv then begin
             output_string oc Report.csv_header;
             output_char oc '\n'
           end;
-          let emit s = output_string oc s in
-          let res =
-            match trace with
-            | "-" ->
-                (* stdin cannot be mapped or re-read: stream serially. *)
-                let records ~f =
-                  ignore
-                    (Trace_io.iter_channel ~path:"<stdin>"
-                       (Option.value format ~default:Trace_io.Text)
-                       stdin ~f
-                      : int)
-                in
-                (Replayer.run_serial ?render ~emit cfg records, [])
-            | path ->
-                (* Files replay sharded on the low set-index bits: output
-                   is byte-identical to serial for any --jobs. *)
-                let source = Trace_io.load_source ?format path in
-                Replayer.run_sharded ?jobs ?render ~emit cfg source
-          in
+          let res = replay ~emit:(output_string oc) in
           flush oc;
           res
         in

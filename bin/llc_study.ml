@@ -84,10 +84,19 @@ let run_replay_mode ?jobs ~cpu kinds path csv =
         Result.map Mcreplay.Replayer.with_preset
           (Mcsim.Policy.preset_of_string name)
   in
+  (* loaded only once the CPU name is known to be valid *)
+  let source = lazy (Mcreplay.Trace_io.load_source path) in
   match policies_r with
   | Error d -> fail_diags [ d ] Cacti_util.Diag.exit_invalid_spec
+  | Ok _ when Mcreplay.Trace_io.source_length (Lazy.force source) = 0 ->
+      fail_diags
+        [
+          Cacti_util.Diag.errorf ~component:"replay" ~reason:"empty_trace"
+            "%s: the trace has no records to replay" path;
+        ]
+        Cacti_util.Diag.exit_invalid_spec
   | Ok with_policies ->
-      let source = Mcreplay.Trace_io.load_source path in
+      let source = Lazy.force source in
       let builts = List.map (fun kind -> Mcsim.Study.build ?jobs kind) kinds in
       let cfgs =
         Array.of_list
@@ -245,7 +254,7 @@ let run_guarded kinds apps instructions seed csv jobs trace replay cpu =
         Diag.exit_invalid_spec
   | Sys_error msg ->
       fail_diags
-        [ Diag.error ~component:"trace" ~reason:"io_error" msg ]
+        [ Diag.error ~component:"replay" ~reason:"io_error" msg ]
         Diag.exit_invalid_spec
   | Invalid_argument msg ->
       fail_diags

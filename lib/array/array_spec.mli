@@ -41,6 +41,5 @@ val validate : t -> (t, Cacti_util.Diag.t list) result
     non-negative repeater penalty, output no wider than the array), run
     before any circuit modeling.  Collects every failure. *)
 
-val capacity_bits : t -> int
 val addr_bits : t -> int
 (** Bits needed to address one output word. *)

@@ -44,31 +44,6 @@ type t = {
 val evaluate : spec:Array_spec.t -> org:Org.t -> t option
 (** Full metrics for one candidate organization; [None] if invalid. *)
 
-val evaluate_staged :
-  staged:Cacti_circuit.Staged.t -> spec:Array_spec.t -> org:Org.t -> t option
-(** {!evaluate} against precomputed staged constants
-    ([Mat.staged_of_spec spec]); bit-identical to {!evaluate}. *)
-
-val bank_of_metrics :
-  staged:Cacti_circuit.Staged.t ->
-  spec:Array_spec.t ->
-  org:Org.t ->
-  Mat.t ->
-  Soa_kernel.metrics ->
-  t
-(** Materialize a bank record from a solved mat and its flat metrics
-    (see {!Soa_kernel.metrics_of_mat}); the single constructor behind
-    both {!evaluate} and the columnar sweep. *)
-
-val assemble :
-  staged:Cacti_circuit.Staged.t ->
-  spec:Array_spec.t ->
-  org:Org.t ->
-  Mat.t ->
-  t
-(** The bank-level model on top of a solved mat:
-    [bank_of_metrics ... (Soa_kernel.metrics_of_mat ...)]. *)
-
 type bound_policy = { acctime_pct : float; energy_only : bool }
 (** Policy of the branch-and-bound prune (the [?bound] argument of
     {!enumerate_counts}).  Every screened candidate gets admissible lower

@@ -584,5 +584,3 @@ let make_staged ~(staged : Staged.t) ~spec ~(org : Org.t) () =
           Some
             (finish ~staged b ~ndsam_lev1:org.Org.ndsam_lev1
                ~ndsam_lev2:org.Org.ndsam_lev2))
-
-let make ~spec ~org () = make_staged ~staged:(staged_of_spec spec) ~spec ~org ()

@@ -45,16 +45,12 @@ type geometry = {
 
 val classify :
   spec:Array_spec.t -> org:Org.t -> (geometry, [ `Geometry | `Page ]) result
-(** The cheap, purely arithmetic part of {!make}: integer tiling,
+(** The cheap, purely arithmetic part of {!make_staged}: integer tiling,
     subarray-dimension bounds, mux-chain/output-width matching and the
     main-memory page constraint.  [Error `Page] when only the page
     constraint fails, [Error `Geometry] for the structural screens — the
     enumeration uses the distinction to build its rejection histogram before
     any circuit modeling. *)
-
-val geometry : spec:Array_spec.t -> org:Org.t -> geometry option
-(** [Result.to_option (classify ~spec ~org)]: [None] exactly when {!make}
-    would return [None] for a structural reason. *)
 
 type screen_tree
 (** The [n_rows]-independent part of the hierarchical tiling screen: every
@@ -98,12 +94,6 @@ val screen :
     grid rather than its ~63k leaves.  Implemented as
     [screen_of_tree (screen_tree ...) ~n_rows:spec.n_rows]. *)
 
-val make : spec:Array_spec.t -> org:Org.t -> unit -> t option
-(** [None] when the organization is geometrically or electrically invalid
-    for the spec (non-integer tiling, DRAM signal too small, mux chain not
-    matching the output width, etc.).  Equivalent to {!make_staged} with
-    freshly staged constants. *)
-
 val staged_of_spec : Array_spec.t -> Cacti_circuit.Staged.t
 (** The staged per-spec constants ({!Cacti_circuit.Staged.t}) for this
     spec's technology, cell type and repeater delay penalty. *)
@@ -114,9 +104,10 @@ val make_staged :
   org:Org.t ->
   unit ->
   t option
-(** {!make} against precomputed staged constants.  [staged] must be
-    [staged_of_spec spec] (or an equal record); the result is then
-    bit-identical to [make ~spec ~org ()]. *)
+(** The mat of one organization, or [None] when it is geometrically or
+    electrically invalid for the spec (non-integer tiling, DRAM signal too
+    small, mux chain not matching the output width, etc.).  [staged] must
+    be [staged_of_spec spec] or an equal record. *)
 
 val subarray_of :
   staged:Cacti_circuit.Staged.t -> rows:int -> cols:int -> deg:int ->

@@ -17,7 +17,6 @@ let to_string t = Format.asprintf "%a" pp t
 let mats_x t = max 1 (t.ndwl / 2)
 let mats_y t = max 1 (t.ndbl / 2)
 let n_mats t = mats_x t * mats_y t
-let subarrays_per_mat t = min t.ndwl 2 * min t.ndbl 2
 
 let pow2s upto =
   let rec go v = if v > upto then [] else v :: go (v * 2) in

@@ -15,7 +15,6 @@ type t = {
   ndsam_lev2 : int;  (** sense-amp output mux, second level *)
 }
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val mats_x : t -> int
@@ -23,9 +22,6 @@ val mats_x : t -> int
 
 val mats_y : t -> int
 val n_mats : t -> int
-
-val subarrays_per_mat : t -> int
-(** 4 in the interior (2×2), fewer for degenerate ndwl/ndbl = 1. *)
 
 val candidates :
   ?max_ndwl:int -> ?max_ndbl:int -> dram:bool -> unit -> t list

@@ -37,11 +37,7 @@ type metrics = {
     record: the output of the bank assembly minus fields recoverable from
     (spec, org, mat). *)
 
-val n_metric_cols : int
-
 (** Candidate status bytes written by the evaluation loop. *)
-
-val st_pending : char
 
 val st_ok : char
 
@@ -74,8 +70,7 @@ type t = {
   b_time : col;  (** result: access-time lower bound *)
   b_energy : col;  (** result: read-energy lower bound *)
   res : col array;
-      (** result: [n_metric_cols] per-metric columns, in
-          {!metrics} field order *)
+      (** result: one column per {!metrics} field, in field order *)
   status : Bytes.t;
 }
 (** Columns only: the sweep keeps no per-candidate mat.  A consumer that
@@ -119,5 +114,5 @@ val metrics_of_mat :
   metrics
 (** The bank-level model on top of a solved mat: H-tree distribution,
     timings, energies, leakage, refresh and area.  The single
-    implementation behind both {!Cacti_array.Bank.assemble} and the
+    implementation behind both {!Cacti_array.Bank.evaluate} and the
     columnar sweep. *)

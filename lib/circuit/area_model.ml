@@ -27,9 +27,6 @@ let transistor_area t ?max_height w =
   let leg_h = min w max_height in
   float_of_int n *. t.contacted_pitch *. leg_h
 
-let folded_width t ~max_height ~w =
-  float_of_int (legs t ~max_height ~w) *. t.contacted_pitch
-
 let gate_area t ?max_height widths =
   let a =
     List.fold_left (fun acc w -> acc +. transistor_area t ?max_height w) 0.

@@ -17,18 +17,8 @@ type t = {
 val create : feature_size:float -> l_gate:float -> t
 (** Contacted pitch defaults to [l_gate + 3.5 F]; wiring factor to 1.6. *)
 
-val default_strip_height : t -> float
-(** Height used for unconstrained logic placement (a standard-cell-like row),
-    ~32 F. *)
-
-val transistor_area : t -> ?max_height:float -> float -> float
-(** [transistor_area t w] is the layout area of one transistor of width [w], folded into legs no taller
-    than [max_height] (default {!default_strip_height}). *)
-
-val folded_width : t -> max_height:float -> w:float -> float
-(** The length-direction extent of the folded transistor: legs ×
-    contacted pitch. *)
-
 val gate_area : t -> ?max_height:float -> float list -> float
-(** [gate_area t widths] is the area of a static gate given all its transistor widths, including the
-    wiring factor. *)
+(** [gate_area t widths] is the area of a static gate given all its
+    transistor widths, including the wiring factor.  Each transistor is
+    folded into legs no taller than [max_height] (default ~32 F, a
+    standard-cell-like row) and takes legs × contacted pitch × leg height. *)

@@ -18,7 +18,7 @@ let design ~device ~area ~feature ~wire ?(max_repeater_delay_penalty = 0.)
      output port; symmetric for output wires. *)
   let w_pass = 8. *. feature in
   let c_crosspoint = w_pass *. d.Device.c_drain in
-  let wire_metrics = Repeater.drive rep ~length:span () in
+  let wire_metrics = Repeater.drive rep ~length:span in
   let c_crosspoints_in = float_of_int n_out *. c_crosspoint in
   let c_crosspoints_out = float_of_int n_in *. c_crosspoint in
   let r_drv = Device.r_sw_n d /. (16. *. feature) in

@@ -131,11 +131,3 @@ let combine p l =
     t_line;
     n_stages = p.p_n_stages + l.l_n_stages;
   }
-
-let decoder ~periph ~area ~feature ~wire ~n_select ~strip_length ~c_line
-    ~r_line ?v_line_swing ?input_ramp () =
-  let p =
-    predecode ~periph ~area ~feature ~wire ~n_select ~strip_length ?input_ramp
-      ()
-  in
-  combine p (line_driver ~periph ~area ~feature ~c_line ~r_line ?v_line_swing ())

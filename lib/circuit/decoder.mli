@@ -58,22 +58,3 @@ val combine : predecode -> line_driver -> t
     (line_driver ...)] is bit-identical to designing the decoder whole.
     A solver that memoizes the halves separately (see
     {!Cacti_array.Bank}) designs each distinct half once. *)
-
-val decoder :
-  periph:Cacti_tech.Device.t ->
-  area:Area_model.t ->
-  feature:float ->
-  wire:Cacti_tech.Wire.t ->
-  n_select:int ->
-  strip_length:float ->
-  c_line:float ->
-  r_line:float ->
-  ?v_line_swing:float ->
-  ?input_ramp:float ->
-  unit ->
-  t
-(** [combine (predecode ...) (line_driver ...)]: [n_select] lines, one
-    active per access; predecode lines run [strip_length] meters; the
-    selected line presents [c_line]/[r_line] and swings to
-    [v_line_swing] (default the peripheral VDD — pass the cell's VPP for
-    DRAM wordlines). *)

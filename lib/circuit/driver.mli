@@ -13,9 +13,6 @@ type t = {
   w_n_last : float;  (** NMOS width of the final stage, m *)
 }
 
-val min_w_n : feature:float -> float
-(** Minimum device width used for first stages: 3 F. *)
-
 val chain :
   device:Cacti_tech.Device.t ->
   area:Area_model.t ->

@@ -13,7 +13,7 @@ let plan ~repeater ~bank_width ~bank_height =
 
 let link t ?(worst = true) ~bits ~activity () =
   let length = if worst then t.length_worst else t.length_average in
-  let per_wire = Repeater.drive t.repeater ~length () in
+  let per_wire = Repeater.drive t.repeater ~length in
   (* The full tree has roughly 2x the wire of the worst-case path; leakage
      (and area) follow the tree, energy follows the driven path. *)
   let tree_factor = 2.0 in

@@ -5,9 +5,6 @@
     effort [F = G·B·H] determines the optimal stage count [N ≈ log₄ F] and
     the per-stage effort [f = F^(1/N)]. *)
 
-val optimal_stage_effort : float
-(** ≈ 4, the classic optimum including parasitics. *)
-
 val n_stages : path_effort:float -> int
 (** Optimal number of stages, at least 1. *)
 

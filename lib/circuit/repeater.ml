@@ -70,36 +70,10 @@ let design ~device ~area ~feature ?(max_delay_penalty = 0.) ~wire () =
     (fun best c -> if c.energy_per_m < best.energy_per_m then c else best)
     (List.hd feasible) feasible
 
-let unrepeated ~device ~wire =
-  ignore device;
+let drive t ~length =
   {
-    wire;
-    size = 0.;
-    spacing = Float.infinity;
-    delay_per_m = 0.5 *. wire.Wire.r_per_m *. wire.Wire.c_per_m;
-    (* actually s/m²; [drive] special-cases this *)
-    energy_per_m = wire.Wire.c_per_m;
-    (* J/m per V²; [drive] special-cases *)
-    leakage_per_m = 0.;
-    area_per_m = 0.;
+    Stage.delay = t.delay_per_m *. length;
+    energy = t.energy_per_m *. length;
+    leakage = t.leakage_per_m *. length;
+    area = t.area_per_m *. length;
   }
-
-let drive t ?(input_ramp = 0.) ~length () =
-  ignore input_ramp;
-  if t.spacing = Float.infinity then
-    (* unrepeated: quadratic Elmore, energy needs the driver's vdd — the
-       caller of [unrepeated] is expected to wrap with a Driver chain; here
-       we only account for the metal. *)
-    {
-      Stage.delay = t.delay_per_m *. length *. length;
-      energy = 0.;
-      leakage = 0.;
-      area = 0.;
-    }
-  else
-    {
-      Stage.delay = t.delay_per_m *. length;
-      energy = t.energy_per_m *. length;
-      leakage = t.leakage_per_m *. length;
-      area = t.area_per_m *. length;
-    }

@@ -28,13 +28,8 @@ val design :
   t
 (** [max_delay_penalty] is the allowed fractional delay increase over the
     best-delay repeatered solution (0 = fastest; 0.3 = up to 30% slower for
-    energy savings).  Default 0. *)
+    energy savings).  Default 0.  Repeaters are never closer than 20 µm. *)
 
-val unrepeated :
-  device:Cacti_tech.Device.t -> wire:Cacti_tech.Wire.t -> t
-(** A plain wire with no repeaters (delay grows quadratically; only sensible
-    for short hops).  [delay_per_m] is reported for a 1 m span and must not
-    be scaled linearly — use {!drive} which handles both cases. *)
-
-val drive : t -> ?input_ramp:float -> length:float -> unit -> Stage.t
-(** Metrics of sending one transition down [length] meters of this design. *)
+val drive : t -> length:float -> Stage.t
+(** Metrics of sending one transition down [length] meters of this design:
+    every per-meter figure scaled by [length]. *)

@@ -1,7 +1,7 @@
 (** A circuit block's contribution to the array metrics.
 
     Every circuit module reports the same four quantities, so blocks on one
-    access path compose by adding them ({!series}). *)
+    access path compose by adding them. *)
 
 type t = {
   delay : float;  (** s, through the block *)
@@ -9,6 +9,3 @@ type t = {
   leakage : float;  (** W, standby leakage of the block *)
   area : float;  (** m², layout area of the block *)
 }
-
-val series : t -> t -> t
-(** Delays add; energy, leakage and area add. *)

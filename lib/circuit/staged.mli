@@ -41,10 +41,6 @@ type t = {
       (** second-level sense-amp output mux, indexed by partition degree *)
 }
 
-val staged_ndsams : int list
-(** Output-mux degrees covered by the staged mux tables (the
-    {!Cacti_array.Org} partition grid). *)
-
 val make :
   tech:Cacti_tech.Technology.t ->
   ram:Cacti_tech.Cell.ram_kind ->

@@ -23,8 +23,6 @@ let tag_bits t =
   - Cacti_util.Floatx.clog2 sets_total
   - Cacti_util.Floatx.clog2 t.block_bytes
 
-let line_bits t = 8 * t.block_bytes
-
 let validate t =
   let open Cacti_util in
   let diags = ref [] in

@@ -68,4 +68,3 @@ val validate : t -> (t, Cacti_util.Diag.t list) result
 
 val sets_per_bank : t -> int
 val tag_bits : t -> int
-val line_bits : t -> int

@@ -124,7 +124,7 @@ let assemble params (c : chip) (bank : Bank.t) =
   let chip_span =
     0.7 *. sqrt (float_of_int c.n_banks *. bank.Bank.area *. (1. +. chip_area_overhead))
   in
-  let route = Cacti_circuit.Repeater.drive rep ~length:chip_span () in
+  let route = Cacti_circuit.Repeater.drive rep ~length:chip_span in
   let t_route = route.Cacti_circuit.Stage.delay in
   let e_route_bit = route.Cacti_circuit.Stage.energy in
   let t_rcd = t_command +. t_route +. d.Bank.t_rcd in

@@ -59,12 +59,10 @@ val create_result :
   unit ->
   (chip, Cacti_util.Diag.t list) result
 (** Like {!create} but returns every validation failure as a structured
-    diagnostic instead of raising on the first. *)
-
-val validate : chip -> (chip, Cacti_util.Diag.t list) result
-(** Chip-parameter consistency: positive geometry, capacity divisible into
-    banks × pages, and a DRAM cell type (an SRAM main-memory chip has no
-    ACTIVATE/PRECHARGE timings to report).  Collects every failure. *)
+    diagnostic instead of raising on the first.  The chip must have
+    positive geometry, a capacity divisible into banks × pages, and a DRAM
+    cell type (an SRAM main-memory chip has no ACTIVATE/PRECHARGE timings
+    to report). *)
 
 type t = {
   chip : chip;

@@ -27,52 +27,6 @@ let ddr3_1066_1gb_x8 =
     data_rate_mts = 1066;
   }
 
-let ddr3_1600_2gb_x8 =
-  {
-    pname = "DDR3-1600 2Gb x8 (55nm)";
-    tech_nm = 55.;
-    capacity_bits = 2 * gbit;
-    io_bits = 8;
-    n_banks = 8;
-    page_bits = 8192;
-    prefetch = 8;
-    burst = 8;
-    interface = Cacti.Mainmem.ddr3;
-    data_rate_mts = 1600;
-  }
-
-let ddr4_2400_4gb_x8 =
-  {
-    pname = "DDR4-2400 4Gb x8 (40nm)";
-    tech_nm = 40.;
-    capacity_bits = 4 * gbit;
-    io_bits = 8;
-    n_banks = 8;
-    page_bits = 8192;
-    prefetch = 8;
-    burst = 8;
-    interface = Cacti.Mainmem.ddr4;
-    data_rate_mts = 2400;
-  }
-
-let ddr4_3200_8gb_x8 =
-  {
-    pname = "DDR4-3200 8Gb x8 (32nm)";
-    tech_nm = 32.;
-    capacity_bits = 8 * gbit;
-    io_bits = 8;
-    n_banks = 8;
-    page_bits = 8192;
-    prefetch = 8;
-    burst = 8;
-    interface = Cacti.Mainmem.ddr4;
-    data_rate_mts = 3200;
-  }
-
-let all = [ ddr3_1066_1gb_x8; ddr3_1600_2gb_x8; ddr4_2400_4gb_x8; ddr4_3200_8gb_x8 ]
-
-let by_name name = List.find (fun p -> p.pname = name) all
-
 let chip p =
   Cacti.Mainmem.create
     ~tech:(Cacti_tech.Technology.at_nm p.tech_nm)

@@ -1,9 +1,6 @@
-(** A small catalog of commodity DRAM parts, expressed as CACTI-D
-    main-memory chip specifications plus their interface data rates.
-
-    These are the parts the paper's experiments reference (the 78 nm Micron
-    DDR3-1066 validation chip, the 32 nm 8Gb DDR4-3200 of the LLC study) and
-    a few neighbors useful for sweeps. *)
+(** Commodity DRAM parts, expressed as CACTI-D main-memory chip
+    specifications plus their interface data rates: the 78 nm Micron
+    DDR3-1066 chip of the paper's Table 2 validation. *)
 
 type part = {
   pname : string;
@@ -21,19 +18,8 @@ type part = {
 val ddr3_1066_1gb_x8 : part
 (** The Table 2 validation part. *)
 
-val ddr3_1600_2gb_x8 : part
-val ddr4_2400_4gb_x8 : part
-
-val ddr4_3200_8gb_x8 : part
-(** The LLC study's main memory device. *)
-
-val all : part list
-val by_name : string -> part
-
-val chip : part -> Cacti.Mainmem.chip
-(** The CACTI-D chip specification of the part. *)
-
 val solve : ?params:Cacti.Opt_params.t -> part -> Cacti.Mainmem.t
+(** The CACTI-D solution of the part's chip specification. *)
 
 val peak_bandwidth : part -> float
 (** Pin bandwidth of one chip, bytes/s. *)

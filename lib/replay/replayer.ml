@@ -157,8 +157,6 @@ let create (cfg : config) =
       };
   }
 
-let config t = t.cfg
-
 (* Push one dirty line down to the L3 (updating or allocating its copy) or,
    without an L3, to memory.  An L3 allocation can itself evict — the
    cascade is recorded. *)

@@ -78,8 +78,6 @@ val create : config -> t
     [line_bytes] not a power of two, a Tree-PLRU level whose associativity
     is not a power of two). *)
 
-val config : t -> config
-
 val step : t -> tid:int -> write:bool -> addr:int -> outcome
 (** Replays one access and returns the per-access outcome.  The returned
     record is owned by [t] and overwritten by the next [step] — consume it
@@ -107,9 +105,8 @@ type summary = {
 val summary : t -> summary
 
 val empty_summary : summary
-val add_summary : summary -> summary -> summary
-(** Field-wise sum — every summary field is an additive counter, which is
-    what makes the sharded merge exact. *)
+(** Every summary field is an additive counter, which is what makes the
+    sharded merge (a field-wise sum) exact. *)
 
 (** {1 Set-sharded parallel replay}
 

@@ -44,9 +44,6 @@ val parse_request_line : string -> (string * string * string, string) result
 val parse_header : string -> (string * string, string) result
 (** ["Name: value"] -> [(lowercased name, trimmed value)]. *)
 
-val header_value : (string * string) list -> string -> string option
-(** Case-insensitive header lookup. *)
-
 val keep_alive : request -> bool
 (** Keep-alive per RFC 9112 defaults plus the [Connection] header. *)
 
@@ -54,14 +51,6 @@ val status_of_body : string -> int * (string * string) list
 (** HTTP status + extra headers for a service response line: 200 unless
     the first diagnostic is a [queue_full] (429, [Retry-After] from the
     response's [retry_after_ms]) or [draining] (503) refusal. *)
-
-val read_request :
-  in_channel ->
-  out_channel ->
-  [ `Req of request | `Eof | `Bad of string | `Payload_too_large ]
-(** Read one request; writes only the [100 Continue] interim response.
-    After [`Bad] or [`Payload_too_large] the connection's framing is
-    lost and it must be closed (the caller still answers 400/413). *)
 
 (** {1 Serving} *)
 

@@ -25,10 +25,6 @@ type grid = {
   assocs : int list;  (** set associativities *)
 }
 
-val default_grid : grid
-(** The four built-in ITRS nodes × 32 KiB..1 MiB × assoc {4, 8}:
-    48 points. *)
-
 val points : grid -> Cacti_util.Jsonx.t list
 (** The cross product as raw cache requests, in walk order — exposed for
     tests and for benchmarks that want to replay the grid as client
@@ -43,9 +39,11 @@ val start :
   Service.t ->
   t
 (** Spawn the walker thread and register its ["presolve"] stats section.
-    [period_s] (default: none) re-walks the grid that many seconds after
-    each pass; without it the thread exits after one pass.  [on_pass]
-    (exceptions swallowed) runs after every completed pass. *)
+    [grid] defaults to the four built-in ITRS nodes × 32 KiB..1 MiB ×
+    assoc {4, 8}: 48 points.  [period_s] (default: none) re-walks the
+    grid that many seconds after each pass; without it the thread exits
+    after one pass.  [on_pass] (exceptions swallowed) runs after every
+    completed pass. *)
 
 val stats_json : t -> Cacti_util.Jsonx.t
 (** [grid_points], [points_done], [solved], [already_warm], [failed],

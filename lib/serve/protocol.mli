@@ -24,7 +24,7 @@
     {!Cacti_util.Diag.t} errors, never an exception.
 
     Technologies travel as ["tech_nm"] (nanometers, up to six decimal
-    places); {!nm_of_tech} rounds so that encode→decode reconstructs the
+    places); the encoder rounds so that encode→decode reconstructs the
     identical {!Cacti_tech.Technology.t} for any node expressible at that
     precision. *)
 
@@ -61,7 +61,8 @@ val parse_request : Cacti_util.Jsonx.t -> (request, Cacti_util.Diag.t list) resu
 
 val encode_request : request -> Cacti_util.Jsonx.t
 (** Canonical encoding; [parse_request (encode_request r)] reconstructs
-    [r] exactly (up to the {!nm_of_tech} precision). *)
+    [r] exactly (the feature size is printed in nm rounded to 1e-6 nm,
+    which survives a print→parse→[Technology.at_nm] cycle bit-exactly). *)
 
 (** {1 Responses} *)
 
@@ -83,12 +84,7 @@ val response_of_json : Cacti_util.Jsonx.t -> (response, string) result
 (** {1 Encoders shared with [cacti_d --json]} *)
 
 val diag_to_json : Cacti_util.Diag.t -> Cacti_util.Jsonx.t
-val diag_of_json : Cacti_util.Jsonx.t -> (Cacti_util.Diag.t, string) result
 val summary_to_json : Cacti_util.Diag.summary -> Cacti_util.Jsonx.t
 val cache_solution : Cacti.Cache_model.t -> Cacti_util.Jsonx.t
 val ram_solution : Cacti.Ram_model.t -> Cacti_util.Jsonx.t
 val mainmem_solution : Cacti.Mainmem.t -> Cacti_util.Jsonx.t
-
-val nm_of_tech : Cacti_tech.Technology.t -> float
-(** Feature size in nm, rounded to 1e-6 nm so the float survives a
-    print→parse→[Technology.at_nm] cycle bit-exactly. *)

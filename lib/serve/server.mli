@@ -50,9 +50,6 @@ val http_port : t -> int option
 (** The bound TCP port of the HTTP listener, if one was started —
     resolves port 0 to the kernel-assigned ephemeral port. *)
 
-val wait : t -> unit
-(** Block until the server is stopped. *)
-
 val stop : ?drain_ms:float -> t -> unit
 (** Graceful shutdown.  Immediately stops accepting connections and
     refuses new request lines with [serve/draining]; then lets admitted
@@ -60,5 +57,6 @@ val stop : ?drain_ms:float -> t -> unit
     is still running past the budget is cancelled through the service's
     drain token and answered [serve/draining].  Finally stops the
     workers, closes established connections, removes the socket file and
-    returns once {!wait} would.  Safe to call from multiple threads or
-    more than once; later calls return after the first completes. *)
+    returns once the server has stopped.  Safe to call from multiple
+    threads or more than once; later calls return after the first
+    completes. *)

@@ -17,7 +17,9 @@
     the service holds one response cache.
 
     {b Response cache.}  The service memoizes the wire answer of every
-    successful solve under its {!response_key}.  A repeat request is
+    successful solve under its response key: kind + spec + params minus
+    the per-call [deadline_ms]/[jobs] knobs, as sorted-key JSON.  A
+    repeat request is
     answered from this cache without decoding the spec, validating it, or
     running the solver — the warm fast path — while remaining observationally
     identical to a bank-memo hit: same solution bytes, same
@@ -77,11 +79,6 @@ val shard_cache : t -> int -> Cacti.Solve_cache.shard
     [perfbench/w_solve.ml]'s
     [Solve_cache.with_shard (Service.shard_cache svc 0) (fun () -> ...)]
     compiles. *)
-
-val response_key : Cacti_util.Jsonx.t -> string
-(** The response-cache key of a raw request: kind + spec + params minus
-    the per-call [deadline_ms]/[jobs] knobs, as sorted-key JSON.  Pure —
-    exposed for tests. *)
 
 val handle_json :
   ?admitted_at:float -> t -> Cacti_util.Jsonx.t -> Cacti_util.Jsonx.t

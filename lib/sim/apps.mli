@@ -18,10 +18,6 @@
 
 val ft_b : Workload.app
 val lu_c : Workload.app
-val bt_c : Workload.app
-val is_c : Workload.app
-val mg_b : Workload.app
-val sp_c : Workload.app
 val ua_c : Workload.app
 val cg_c : Workload.app
 

@@ -1,8 +1,3 @@
-type state = I | S | E | M
-
-let state_to_int = function I -> 0 | S -> 1 | E -> 2 | M -> 3
-let state_of_int = function 0 -> I | 1 -> S | 2 -> E | _ -> M
-
 (* One word per way: [line * 4 + state]; -1 = invalid.  Packing the tag and
    the MESI state into one array halves the memory touched per lookup and
    keeps the whole access path free of allocation (the previous [Bytes]
@@ -31,7 +26,6 @@ type t = {
 
 let invalid = -1
 let pack line state = (line lsl 2) lor state
-let line_of w = w lsr 2
 let state_int_of w = w land 3
 
 let set_count ~assoc ~lines =
@@ -71,11 +65,6 @@ let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
     clock = 0;
   }
 
-let lines t = t.sets * t.assoc
-let assoc t = t.assoc
-let sets t = t.sets
-
-type lookup = Hit of state | Miss
 
 let base t line = (line land t.set_mask) * t.assoc
 
@@ -97,9 +86,6 @@ let find t line =
 let probe_int t line =
   let i = find t line in
   if i < 0 then 0 else state_int_of (Array.unsafe_get t.ways i)
-
-let probe t line = state_of_int (probe_int t line)
-
 (* ---------------- LRU (kind 0) ----------------
 
    [stamps.(i)] is the clock value of way [i]'s last fill or hit; every
@@ -260,12 +246,6 @@ let access_int t ~line ~write =
     s
   end
 
-let access t ~line ~write =
-  let s = access_int t ~line ~write in
-  if s < 0 then Miss else Hit (state_of_int s)
-
-type eviction = { line : int; state : state }
-
 (* Leftmost invalid way in [i .. last], or -1. *)
 let rec first_invalid ways i last =
   if i > last then -1
@@ -312,24 +292,10 @@ let fill_packed t ~line ~state_int =
   | _ -> mru_mark_and_reset t b last i);
   evicted
 
-let fill t ~line ~state =
-  let ev = fill_packed t ~line ~state_int:(state_to_int state) in
-  if ev < 0 then None
-  else Some { line = line_of ev; state = state_of_int (state_int_of ev) }
-
 let set_state_int t ~line s =
   let i = find t line in
   if i >= 0 then
     Array.unsafe_set t.ways i (if s = 0 then invalid else pack line s)
 
-let set_state t ~line s = set_state_int t ~line (state_to_int s)
-
 let occupancy t =
   Array.fold_left (fun acc w -> if w >= 0 then acc + 1 else acc) 0 t.ways
-
-let dirty_lines t =
-  let acc = ref [] in
-  Array.iter
-    (fun w -> if w >= 0 && state_int_of w = 3 then acc := line_of w :: !acc)
-    t.ways;
-  !acc

@@ -200,11 +200,3 @@ let access t ~line ~write ~now =
       t.bank_free.(bi) <- imax t.bank_free.(bi) (cmd_done + tm.t_rp));
   t.ch_last_busy.(ch) <- imax t.ch_last_busy.(ch) finish;
   finish
-
-let latency t ~line ~write ~now = access t ~line ~write ~now - now
-
-let powerdown_fraction t ~total_cycles =
-  if total_cycles <= 0 then 0.
-  else
-    float_of_int t.counts.powerdown_cycles
-    /. float_of_int (t.n_channels * total_cycles)

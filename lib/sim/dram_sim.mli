@@ -70,10 +70,3 @@ val access : t -> line:int -> write:bool -> now:int -> int
 (** [access t ~line ~write ~now] returns the completion time (cycles) of the
     line transfer, advancing bank/bus state and command counts.  Channel and
     bank are derived from the line address; the row from the higher bits. *)
-
-val latency : t -> line:int -> write:bool -> now:int -> int
-(** [access] minus [now]. *)
-
-val powerdown_fraction : t -> total_cycles:int -> float
-(** Fraction of channel-time spent powered down over a run of
-    [total_cycles] (0 when power-down is disabled). *)

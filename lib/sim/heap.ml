@@ -69,17 +69,9 @@ let remove_root h =
   h.payloads.(0) <- h.payloads.(h.n);
   sift_down h
 
-let pop h =
-  if h.n = 0 then None
-  else begin
-    let time = h.times.(0) and payload = h.payloads.(0) in
-    remove_root h;
-    Some (time, payload)
-  end
-
-(* Unboxed pop for the engine's event loop, which never looks at the time
-   component: returns the payload of the minimum element, or -1 when
-   empty.  Payloads are thread ids, so non-negative. *)
+(* The engine's event loop never looks at the time component, so the pop
+   returns the payload alone, unboxed: -1 when empty.  Payloads are thread
+   ids, so non-negative. *)
 let pop_payload h =
   if h.n = 0 then -1
   else begin
@@ -87,5 +79,3 @@ let pop_payload h =
     remove_root h;
     payload
   end
-
-let size h = h.n

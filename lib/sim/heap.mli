@@ -24,12 +24,7 @@ val capacity : t -> int
 
 val push : t -> time:int -> payload:int -> unit
 
-val pop : t -> (int * int) option
-(** Smallest time first; see the module comment for tie behavior. *)
-
 val pop_payload : t -> int
-(** Unboxed {!pop} dropping the time: the payload of the minimum element,
-    or -1 when empty.  Payloads must be non-negative for the sentinel to
-    be unambiguous. *)
-
-val size : t -> int
+(** Removes the element with the smallest time (see the module comment
+    for tie behavior) and returns its payload, or -1 when empty.  Payloads
+    must be non-negative for the sentinel to be unambiguous. *)

@@ -13,13 +13,6 @@ let to_string = function
   | Mru -> "MRU"
   | Mru_n -> "MRU_N"
 
-let equal a b =
-  match (a, b) with
-  | Lru, Lru | Tree_plru, Tree_plru | Mru, Mru | Mru_n, Mru_n -> true
-  | Qlru p, Qlru q ->
-      p.h2 = q.h2 && p.h3 = q.h3 && p.m = q.m && p.r = q.r && p.u = q.u
-  | _ -> false
-
 let valid_names =
   [
     "lru"; "tree_plru (alias: plru)"; "mru"; "mru_n";

@@ -62,11 +62,6 @@ val of_string : string -> (t, Cacti_util.Diag.t) result
     Unknown or out-of-range names yield an [error[replay/unknown_policy]]
     diagnostic listing the valid names — never a silent fallback. *)
 
-val equal : t -> t -> bool
-
-val valid_names : string list
-(** Human-readable forms for error messages and [--help]. *)
-
 (** {1 CPU presets}
 
     Per-CPU (L1, L2, L3) policy tuples following the CacheTrace table
@@ -82,17 +77,12 @@ type preset = {
   l3 : t;
 }
 
-val presets : preset list
-(** nehalem (2008), sandybridge (2011), ivybridge (2012), haswell (2013),
-    skylake (2015), coffeelake (2017). *)
-
 val preset_of_string : string -> (preset, Cacti_util.Diag.t) result
-(** Case-insensitive, by canonical or short name.  Unknown CPUs yield an
+(** Case-insensitive, by canonical or short name: nehalem|nhm (2008),
+    sandybridge|snb (2011), ivybridge|ivb (2012), haswell|hsw (2013),
+    skylake|skl (2015), coffeelake|cfl (2017).  Unknown CPUs yield an
     [error[replay/unknown_cpu]] diagnostic listing the valid names — unlike
     CacheTrace, which silently falls back to Coffee Lake. *)
-
-val preset_names : string list
-(** ["nehalem|nhm"; ...] for error messages and [--help]. *)
 
 (** {1 Unboxed dispatch support for {!Cache_sim}} *)
 

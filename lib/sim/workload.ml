@@ -40,9 +40,6 @@ let validate a =
         invalid_arg (a.name ^ "." ^ r.rname ^ ": negative wr_scale"))
     a.regions
 
-let footprint_bytes a =
-  List.fold_left (fun acc r -> acc + r.size_bytes) 0 a.regions
-
 let nonmem_cpi a =
   let nonmem = 1. -. a.mem_ratio in
   let fp_frac = a.fp_ratio /. nonmem in

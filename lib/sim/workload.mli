@@ -56,9 +56,6 @@ type app = {
 val validate : app -> unit
 (** Raises [Invalid_argument] on non-normalized weights or nonsense mixes. *)
 
-val footprint_bytes : app -> int
-(** Total bytes addressed by the application. *)
-
 val nonmem_cpi : app -> float
 (** Cycles per non-memory instruction under the paper's issue rules (FP
     every cycle, everything else every 4 cycles on average). *)

@@ -26,7 +26,6 @@ type t = {
 
 let width c ~feature_size = sqrt (c.area_f2 *. c.aspect_wh) *. feature_size
 let height c ~feature_size = sqrt (c.area_f2 /. c.aspect_wh) *. feature_size
-let area c ~feature_size = c.area_f2 *. feature_size *. feature_size
 
 let min_sense_signal = 0.08
 

@@ -38,7 +38,6 @@ val width : t -> feature_size:float -> float
 (** Physical cell width in meters. *)
 
 val height : t -> feature_size:float -> float
-val area : t -> feature_size:float -> float
 
 val sense_signal : t -> c_bitline:float -> float
 (** For DRAM: charge-redistribution signal available to the sense amplifier

@@ -6,8 +6,6 @@ type kind =
   | Dram_access_lp
   | Dram_access_comm
 
-let all_kinds = [ Hp; Lstp; Lop; Hp_long_channel; Dram_access_lp; Dram_access_comm ]
-
 type t = {
   kind : kind;
   vdd : float;

@@ -18,8 +18,6 @@ type kind =
   | Dram_access_lp  (** LP-DRAM 1T1C cell access transistor *)
   | Dram_access_comm  (** COMM-DRAM 1T1C cell access transistor *)
 
-val all_kinds : kind list
-
 type t = {
   kind : kind;
   vdd : float;  (** nominal supply, V *)

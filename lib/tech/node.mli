@@ -22,11 +22,6 @@ type t = {
   cells : (Cell.ram_kind * Cell.t) list;
 }
 
-val n90 : t
-val n65 : t
-val n45 : t
-val n32 : t
-
 val all : t list
 (** In decreasing feature-size order: 90, 65, 45, 32. *)
 

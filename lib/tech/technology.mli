@@ -11,15 +11,10 @@
 
 type t
 
-val create : ?wire_projection:Wire.projection -> feature_size:float -> unit -> t
-(** [create ~feature_size ()] interpolates the built-in tables at
-    [feature_size] (meters).  Raises [Invalid_argument] outside the covered
-    32–90 nm range. *)
-
-val of_node : ?wire_projection:Wire.projection -> Node.t -> t
-
 val at_nm : ?wire_projection:Wire.projection -> float -> t
-(** [at_nm 32.] is shorthand for [create ~feature_size:32e-9 ()]. *)
+(** [at_nm f] interpolates the built-in tables at a feature size of [f]
+    nanometers.  Raises [Invalid_argument] outside the covered 32–90 nm
+    range. *)
 
 val feature_size : t -> float
 val wire_projection : t -> Wire.projection

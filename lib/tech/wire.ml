@@ -39,9 +39,6 @@ let of_geometry kind g =
   let c_per_m = c_side +. c_plate +. c_fringe in
   { kind; geometry = g; r_per_m; c_per_m }
 
-let elmore_unrepeated w ~length =
-  0.5 *. w.r_per_m *. w.c_per_m *. length *. length
-
 let lin a b t = a +. ((b -. a) *. t)
 
 let interpolate a b t =

@@ -35,8 +35,5 @@ val of_geometry : kind -> geometry -> t
     (weighted by the Miller factor) and plate + fringe to the layers
     above/below. *)
 
-val elmore_unrepeated : t -> length:float -> float
-(** Distributed-RC (Elmore) delay of an unrepeated wire: [0.5 R C l²]. *)
-
 val interpolate : t -> t -> float -> t
 (** Field-wise mix of two nodes' wires of the same [kind]. *)

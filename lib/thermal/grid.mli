@@ -41,19 +41,13 @@ val create :
 
 val set_power : t -> layer:int -> x:int -> y:int -> float -> unit
 
-val solve_diag :
-  ?tol:float -> ?max_iter:int -> t -> (int, Cacti_util.Diag.t) result
-(** Gauss–Seidel to [tol] (K, default 1e-4) or [max_iter] (default 20000)
-    sweeps.  [Ok] carries the number of sweeps performed.  On
-    non-convergence the grid keeps the best-effort temperature field of the
-    last sweep and [Error] carries a warning diagnostic with the final
-    residual and iteration count; convergence is always judged on the last
-    sweep's residual. *)
-
 val solve : ?strict:bool -> ?tol:float -> ?max_iter:int -> t -> unit
-(** {!solve_diag} for callers that only want the temperatures: the
-    best-effort field is kept either way.  [strict] (default false) turns
-    non-convergence into [Failure]. *)
+(** Gauss–Seidel to [tol] (K, default 1e-4) or [max_iter] (default 20000)
+    sweeps; convergence is always judged on the last sweep's residual.
+    On non-convergence the grid keeps the best-effort temperature field of
+    the last sweep; [strict] (default false) then raises [Failure] with a
+    [thermal/non_convergence] warning diagnostic naming the final residual
+    and iteration count. *)
 
 val temperature : t -> layer:int -> x:int -> y:int -> float
 val max_temperature : t -> float

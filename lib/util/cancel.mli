@@ -38,10 +38,6 @@ val cancel : t -> unit
 (** Fire the token (idempotent).  Polls already in flight observe it at
     their next {!check}. *)
 
-val why : t -> string option
-(** [Some reason] once the token (or an ancestor, or a passed deadline)
-    has fired, [None] otherwise. *)
-
 val cancelled : t -> bool
 
 val check : t -> unit

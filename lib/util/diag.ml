@@ -70,8 +70,6 @@ let add_counts a b =
     raised = a.raised + b.raised;
   }
 
-let faults c = c.nonfinite + c.raised
-
 let counts_to_string c =
   Printf.sprintf
     "%d candidates: %d evaluated; rejected: geometry %d, page %d, \

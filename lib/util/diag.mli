@@ -77,10 +77,6 @@ type counts = {
 val zero_counts : counts
 val add_counts : counts -> counts -> counts
 
-val faults : counts -> int
-(** [nonfinite + raised]: candidates that failed abnormally (as opposed to
-    being structurally rejected). *)
-
 val counts_to_string : counts -> string
 (** e.g. ["23040 candidates: 210 evaluated; rejected: geometry 22000, page 0,
     area-pruned 700, bound-pruned 130, nonviable 0, nonfinite 0,

@@ -27,9 +27,3 @@ let sum = List.fold_left ( +. ) 0.
 let mean = function
   | [] -> invalid_arg "Floatx.mean: empty"
   | l -> sum l /. float_of_int (List.length l)
-
-let geomean = function
-  | [] -> invalid_arg "Floatx.geomean: empty"
-  | l ->
-      List.iter (fun x -> if x <= 0. then invalid_arg "Floatx.geomean: nonpositive") l;
-      exp (mean (List.map log l))

@@ -26,7 +26,4 @@ val rel_err : actual:float -> model:float -> float
 (** [(model - actual) / actual]; the sign convention used by the paper's
     validation tables (negative = model underestimates). *)
 
-val sum : float list -> float
 val mean : float list -> float
-val geomean : float list -> float
-(** Geometric mean of positive values; raises [Invalid_argument] on empty. *)

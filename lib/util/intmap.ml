@@ -20,7 +20,6 @@ let create ?(capacity = 16) () =
   }
 
 let length t = t.population
-let capacity t = Array.length t.keys
 
 (* Fibonacci hashing: multiply by 2^63/phi (odd), then fold the high bits
    down with a xor-shift so the low bits used by [land mask] depend on the
@@ -47,8 +46,6 @@ let find t k =
 let get t k =
   let i = scan t.keys t.mask k (slot t k) in
   if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i else 0
-
-let mem t k = find t k >= 0
 
 (* Backward-shift deletion for linear probing: empty the slot, then walk
    the rest of the probe chain moving entries down when their ideal slot
@@ -119,12 +116,5 @@ let set t k v =
     end
   end
 
-let remove t k = set t k 0
-
 let iter f t =
   Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  Array.fill t.vals 0 (Array.length t.vals) 0;
-  t.population <- 0

@@ -28,19 +28,9 @@ val set : t -> int -> int -> unit
 (** [set t k v] binds [k] to [v]; [v = 0] removes the binding (and
     compacts the probe chain).  [k] must be non-negative. *)
 
-val remove : t -> int -> unit
-(** [remove t k] = [set t k 0]. *)
-
-val mem : t -> int -> bool
-
 val length : t -> int
 (** Number of live (non-zero) bindings — exact, O(1). *)
-
-val capacity : t -> int
-(** Current slot-array size (for load-factor inspection in tests). *)
 
 val iter : (int -> int -> unit) -> t -> unit
 (** Iterates live bindings in unspecified order.  Not used on the
     simulator's hot path — intended for end-of-run audits. *)
-
-val clear : t -> unit

@@ -9,24 +9,6 @@ type t =
 
 let num f = if Float.is_finite f then Float f else Null
 
-let rec normalize = function
-  | Float f when not (Float.is_finite f) -> Null
-  | List l -> List (List.map normalize l)
-  | Obj kvs -> Obj (List.map (fun (k, v) -> (k, normalize v)) kvs)
-  | v -> v
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool a, Bool b -> a = b
-  | Int a, Int b -> a = b
-  | Float a, Float b -> Float.compare a b = 0 || (a = 0. && b = 0.)
-  | String a, String b -> String.equal a b
-  | List a, List b -> List.equal equal a b
-  | Obj a, Obj b ->
-      List.equal (fun (k, v) (k', v') -> String.equal k k' && equal v v') a b
-  | _ -> false
-
 (* ------------------------------ printing ------------------------------ *)
 
 (* Shortest decimal that parses back bit-exactly; always contains '.' or
@@ -346,9 +328,6 @@ let parse s =
   | v -> Ok v
   | exception Err (p, msg) ->
       Error (Printf.sprintf "JSON parse error at offset %d: %s" p msg)
-
-let parse_exn s =
-  match parse s with Ok v -> v | Error msg -> failwith msg
 
 (* ------------------------------ accessors ----------------------------- *)
 

@@ -13,8 +13,8 @@
 
     {b Finite-float policy.}  JSON has no NaN or infinities.  A non-finite
     {!Float} prints as [null], and {!num} normalizes non-finite values to
-    {!Null} at construction time, so [parse (to_string v)] equals the
-    {!normalize}d form of [v] for every value.
+    {!Null} at construction time, so [parse (to_string v)] equals [v] with
+    every non-finite {!Float} replaced by {!Null}.
 
     {b Strings} are byte sequences: printing escapes ['"'], ['\\'] and
     control bytes below [0x20]; bytes [>= 0x80] pass through unmodified
@@ -32,14 +32,6 @@ type t =
 
 val num : float -> t
 (** [Float f], or {!Null} when [f] is NaN or infinite. *)
-
-val normalize : t -> t
-(** Recursively replaces non-finite {!Float}s with {!Null} — the value
-    {!to_string} effectively prints. *)
-
-val equal : t -> t -> bool
-(** Structural equality ([Int 1] and [Float 1.] are distinct; float
-    comparison treats NaNs as equal and [-0.] as [0.]). *)
 
 (** {1 Printing} *)
 
@@ -61,9 +53,6 @@ val to_canonical_string : t -> string
 val parse : string -> (t, string) result
 (** Whole-string parse; trailing non-whitespace is an error.  The error
     message includes the byte offset. *)
-
-val parse_exn : string -> t
-(** Raises [Failure] with the {!parse} error message. *)
 
 (** {1 Decoding helpers}
 

@@ -60,15 +60,3 @@ let parallel_map ?(chunk = 32) t f xs =
         (fun r acc ->
           match r with Some v -> v :: acc | None -> assert false)
         out []
-
-let parallel_filter_map ?(chunk = 32) t f xs =
-  match xs with
-  | [] -> []
-  | xs ->
-      let input = Array.of_list xs in
-      let n = Array.length input in
-      let out = Array.make n None in
-      run_chunked ~chunk t n (fun i -> out.(i) <- f input.(i));
-      Array.fold_right
-        (fun r acc -> match r with Some v -> v :: acc | None -> acc)
-        out []

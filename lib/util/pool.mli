@@ -2,8 +2,8 @@
     evaluations (the Section 2.4 design-space sweep) across cores.
 
     Work is claimed in chunks from a shared atomic counter, which amortizes
-    domain-spawn cost and balances uneven per-element work.  Both map
-    functions preserve input order exactly, so a parallel run returns the
+    domain-spawn cost and balances uneven per-element work.  [parallel_map]
+    preserves input order exactly, so a parallel run returns the
     same list — element for element — as a serial one; parallelism only
     reorders the evaluation, never the result. *)
 
@@ -30,7 +30,3 @@ val run_chunked : chunk:int -> t -> int -> (int -> unit) -> unit
 val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving map.  [chunk] (default 32) elements are claimed per
     steal.  Exceptions raised by [f] propagate after all domains join. *)
-
-val parallel_filter_map :
-  ?chunk:int -> t -> ('a -> 'b option) -> 'a list -> 'b list
-(** Order-preserving filter-map with the same chunking. *)

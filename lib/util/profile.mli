@@ -11,10 +11,6 @@ val set_enabled : bool -> unit
 val reset : unit -> unit
 (** Drop all accumulated phases (does not change the enabled flag). *)
 
-val record : string -> float -> unit
-(** [record phase seconds] adds one call of [seconds] to [phase],
-    regardless of the enabled flag. *)
-
 val time : string -> (unit -> 'a) -> 'a
 (** [time phase f] runs [f ()]; when profiling is enabled its wall time is
     added to [phase] (also on exception). *)

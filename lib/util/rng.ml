@@ -25,8 +25,6 @@ let create seed =
     z_lo = 0;
   }
 
-let copy t = { s_hi = t.s_hi; s_lo = t.s_lo; z_hi = t.z_hi; z_lo = t.z_lo }
-
 (* One splitmix64 step; the 64-bit output lands in [z_hi]/[z_lo].
 
    The arithmetic itself runs on local [int64] values: the compiler's
@@ -59,15 +57,9 @@ let step t =
   t.z_hi <- Int64.to_int (Int64.shift_right_logical z 32);
   t.z_lo <- Int64.to_int (Int64.logand z 0xFFFFFFFFL)
 
-let next_int64 t =
-  step t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.z_hi) 32) (Int64.of_int t.z_lo)
-
 let bits53 t =
   step t;
   (t.z_hi lsl 21) lor (t.z_lo lsr 11)
-
-let split t = create (next_int64 t)
 
 let int t bound =
   assert (bound > 0);
@@ -90,24 +82,14 @@ let int t bound =
 
 (* 53 random bits mapped to [0,1).  The bits value is < 2^53, so
    [float_of_int] is exact and agrees with [Int64.to_float] of the same
-   quantity.  The body is restated inline in the float-drawing entry
-   points below: a call returning [float] boxes its result without
-   flambda, and [bernoulli]/[geometric] sit on the simulator's
-   per-reference path. *)
-let unit_float t =
-  step t;
-  float_of_int ((t.z_hi lsl 21) lor (t.z_lo lsr 11))
-  *. (1.0 /. 9007199254740992.0)
-
+   quantity.  The body is restated inline in [bernoulli] and
+   [geometric_log1mp]: a call returning [float] boxes its result without
+   flambda, and both sit on the simulator's per-reference path. *)
 let float t bound =
   step t;
   float_of_int ((t.z_hi lsl 21) lor (t.z_lo lsr 11))
   *. (1.0 /. 9007199254740992.0)
   *. bound
-
-let bool t =
-  step t;
-  t.z_lo land 1 = 1
 
 let bernoulli t p =
   step t;
@@ -115,52 +97,15 @@ let bernoulli t p =
   *. (1.0 /. 9007199254740992.0)
   < p
 
-let geometric t p =
-  assert (p > 0. && p <= 1.);
-  if p >= 1. then 0
-  else begin
-    step t;
-    let u =
-      float_of_int ((t.z_hi lsl 21) lor (t.z_lo lsr 11))
-      *. (1.0 /. 9007199254740992.0)
-    in
-    (* Not the polymorphic [max]: that call boxes its float argument. *)
-    let u = if u < 1e-300 then 1e-300 else u in
-    int_of_float (Float.floor (log u /. log (1. -. p)))
-  end
-
-(* [geometric] with the loop-invariant [log (1. -. p)] hoisted out by the
-   caller: one libm call instead of two per draw, identical results.  Only
-   meaningful for p < 1 (the caller owns the p = 1 short-circuit). *)
+(* The loop-invariant [log (1. -. p)] is hoisted out by the caller: one
+   libm call instead of two per draw.  Only meaningful for p < 1 (the
+   caller owns the p = 1 short-circuit). *)
 let geometric_log1mp t ~log1mp =
   step t;
   let u =
     float_of_int ((t.z_hi lsl 21) lor (t.z_lo lsr 11))
     *. (1.0 /. 9007199254740992.0)
   in
+  (* Not the polymorphic [max]: that call boxes its float argument. *)
   let u = if u < 1e-300 then 1e-300 else u in
   int_of_float (Float.floor (log u /. log1mp))
-
-let exponential t mean =
-  let u = max (unit_float t) 1e-300 in
-  -.mean *. log u
-
-let pareto_bounded t ~alpha ~lo ~hi =
-  assert (lo > 0. && hi >= lo && alpha > 0.);
-  let u = unit_float t in
-  let la = lo ** alpha and ha = hi ** alpha in
-  (-.((u *. ha) -. (u *. la) -. ha) /. (ha *. la)) ** (-1. /. alpha)
-
-let choose_weighted t arr =
-  assert (Array.length arr > 0);
-  let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0. arr in
-  assert (total > 0.);
-  let x = float t total in
-  let n = Array.length arr in
-  let rec go i acc =
-    if i = n - 1 then snd arr.(i)
-    else
-      let acc = acc +. fst arr.(i) in
-      if x < acc then snd arr.(i) else go (i + 1) acc
-  in
-  go 0 0.

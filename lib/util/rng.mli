@@ -2,23 +2,12 @@
 
     The architectural simulator and the synthetic workload generators must be
     reproducible run-to-run and independent of OCaml's stdlib [Random] state,
-    so they use this small self-contained generator.  Streams can be [split]
-    so that every thread of a simulated workload draws from an independent
-    deterministic sequence. *)
+    so they use this small self-contained generator. *)
 
 type t
 
 val create : int64 -> t
 (** [create seed] makes a fresh generator. Equal seeds give equal streams. *)
-
-val copy : t -> t
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    independent of the remainder of [t]'s stream. *)
-
-val next_int64 : t -> int64
-(** Uniform over all 2^64 bit patterns. *)
 
 val bits53 : t -> int
 (** The top 53 bits of one draw, as a non-negative int — exactly the bits
@@ -32,28 +21,12 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val geometric : t -> float -> int
-(** [geometric t p] is the number of failures before the first success of a
-    Bernoulli([p]) trial; mean [(1-p)/p]. [p] must be in (0, 1]. *)
-
 val geometric_log1mp : t -> log1mp:float -> int
-(** [geometric_log1mp t ~log1mp:(log (1. -. p))] equals [geometric t p]
-    for [p < 1] — same draw, same result — with the loop-invariant
-    logarithm hoisted to the caller.  The simulator's inner loop uses this
-    to halve its libm traffic. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] draws from Exp with the given mean. *)
-
-val pareto_bounded : t -> alpha:float -> lo:float -> hi:float -> float
-(** Bounded Pareto draw in [\[lo, hi\]]; heavier tail for smaller [alpha].
-    Used to model reuse-distance distributions of workloads. *)
-
-val choose_weighted : t -> (float * 'a) array -> 'a
-(** Picks an element with probability proportional to its weight.  The array
-    must be non-empty with non-negative weights summing to a positive value. *)
+(** [geometric_log1mp t ~log1mp:(log (1. -. p))] is the number of failures
+    before the first success of a Bernoulli([p]) trial, [p] in (0, 1); mean
+    [(1-p)/p].  It inverts the CDF at one [float t 1.0] draw (clamped to
+    [1e-300]): [floor (log u /. log1mp)].  The caller hoists the
+    loop-invariant logarithm, which halves the simulator's libm traffic. *)

@@ -18,10 +18,8 @@ val add_row : t -> string list -> unit
 val add_sep : t -> unit
 (** Inserts a horizontal separator line. *)
 
-val render : t -> string
-
 val print : t -> unit
-(** [render] followed by [print_string]; adds a trailing newline. *)
+(** Prints the aligned table and a trailing blank line. *)
 
 val cell_f : ?dec:int -> float -> string
 (** Formats a float with [dec] decimals (default 3), dropping noise like

@@ -1,8 +1,6 @@
 let nano = 1e-9
 let milli = 1e-3
 
-let ns x = x *. nano
-
 let to_ns x = x /. nano
 let to_nj x = x /. nano
 let to_mw x = x /. milli

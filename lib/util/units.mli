@@ -6,18 +6,12 @@
     print (ns, nJ, mW, mm², µm²) and format quantities for human-readable
     output. *)
 
-(** {1 Construction: engineering unit -> SI} *)
-
-val ns : float -> float
-(** [ns x] is [x] nanoseconds in seconds. *)
-
 (** {1 Readback: SI -> engineering unit} *)
 
 val to_ns : float -> float
 val to_nj : float -> float
 val to_mw : float -> float
 val to_mm2 : float -> float
-val to_um2 : float -> float
 
 (** {1 Formatting} *)
 

@@ -1,6 +1,6 @@
-(* The one-piece row decoder that [Cacti_circuit.Decoder.decoder] was
-   before it became [combine (predecode ...) (line_driver ...)], kept
-   verbatim as the bit-level reference: the differential properties in
+(* The one-piece row decoder the solver designed before it became
+   [Decoder.combine (predecode ...) (line_driver ...)], kept verbatim as
+   the bit-level reference: the differential properties in
    test_circuit.ml compare every float field of the two over random
    inputs. *)
 

@@ -51,8 +51,6 @@ let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
   { policy; sets; assoc; table = Array.init sets (fun _ -> empty_set ()) }
 
 let sets t = t.sets
-let assoc t = t.assoc
-let lines t = t.sets * t.assoc
 let set_of t line = t.table.(line mod t.sets)
 
 let find s line =

@@ -31,18 +31,13 @@ let test_spec_validation () =
         (List.length ds));
   Alcotest.(check bool) "output wider than array rejected" true
     (try ignore (spec ~rows:1 ~row_bits:64 ~out:128 ()); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check int) "capacity" (256 * 2048)
-    (Array_spec.capacity_bits small_sram)
+     with Invalid_argument _ -> true)
 
 let test_org_helpers () =
   let o = org ~ndwl:8 ~ndbl:4 () in
   Alcotest.(check int) "mats_x" 4 (Org.mats_x o);
   Alcotest.(check int) "mats_y" 2 (Org.mats_y o);
-  Alcotest.(check int) "n_mats" 8 (Org.n_mats o);
-  Alcotest.(check int) "subarrays 2x2" 4 (Org.subarrays_per_mat o);
-  let o1 = org ~ndwl:1 ~ndbl:1 () in
-  Alcotest.(check int) "degenerate single" 1 (Org.subarrays_per_mat o1)
+  Alcotest.(check int) "n_mats" 8 (Org.n_mats o)
 
 let test_candidates_dram_mux_fixed () =
   let cands = Org.candidates ~max_ndwl:4 ~max_ndbl:4 ~dram:true () in
@@ -52,17 +47,20 @@ let test_candidates_dram_mux_fixed () =
   Alcotest.(check bool) "sram explores muxes" true
     (List.exists (fun o -> o.Org.deg_bl_mux = 8) sram_cands)
 
+let mat spec org =
+  Mat.make_staged ~staged:(Mat.staged_of_spec spec) ~spec ~org ()
+
 let test_mat_invalid_orgs_rejected () =
   (* 256 rows cannot be split into 64 bitline divisions of >=16 rows. *)
   Alcotest.(check bool) "too many ndbl" true
-    (Mat.make ~spec:small_sram ~org:(org ~ndwl:1 ~ndbl:64 ()) () = None);
+    (mat small_sram (org ~ndwl:1 ~ndbl:64 ()) = None);
   (* Output width must tile across mats. *)
   let bad = org ~ndwl:2 ~ndbl:2 ~ns1:16 ~ns2:16 () in
   Alcotest.(check bool) "mux mismatch rejected" true
-    (Mat.make ~spec:small_sram ~org:bad () = None)
+    (mat small_sram bad = None)
 
 let test_mat_valid () =
-  match Mat.make ~spec:small_sram ~org:(org ~ndwl:2 ~ndbl:2 ~mux:4 ()) () with
+  match mat small_sram (org ~ndwl:2 ~ndbl:2 ~mux:4 ()) with
   | None -> Alcotest.fail "expected a valid mat"
   | Some m ->
       Alcotest.(check int) "rows" 128 m.Mat.subarray.Subarray.rows;
@@ -75,7 +73,7 @@ let test_mat_valid () =
 
 let test_dram_mat_has_restore () =
   let dspec = spec ~ram:Cell.Lp_dram ~rows:2048 ~row_bits:4096 ~out:512 () in
-  match Mat.make ~spec:dspec ~org:(org ~ndwl:2 ~ndbl:8 ~ns1:2 ~ns2:4 ()) () with
+  match mat dspec (org ~ndwl:2 ~ndbl:8 ~ns1:2 ~ns2:4 ()) with
   | None -> Alcotest.fail "expected valid LP-DRAM mat"
   | Some m ->
       Alcotest.(check bool) "restore time set" true (m.Mat.t_restore > 0.);
@@ -95,7 +93,8 @@ let test_bank_counts_partition () =
       c.candidates
       (c.evaluated + c.geometry_rejected + c.page_rejected + c.area_pruned
       + c.bound_pruned + c.nonviable + c.nonfinite + c.raised);
-    Alcotest.(check int) (name ^ ": no faults on a clean sweep") 0 (faults c)
+    Alcotest.(check int) (name ^ ": no faults on a clean sweep") 0
+      (c.nonfinite + c.raised)
   in
   check_spec "sram" small_sram;
   check_spec "dram page-constrained"
@@ -363,8 +362,8 @@ let test_staged_evaluate_identical () =
   in
   List.iter
     (fun o ->
-      let fresh = Bank.evaluate ~spec:small_sram ~org:o in
-      let fast = Bank.evaluate_staged ~staged ~spec:small_sram ~org:o in
+      let fresh = mat small_sram o in
+      let fast = Mat.make_staged ~staged ~spec:small_sram ~org:o () in
       (* [compare], not [=]: NaN-valued scratch fields (e.g. unbounded
          DRAM timings) are unequal to themselves under [=]. *)
       Alcotest.(check bool)

@@ -111,7 +111,7 @@ let test_energy_delay_consistency () =
 let test_stats_invariants_across_grid () =
   List.iter
     (fun b ->
-      let r = Study.run_app ~params:quick_params b Apps.mg_b in
+      let r = Study.run_app ~params:quick_params b (Apps.by_name "mg.B") in
       match Stats.check_consistency r.Study.stats with
       | Ok () -> ()
       | Error e ->

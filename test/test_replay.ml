@@ -23,7 +23,7 @@ let write_file path s =
 
 let policy = Alcotest.testable
     (fun ppf p -> Format.fprintf ppf "%s" (Mcsim.Policy.to_string p))
-    Mcsim.Policy.equal
+    ( = )
 
 let check_parse name expect =
   match Mcsim.Policy.of_string name with
@@ -86,7 +86,8 @@ let test_policy_reject () =
         (fun name ->
           if not (contains d.Cacti_util.Diag.message name) then
             Alcotest.failf "error message misses %S" name)
-        Mcsim.Policy.preset_names)
+        [ "nehalem|nhm"; "sandybridge|snb"; "ivybridge|ivb"; "haswell|hsw";
+          "skylake|skl"; "coffeelake|cfl" ])
 
 let test_presets () =
   let q h2 h3 m r u = Mcsim.Policy.Qlru { h2; h3; m; r; u } in
@@ -107,12 +108,12 @@ let test_presets () =
   check "coffeelake" plru (q 0 0 1 0 1) (q 1 1 1 0 0);
   (* long and short names resolve to the same preset *)
   List.iter
-    (fun (p : Mcsim.Policy.preset) ->
-      match Mcsim.Policy.preset_of_string p.Mcsim.Policy.short with
-      | Ok q -> Alcotest.(check string) p.Mcsim.Policy.short
-                  p.Mcsim.Policy.cpu q.Mcsim.Policy.cpu
-      | Error _ -> Alcotest.failf "short name %s" p.Mcsim.Policy.short)
-    Mcsim.Policy.presets
+    (fun (cpu, short) ->
+      match Mcsim.Policy.preset_of_string short with
+      | Ok q -> Alcotest.(check string) short cpu q.Mcsim.Policy.cpu
+      | Error _ -> Alcotest.failf "short name %s" short)
+    [ ("nehalem", "nhm"); ("sandybridge", "snb"); ("ivybridge", "ivb");
+      ("haswell", "hsw"); ("skylake", "skl"); ("coffeelake", "cfl") ]
 
 let prop_qlru_roundtrip =
   QCheck.Test.make ~name:"qlru name roundtrips" ~count:100
@@ -121,7 +122,7 @@ let prop_qlru_roundtrip =
     (fun (h2, h3, m, (r, u)) ->
       let p = Mcsim.Policy.Qlru { h2; h3; m; r; u } in
       match Mcsim.Policy.of_string (Mcsim.Policy.to_string p) with
-      | Ok p' -> Mcsim.Policy.equal p p'
+      | Ok p' -> p = p'
       | Error _ -> false)
 
 (* --------------------- policy golden sequences --------------------- *)
@@ -135,15 +136,13 @@ let run_policy policy ops =
   List.filter_map
     (function
       | A line -> (
-          match Mcsim.Cache_sim.access c ~line ~write:false with
-          | Mcsim.Cache_sim.Hit _ -> None
-          | Mcsim.Cache_sim.Miss ->
-              Alcotest.failf "access %d missed" line)
+          if Mcsim.Cache_sim.access_int c ~line ~write:false < 0 then
+            Alcotest.failf "access %d missed" line
+          else None)
       | F line ->
-          Some
-            (match Mcsim.Cache_sim.fill c ~line ~state:Mcsim.Cache_sim.E with
-            | Some e -> e.Mcsim.Cache_sim.line
-            | None -> -1))
+          (* state 2 = E; a victim comes back as [line * 4 + state] *)
+          let ev = Mcsim.Cache_sim.fill_packed c ~line ~state_int:2 in
+          Some (if ev < 0 then -1 else ev lsr 2))
     ops
 
 let check_seq name policy ops expected =

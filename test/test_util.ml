@@ -3,7 +3,7 @@ open Cacti_util
 let approx = Alcotest.(check (float 1e-9))
 
 let test_units_roundtrip () =
-  approx "ns roundtrip" 3.2 (Units.to_ns (Units.ns 3.2));
+  approx "ns readback" 3.2 (Units.to_ns 3.2e-9);
   approx "nJ readback" 1.6 (Units.to_nj 1.6e-9);
   approx "mW readback" 3.5 (Units.to_mw 3.5e-3);
   approx "mm2 readback" 6.2 (Units.to_mm2 6.2e-6)
@@ -34,22 +34,11 @@ let test_rel_err () =
   approx "under" (-0.25) (Floatx.rel_err ~actual:4. ~model:3.);
   approx "over" 0.10 (Floatx.rel_err ~actual:10. ~model:11.)
 
-let test_geomean () =
-  approx "geomean" 2. (Floatx.geomean [ 1.; 2.; 4. ]);
-  Alcotest.check_raises "empty" (Invalid_argument "Floatx.geomean: empty")
-    (fun () -> ignore (Floatx.geomean []))
-
 let test_rng_determinism () =
   let a = Rng.create 7L and b = Rng.create 7L in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
+    Alcotest.(check int) "same stream" (Rng.bits53 a) (Rng.bits53 b)
   done
-
-let test_rng_split_independent () =
-  let a = Rng.create 7L in
-  let c = Rng.split a in
-  let x = Rng.next_int64 a and y = Rng.next_int64 c in
-  Alcotest.(check bool) "distinct streams" true (x <> y)
 
 let test_rng_bounds () =
   let r = Rng.create 11L in
@@ -64,9 +53,10 @@ let test_rng_geometric_mean () =
   let r = Rng.create 13L in
   let n = 50_000 in
   let p = 0.3 in
+  let log1mp = log (1. -. p) in
   let sum = ref 0 in
   for _ = 1 to n do
-    sum := !sum + Rng.geometric r p
+    sum := !sum + Rng.geometric_log1mp r ~log1mp
   done;
   let mean = float_of_int !sum /. float_of_int n in
   let expected = (1. -. p) /. p in
@@ -86,44 +76,30 @@ let test_rng_bernoulli () =
   Alcotest.(check bool) "bernoulli rate" true (Float.abs (frac -. 0.25) < 0.02)
 
 
-let test_rng_choose_weighted () =
-  let r = Rng.create 23L in
-  let arr = [| (1.0, "a"); (3.0, "b") |] in
-  let counts = Hashtbl.create 2 in
-  for _ = 1 to 20_000 do
-    let v = Rng.choose_weighted r arr in
-    Hashtbl.replace counts v (1 + try Hashtbl.find counts v with Not_found -> 0)
-  done;
-  let b = float_of_int (Hashtbl.find counts "b") /. 20_000. in
-  Alcotest.(check bool) "weighted ~0.75" true (Float.abs (b -. 0.75) < 0.02)
-
-let test_rng_exponential_mean () =
-  let r = Rng.create 29L in
-  let n = 30_000 in
-  let sum = ref 0. in
-  for _ = 1 to n do
-    sum := !sum +. Rng.exponential r 5.0
-  done;
-  let mean = !sum /. float_of_int n in
-  Alcotest.(check bool) "exp mean ~5" true (Float.abs (mean -. 5.0) < 0.2)
-
-let test_rng_copy_preserves_stream () =
-  let a = Rng.create 31L in
-  ignore (Rng.next_int64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copies continue identically" (Rng.next_int64 a)
-    (Rng.next_int64 b)
+(* What [f] writes to stdout. *)
+let capture_stdout f =
+  let file = Filename.temp_file "test_util" ".out" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect f ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved);
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  s
 
 let test_table_render () =
   let t = Table.create [ "name"; "v" ] in
   Table.add_row t [ "a"; "1" ];
   Table.add_sep t;
   Table.add_row t [ "bb" ];
-  let s = Table.render t in
-  Alcotest.(check bool) "has header" true
-    (String.length s > 0 && String.sub s 0 4 = "name");
-  Alcotest.(check bool) "pads short rows" true
-    (String.length (Table.render t) > 10)
+  Alcotest.(check string) "aligned, short rows padded"
+    "name  v\n-------\na     1\n-------\nbb     \n\n"
+    (capture_stdout (fun () -> Table.print t))
 
 let test_table_cells () =
   Alcotest.(check string) "pct" "+6.2%" (Table.cell_pct 0.062);
@@ -142,19 +118,6 @@ let test_pool_map_order () =
         expect
         (Pool.parallel_map ~chunk:7 pool (fun x -> x * x) xs))
     [ 1; 2; 4 ]
-
-let test_pool_filter_map_order () =
-  let xs = List.init 500 (fun i -> i) in
-  let f x = if x mod 3 = 0 then Some (x * 2) else None in
-  let expect = List.filter_map f xs in
-  List.iter
-    (fun j ->
-      let pool = Pool.create ~jobs:j () in
-      Alcotest.(check (list int))
-        (Printf.sprintf "jobs=%d" j)
-        expect
-        (Pool.parallel_filter_map ~chunk:3 pool f xs))
-    [ 1; 3; 5 ]
 
 let test_pool_exception_propagates () =
   let pool = Pool.create ~jobs:3 () in
@@ -186,7 +149,7 @@ let test_diag_counts () =
   let b = { Diag.zero_counts with Diag.candidates = 5; geometry_rejected = 5 } in
   let s = Diag.add_counts a b in
   Alcotest.(check int) "candidates add" 15 s.Diag.candidates;
-  Alcotest.(check int) "faults" 3 (Diag.faults s);
+  Alcotest.(check int) "nonfinite add" 2 s.Diag.nonfinite;
   Alcotest.(check bool) "counts_to_string mentions totals" true
     (let str = Diag.counts_to_string s in
      String.length str > 0 && String.sub str 0 2 = "15")
@@ -211,14 +174,6 @@ let prop_clamp =
       let v = Floatx.clamp ~lo ~hi x in
       v >= lo && v <= hi)
 
-let prop_pareto_bounded =
-  QCheck.Test.make ~name:"pareto draw stays within bounds" ~count:500
-    QCheck.(int_range 0 10000)
-    (fun seed ->
-      let r = Rng.create (Int64.of_int seed) in
-      let v = Rng.pareto_bounded r ~alpha:1.2 ~lo:1. ~hi:100. in
-      v >= 0.99 && v <= 100.01)
-
 (* -------------------- rng fast paths -------------------- *)
 
 let test_rng_bits53_matches_float () =
@@ -235,7 +190,9 @@ let test_rng_geometric_log1mp () =
   let p = 0.3 in
   let log1mp = log (1. -. p) in
   for _ = 1 to 200 do
-    Alcotest.(check int) "same draw as geometric" (Rng.geometric a p)
+    let u = Float.max (Rng.float a 1.0) 1e-300 in
+    Alcotest.(check int) "inverse CDF of one float draw"
+      (int_of_float (Float.floor (log u /. log (1. -. p))))
       (Rng.geometric_log1mp b ~log1mp)
   done
 
@@ -249,15 +206,11 @@ let test_intmap_basics () =
   Alcotest.(check int) "get" 3 (Intmap.get m 7);
   Alcotest.(check int) "get key 0" 1 (Intmap.get m 0);
   Alcotest.(check int) "absent is 0" 0 (Intmap.get m 99);
-  Alcotest.(check bool) "mem" true (Intmap.mem m 7);
   Intmap.set m 7 0;
-  Alcotest.(check bool) "zero removes" false (Intmap.mem m 7);
+  Alcotest.(check int) "zero removes" 0 (Intmap.get m 7);
   Alcotest.(check int) "length after remove" 1 (Intmap.length m);
-  Intmap.remove m 0;
-  Alcotest.(check int) "empty again" 0 (Intmap.length m);
-  Intmap.set m 12 5;
-  Intmap.clear m;
-  Alcotest.(check int) "clear" 0 (Intmap.length m)
+  Intmap.set m 0 0;
+  Alcotest.(check int) "empty again" 0 (Intmap.length m)
 
 let test_intmap_grow () =
   let m = Intmap.create ~capacity:2 () in
@@ -269,8 +222,7 @@ let test_intmap_grow () =
   for k = 0 to 999 do
     if Intmap.get m (k * 7919) <> k + 1 then ok := false
   done;
-  Alcotest.(check bool) "all bindings survive growth" true !ok;
-  Alcotest.(check bool) "capacity grew" true (Intmap.capacity m >= 1024)
+  Alcotest.(check bool) "all bindings survive growth" true !ok
 
 (* Backward-shift deletion is the subtle part: interleave inserts and
    removes (many probe-chain collisions at small capacity) and require
@@ -297,6 +249,10 @@ let prop_intmap_model =
 
 (* ------------------------------ cancel ----------------------------- *)
 
+(* The reason a fired token carries, read through the solver's poll. *)
+let why t =
+  match Cancel.check t with () -> None | exception Cancel.Cancelled r -> Some r
+
 let test_cancel_flag () =
   let t = Cancel.create ~reason:"test" () in
   Alcotest.(check bool) "fresh token quiet" false (Cancel.cancelled t);
@@ -305,7 +261,7 @@ let test_cancel_flag () =
   Cancel.cancel t;
   Cancel.cancel t;
   (* idempotent *)
-  Alcotest.(check (option string)) "why" (Some "test") (Cancel.why t);
+  Alcotest.(check (option string)) "why" (Some "test") (why t);
   Alcotest.check_raises "check raises" (Cancel.Cancelled "test") (fun () ->
       Cancel.check t)
 
@@ -317,7 +273,7 @@ let test_cancel_deadline () =
   in
   Alcotest.(check bool)
     "past deadline counts as fired" true (Cancel.cancelled fired);
-  Alcotest.(check (option string)) "why" (Some "deadline") (Cancel.why fired);
+  Alcotest.(check (option string)) "why" (Some "deadline") (why fired);
   let quiet =
     Cancel.create ~reason:"deadline"
       ~deadline_at:(Unix.gettimeofday () +. 3600.)
@@ -332,18 +288,18 @@ let test_cancel_parent_chain () =
   Cancel.cancel drain;
   Alcotest.(check bool) "child fires with parent" true (Cancel.cancelled child);
   Alcotest.(check (option string))
-    "carries the parent's reason" (Some "drain") (Cancel.why child);
+    "carries the parent's reason" (Some "drain") (why child);
   (* firing a child never propagates up *)
   let p = Cancel.create ~reason:"p" () in
   let c = Cancel.create ~reason:"c" ~parent:p () in
   Cancel.cancel c;
-  Alcotest.(check (option string)) "child's own reason" (Some "c") (Cancel.why c);
+  Alcotest.(check (option string)) "child's own reason" (Some "c") (why c);
   Alcotest.(check bool) "parent untouched" false (Cancel.cancelled p)
 
 let test_cancel_never () =
   Alcotest.(check bool) "never is quiet" false (Cancel.cancelled Cancel.never);
   Cancel.check Cancel.never;
-  Alcotest.(check (option string)) "never why" None (Cancel.why Cancel.never)
+  Alcotest.(check (option string)) "never why" None (why Cancel.never)
 
 let () =
   Alcotest.run "util"
@@ -358,22 +314,16 @@ let () =
           Alcotest.test_case "clog2" `Quick test_clog2;
           Alcotest.test_case "pow2" `Quick test_pow2;
           Alcotest.test_case "rel_err" `Quick test_rel_err;
-          Alcotest.test_case "geomean" `Quick test_geomean;
           QCheck_alcotest.to_alcotest prop_clamp;
         ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
-          Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
           Alcotest.test_case "bernoulli rate" `Quick test_rng_bernoulli;
-          Alcotest.test_case "choose_weighted" `Quick test_rng_choose_weighted;
-          Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          Alcotest.test_case "copy" `Quick test_rng_copy_preserves_stream;
           Alcotest.test_case "bits53" `Quick test_rng_bits53_matches_float;
           Alcotest.test_case "geometric log1mp" `Quick test_rng_geometric_log1mp;
-          QCheck_alcotest.to_alcotest prop_pareto_bounded;
         ] );
       ( "intmap",
         [
@@ -395,7 +345,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map order" `Quick test_pool_map_order;
-          Alcotest.test_case "filter_map order" `Quick test_pool_filter_map_order;
           Alcotest.test_case "exception" `Quick test_pool_exception_propagates;
         ] );
       ( "cancel",
