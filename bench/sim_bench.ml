@@ -17,10 +17,18 @@
      the two runs are bit-identical (Stats.t and Energy.system compared
      structurally) — the determinism contract of the parallel fan-out.
 
+   - alloc: the major-heap words of one warm [Engine.run] on the study's
+     192 MB COMM-DRAM machine (cg.C, 400k instructions), read from
+     [Gc.quick_stat] around the run that follows a warm-up run.  A run
+     reuses the caches and directory of the previous run on its domain,
+     so this is 0; a run that allocated its cache state again would
+     count millions of words.  The count repeats exactly.
+
    Results are written as JSON (schema in EXPERIMENTS.md).  With
    [--floor FILE] the run fails (exit 1) if measured MIPS drops more
-   than 30% below the checked-in [mips_floor], or if the parallel study
-   is not bit-identical to the serial one. *)
+   than 30% below the checked-in [mips_floor], if the warm run's
+   major-heap words exceed [warm_run_major_words_ceiling], or if the
+   parallel study is not bit-identical to the serial one. *)
 
 open Mcsim
 
@@ -143,6 +151,21 @@ let bench_engine ~instructions =
     minor_words_per_instr = !words /. fi;
   }
 
+(* ------------------------- alloc section -------------------------- *)
+
+let alloc_instructions = 400_000
+
+let warm_run_major_words () =
+  let machine = (Study.build Study.Cm_dram_c).Study.machine in
+  let params =
+    { Engine.default_params with total_instructions = alloc_instructions }
+  in
+  let run () = ignore (Engine.run ~params machine Apps.cg_c : Stats.t) in
+  run ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  run ();
+  int_of_float ((Gc.quick_stat ()).Gc.major_words -. w0)
+
 (* ------------------------- study section -------------------------- *)
 
 type study_result = {
@@ -204,8 +227,8 @@ let baseline_field path =
       Printf.eprintf "%s: %s\n" path e;
       exit 1
 
-let write_json path ~quick ~jobs (e : engine_result) (s : study_result)
-    baseline =
+let write_json path ~quick ~jobs (e : engine_result) ~major_words
+    (s : study_result) baseline =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"schema_version\": 1,\n";
@@ -216,6 +239,10 @@ let write_json path ~quick ~jobs (e : engine_result) (s : study_result)
      \"minor_words_per_instr\": %.3f },\n"
     e.instructions e.wall_s e.mips e.minor_words_per_instr;
   Printf.fprintf oc
+    "  \"alloc\": { \"config\": \"cm_dram_c\", \"app\": \"cg.C\", \
+     \"instructions\": %d, \"warm_run_major_words\": %d },\n"
+    alloc_instructions major_words;
+  Printf.fprintf oc
     "  \"study\": { \"cells\": %d, \"instructions_per_cell\": %d, \
      \"wall_s_jobs1\": %.4f, \"wall_s_jobsn\": %.4f, \"speedup\": %.2f, \
      \"identical\": %b }"
@@ -223,13 +250,13 @@ let write_json path ~quick ~jobs (e : engine_result) (s : study_result)
     s.identical;
   (match baseline with
   | None -> Printf.fprintf oc "\n"
-  | Some (base_mips, base_words, floor) ->
+  | Some (base_mips, base_words, floor, ceiling) ->
       Printf.fprintf oc
         ",\n\
         \  \"baseline\": { \"mips\": %.2f, \"minor_words_per_instr\": %.3f, \
-         \"mips_floor\": %.2f },\n\
+         \"mips_floor\": %.2f, \"warm_run_major_words_ceiling\": %.0f },\n\
         \  \"mips_vs_baseline\": %.2f\n"
-        base_mips base_words floor (e.mips /. base_mips));
+        base_mips base_words floor ceiling (e.mips /. base_mips));
   Printf.fprintf oc "}\n";
   close_out oc
 
@@ -241,9 +268,11 @@ let usage () =
      [--out FILE] [--floor FILE]";
   print_endline "--quick: 1M-instruction engine run, 3x2 study matrix at 2M";
   print_endline
-    "--floor FILE: read mips_floor from FILE and fail if measured MIPS \
-     drops more than 30% below it (or if the parallel study is not \
-     bit-identical to the serial one)"
+    "--floor FILE: read mips_floor and warm_run_major_words_ceiling from \
+     FILE and fail if measured MIPS drops more than 30% below the floor, \
+     if a warm Engine.run allocates more major-heap words than the \
+     ceiling, or if the parallel study is not bit-identical to the \
+     serial one"
 
 let () =
   let quick = ref false in
@@ -295,6 +324,11 @@ let () =
   Printf.printf
     "engine: %.2f simulated MIPS, %.3fs wall, %.3f minor words/instr\n%!"
     e.mips e.wall_s e.minor_words_per_instr;
+  let major_words = warm_run_major_words () in
+  Printf.printf
+    "alloc: %d major-heap words in one warm Engine.run (cm_dram_c, cg.C, \
+     %d instructions)\n%!"
+    major_words alloc_instructions;
   Printf.printf "study: %s matrix, jobs=1 vs jobs=%d...\n%!"
     (if !quick then "3 configs x 2 apps" else "6 configs x 8 apps")
     !jobs;
@@ -308,15 +342,21 @@ let () =
     | None -> None
     | Some f -> (
         let get = baseline_field f in
-        match (get "mips", get "minor_words_per_instr", get "mips_floor")
+        match
+          ( get "mips",
+            get "minor_words_per_instr",
+            get "mips_floor",
+            get "warm_run_major_words_ceiling" )
         with
-        | Some m, Some w, Some fl -> Some (m, w, fl)
+        | Some m, Some w, Some fl, Some c -> Some (m, w, fl, c)
         | _ ->
             Printf.eprintf
-              "%s: missing mips / minor_words_per_instr / mips_floor\n" f;
+              "%s: missing mips / minor_words_per_instr / mips_floor / \
+               warm_run_major_words_ceiling\n"
+              f;
             exit 1)
   in
-  write_json !out ~quick:!quick ~jobs:!jobs e s baseline;
+  write_json !out ~quick:!quick ~jobs:!jobs e ~major_words s baseline;
   Printf.printf "wrote %s\n%!" !out;
   let failed = ref false in
   if not s.identical then begin
@@ -325,13 +365,19 @@ let () =
     failed := true
   end;
   (match baseline with
-  | Some (base_mips, _, floor) ->
+  | Some (base_mips, _, floor, ceiling) ->
       Printf.printf "baseline: %.2f MIPS (floor %.2f); this run %.2fx\n%!"
         base_mips floor (e.mips /. base_mips);
       if e.mips < 0.7 *. floor then begin
         Printf.eprintf
           "FAIL: %.2f MIPS is more than 30%% below the floor of %.2f\n"
           e.mips floor;
+        failed := true
+      end;
+      if float_of_int major_words > ceiling then begin
+        Printf.eprintf
+          "FAIL: warm_run_major_words = %d exceeds the ceiling of %.0f\n"
+          major_words ceiling;
         failed := true
       end
   | None -> ());

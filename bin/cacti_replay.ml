@@ -52,12 +52,11 @@ let resolve_policies cpu l1 l2 l3 =
   let* p3 = override b3 l3 in
   Ok (p1, p2, p3)
 
-let with_out_channel path f =
-  match path with
-  | None | Some "-" -> f stdout
-  | Some p ->
-      let oc = open_out p in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc)
+(* A failure to open or write an output, tagged [output/<reason>]. *)
+exception Output_error of string * string
+
+let on_output reason f x =
+  try f x with Sys_error msg -> raise (Output_error (reason, msg))
 
 let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
     output out summary_file quiet jobs =
@@ -72,6 +71,16 @@ let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
             line_bytes;
             mem_latency;
           }
+      in
+      (* A run that fails closes its output files and removes those it
+         created, so no partial output reads as a result; a path that
+         existed before (a device, a pipe, an old file) is left in place. *)
+      let opened = ref [] in
+      let open_output reason path =
+        let existed = Sys.file_exists path in
+        let oc = on_output reason open_out path in
+        opened := (path, existed, oc) :: !opened;
+        oc
       in
       try
         let render : Replayer.render option =
@@ -88,8 +97,10 @@ let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
                     ~line_bytes o)
           | No_output -> None
         in
-        (* A trace file is loaded before the output is opened, so a
-           trace that cannot be read leaves no output behind. *)
+        (* A trace file is loaded before the outputs are opened, and both
+           outputs are opened before the replay starts: an unreadable
+           trace or an unwritable output is refused before anything is
+           written. *)
         let replay =
           match trace with
           | "-" ->
@@ -108,52 +119,64 @@ let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
               let source = Trace_io.load_source ?format path in
               fun ~emit -> Replayer.run_sharded ?jobs ?render ~emit cfg source
         in
-        let run_stream oc =
-          if output = Csv then begin
-            output_string oc Report.csv_header;
-            output_char oc '\n'
-          end;
-          let res = replay ~emit:(output_string oc) in
-          flush oc;
-          res
+        let summary_oc =
+          Option.map (open_output "summary_write_error") summary_file
         in
-        let s, diags = with_out_channel out run_stream in
+        let oc =
+          match out with
+          | None | Some "-" -> stdout
+          | Some p -> open_output "out_write_error" p
+        in
+        let emit = on_output "out_write_error" (output_string oc) in
+        if output = Csv then emit (Report.csv_header ^ "\n");
+        let s, diags = replay ~emit in
+        on_output "out_write_error" flush oc;
         if diags <> [] then prerr_endline (Cacti_util.Diag.render diags);
-        (match summary_file with
-        | None -> ()
-        | Some p ->
+        Option.iter
+          (fun soc ->
             let json =
               Cacti_util.Jsonx.to_string_pretty
                 (Report.summary_json ~config:cfg s)
             in
-            let oc = open_out p in
-            output_string oc json;
-            output_char oc '\n';
-            close_out oc);
+            on_output "summary_write_error" (output_string soc) (json ^ "\n");
+            on_output "summary_write_error" close_out soc)
+          summary_oc;
+        if oc != stdout then on_output "out_write_error" close_out oc;
         if not quiet then begin
           Printf.eprintf "replayed %d accesses\n" s.Replayer.accesses;
           prerr_string (Report.summary_human s)
         end;
         Cacti_util.Diag.exit_ok
-      with
-      | Trace_io.Parse_error { path; line; msg } ->
-          fail_diags
-            [
-              Cacti_util.Diag.errorf ~component:"replay"
-                ~reason:"trace_parse_error" "%s:%d: %s" path line msg;
-            ]
-            Cacti_util.Diag.exit_invalid_spec
-      | Sys_error msg ->
-          fail_diags
-            [ Cacti_util.Diag.error ~component:"replay" ~reason:"io_error" msg ]
-            Cacti_util.Diag.exit_invalid_spec
-      | Invalid_argument msg ->
-          fail_diags
-            [
-              Cacti_util.Diag.error ~component:"replay"
-                ~reason:"invalid_config" msg;
-            ]
-            Cacti_util.Diag.exit_invalid_spec)
+      with e -> (
+        List.iter
+          (fun (path, existed, oc) ->
+            close_out_noerr oc;
+            if not existed then try Sys.remove path with Sys_error _ -> ())
+          !opened;
+        match e with
+        | Output_error (reason, msg) ->
+            fail_diags
+              [ Cacti_util.Diag.error ~component:"output" ~reason msg ]
+              Cacti_util.Diag.exit_invalid_spec
+        | Trace_io.Parse_error { path; line; msg } ->
+            fail_diags
+              [
+                Cacti_util.Diag.errorf ~component:"replay"
+                  ~reason:"trace_parse_error" "%s:%d: %s" path line msg;
+              ]
+              Cacti_util.Diag.exit_invalid_spec
+        | Sys_error msg ->
+            fail_diags
+              [ Cacti_util.Diag.error ~component:"replay" ~reason:"io_error" msg ]
+              Cacti_util.Diag.exit_invalid_spec
+        | Invalid_argument msg ->
+            fail_diags
+              [
+                Cacti_util.Diag.error ~component:"replay"
+                  ~reason:"invalid_config" msg;
+              ]
+              Cacti_util.Diag.exit_invalid_spec
+        | e -> raise e))
 
 let run_convert src dst to_format =
   try

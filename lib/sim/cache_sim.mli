@@ -25,7 +25,18 @@ val create : ?assoc:int -> ?policy:Policy.t -> lines:int -> unit -> t
     [lines] when [sets] does not divide [lines] (e.g. [~lines:20 ~assoc:2]
     builds 8 sets of 2 ways).  [policy] (default {!Policy.Lru}) selects
     the replacement policy; [Tree_plru] additionally requires the (possibly
-    widened) associativity to be a power of two, else [Invalid_argument]. *)
+    widened) associativity to be a power of two, else [Invalid_argument].
+
+    The state arrays come from the calling domain's free list when one
+    fits (the smallest that does), else are allocated; a fresh cache is
+    empty either way. *)
+
+val release : t -> unit
+(** Returns [t]'s state arrays to the calling domain's free list for the
+    next {!create} on that domain.  [t] must not be used afterwards.  A
+    domain keeps at most as many free arrays as it once had in use at the
+    same time; a domain other than the main one drops them when it
+    exits. *)
 
 val set_count : assoc:int -> lines:int -> int
 (** The set count {!create} builds for [~assoc ~lines]: [lines / assoc]

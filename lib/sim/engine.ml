@@ -326,6 +326,26 @@ let access s (th : thread) line write =
     end
   end
 
+(* The directory of the last run that finished on this domain, cleared in
+   place; the next run here takes it instead of allocating one.  With the
+   caches (Cache_sim's free list) it is all of a run's state that grows
+   with the machine.  A domain other than the main one drops it when it
+   exits. *)
+let spare_directory =
+  Domain.DLS.new_key (fun () ->
+      let r = ref None in
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () -> r := None);
+      r)
+
+let take_directory () =
+  let r = Domain.DLS.get spare_directory in
+  match !r with
+  | Some d ->
+      r := None;
+      d
+  | None -> Cacti_util.Intmap.create ~capacity:65536 ()
+
 let make_sim ?make_gen cfg app params =
   Workload.validate app;
   let n_threads = Machine.n_threads cfg in
@@ -388,7 +408,7 @@ let make_sim ?make_gen cfg app params =
         ?powerdown:cfg.Machine.mem.Machine.powerdown
         ~policy:cfg.Machine.mem.Machine.policy
         ~timing:cfg.Machine.mem.Machine.timing ();
-    directory = Cacti_util.Intmap.create ~capacity:65536 ();
+    directory = take_directory ();
     locks_free = Array.make (max 1 app.Workload.n_locks) 0;
     rng;
     residues = Array.make n_threads 0.;
@@ -540,10 +560,24 @@ let run_sim s =
   st.Stats.dram <- Some (Dram_sim.counts s.dram);
   st
 
+(* Hands the caches and the directory of a finished run to the next run
+   on this domain; [s] must not be used afterwards. *)
+let release s =
+  Array.iter Cache_sim.release s.l1s;
+  Array.iter Cache_sim.release s.l2s;
+  Array.iter Cache_sim.release s.l3;
+  Cacti_util.Intmap.clear s.directory;
+  Domain.DLS.get spare_directory := Some s.directory
+
 let run ?(params = default_params) ?make_gen cfg app =
-  run_sim (make_sim ?make_gen cfg app params)
+  let s = make_sim ?make_gen cfg app params in
+  let st = run_sim s in
+  release s;
+  st
 
 let run_audited ?(params = default_params) cfg app =
   let s = make_sim cfg app params in
   let st = run_sim s in
-  (st, audit_directory s)
+  let audit = audit_directory s in
+  release s;
+  (st, audit)

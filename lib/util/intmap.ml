@@ -21,6 +21,11 @@ let create ?(capacity = 16) () =
 
 let length t = t.population
 
+(* [vals] is read only at slots holding a key, so it needs no reset. *)
+let clear t =
+  Array.fill t.keys 0 (Array.length t.keys) empty_key;
+  t.population <- 0
+
 (* Fibonacci hashing: multiply by 2^63/phi (odd), then fold the high bits
    down with a xor-shift so the low bits used by [land mask] depend on the
    whole key.  Line indices are often sequential; this spreads them. *)

@@ -28,6 +28,10 @@ val set : t -> int -> int -> unit
 (** [set t k v] binds [k] to [v]; [v = 0] removes the binding (and
     compacts the probe chain).  [k] must be non-negative. *)
 
+val clear : t -> unit
+(** Removes every binding and keeps the capacity, so a cleared table can
+    be reused without allocating.  O(capacity). *)
+
 val length : t -> int
 (** Number of live (non-zero) bindings — exact, O(1). *)
 

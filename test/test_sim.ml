@@ -182,7 +182,25 @@ let gen_cache_ops ~span =
            (1, map2 (fun l s -> Set (l, s)) (int_bound span) (int_range 1 3));
          ]))
 
-let cache_matches_oracle policy ~lines ~assoc ops =
+(* Leaves a cache of another geometry and policy on this domain's free
+   list with every array stale: three times its capacity streamed through
+   it, so every set is full of valid ways whose stamps and set words have
+   moved, then released.  The next [create] takes its arrays (or older
+   ones, equally stale) unless none fits. *)
+let release_stale (policy, lines, assoc) =
+  match Cache_sim.create ~assoc ~policy ~lines () with
+  | exception Invalid_argument _ -> ()
+  | c ->
+      for l = 0 to (3 * lines) - 1 do
+        if Cache_sim.access_int c ~line:l ~write:(l land 1 = 1) < 0 then
+          ignore (Cache_sim.fill_packed c ~line:l ~state_int:(1 + (l mod 3)))
+      done;
+      Cache_sim.release c
+
+(* The cache under test is built from recycled arrays: [stale] is
+   released first, and the cache itself is released after the check. *)
+let cache_matches_oracle ~stale policy ~lines ~assoc ops =
+  release_stale stale;
   match Cache_sim.create ~assoc ~policy ~lines () with
   | exception Invalid_argument _ -> (
       match Naive.create ~assoc ~policy ~lines () with
@@ -202,12 +220,16 @@ let cache_matches_oracle policy ~lines ~assoc ops =
             Naive.set_state m ~line s;
             true
       in
-      Cache_sim.set_count ~assoc ~lines = Naive.sets m
-      && List.for_all step ops
-      && Cache_sim.occupancy c = Naive.occupancy m
-      && List.for_all
-           (fun l -> Cache_sim.probe_int c l = Naive.probe m l)
-           (List.init ((2 * lines) + 3) Fun.id)
+      let ok =
+        Cache_sim.set_count ~assoc ~lines = Naive.sets m
+        && List.for_all step ops
+        && Cache_sim.occupancy c = Naive.occupancy m
+        && List.for_all
+             (fun l -> Cache_sim.probe_int c l = Naive.probe m l)
+             (List.init ((2 * lines) + 3) Fun.id)
+      in
+      Cache_sim.release c;
+      ok
 
 (* Power-of-two geometries, and ones [create] rounds down to fewer sets
    of more ways (non-power-of-two ways refuse Tree-PLRU; [~lines:20
@@ -224,37 +246,48 @@ let qlru_tuples =
         { h2 = i land 3; h3 = (i lsr 2) land 3; m = (i lsr 4) land 3;
           r = (i lsr 6) land 1; u = i lsr 7 })
 
+let gen_policy =
+  QCheck.Gen.oneof
+    (QCheck.Gen.oneofl qlru_tuples
+    :: List.map QCheck.Gen.return Policy.[ Lru; Tree_plru; Mru; Mru_n ])
+
+(* A stale cache's policy and geometry, its lines scaled by 1, 2 or 4. *)
+let gen_stale =
+  QCheck.Gen.(
+    map3
+      (fun policy (lines, assoc) k -> (policy, lines * k, assoc))
+      gen_policy (oneofl oracle_geometries) (oneofl [ 1; 2; 4 ]))
+
 let prop_cache_policy_oracle =
   let gen =
     QCheck.Gen.(
       oneofl oracle_geometries >>= fun (lines, assoc) ->
-      oneof
-        (oneofl qlru_tuples
-        :: List.map return Policy.[ Lru; Tree_plru; Mru; Mru_n ])
-      >>= fun policy ->
+      pair gen_policy gen_stale >>= fun (policy, stale) ->
       map
-        (fun ops -> (policy, lines, assoc, ops))
+        (fun ops -> (stale, policy, lines, assoc, ops))
         (gen_cache_ops ~span:((2 * lines) + 2)))
   in
-  let print (policy, lines, assoc, ops) =
-    Printf.sprintf "%s lines=%d assoc=%d [%s]" (Policy.to_string policy)
-      lines assoc
+  let print ((sp, sl, sa), policy, lines, assoc, ops) =
+    Printf.sprintf "%s lines=%d assoc=%d after stale %s lines=%d assoc=%d [%s]"
+      (Policy.to_string policy) lines assoc (Policy.to_string sp) sl sa
       (String.concat " " (List.map show_cache_op ops))
   in
-  let shrink (policy, lines, assoc, ops) =
+  let shrink (stale, policy, lines, assoc, ops) =
     QCheck.Iter.map
-      (fun ops -> (policy, lines, assoc, ops))
+      (fun ops -> (stale, policy, lines, assoc, ops))
       (QCheck.Shrink.list ops)
   in
   QCheck.Test.make ~name:"random streams = policy oracle" ~count:1000
     (QCheck.make ~print ~shrink gen)
-    (fun (policy, lines, assoc, ops) ->
-      cache_matches_oracle policy ~lines ~assoc ops)
+    (fun (stale, policy, lines, assoc, ops) ->
+      cache_matches_oracle ~stale policy ~lines ~assoc ops)
 
 (* Every QLRU parameter tuple (384) on a single set, a power-of-two set
-   array and a widened one, one fixed random stream each. *)
+   array and a widened one, one fixed random stream each, each cache
+   built from recycled arrays. *)
 let test_cache_every_qlru_tuple () =
   let rand = Random.State.make [| 19 |] in
+  let stale_rand = Random.State.make [| 23 |] in
   List.iter
     (fun policy ->
       List.iter
@@ -262,7 +295,8 @@ let test_cache_every_qlru_tuple () =
           let ops =
             QCheck.Gen.generate1 ~rand (gen_cache_ops ~span:((2 * lines) + 2))
           in
-          if not (cache_matches_oracle policy ~lines ~assoc ops) then
+          let stale = QCheck.Gen.generate1 ~rand:stale_rand gen_stale in
+          if not (cache_matches_oracle ~stale policy ~lines ~assoc ops) then
             Alcotest.failf "%s lines=%d assoc=%d diverges from the oracle"
               (Policy.to_string policy) lines assoc)
         [ (8, 8); (16, 4); (24, 4) ])
@@ -495,6 +529,44 @@ let test_engine_directory_audit () =
       Alcotest.(check bool) "entries have at least one sharer bit" true
         (a.Engine.directory_population <= a.Engine.directory_sharer_bits))
     [ true; false ]
+
+(* A finished run hands its caches and directory to the next run on the
+   domain, so no state may carry over: machines with three L3 sizes and
+   one without an L3 run here in the order A, B, C, D, A, C, and each
+   repeat must equal its machine's first run exactly. *)
+let test_engine_recycled_state_no_leak () =
+  let with_l3 ~lines ~assoc =
+    let m = machine () in
+    {
+      m with
+      Machine.l3 =
+        Option.map
+          (fun p ->
+            { p with Machine.bank = tiny_cache ~lines ~assoc ~latency:6 })
+          m.Machine.l3;
+    }
+  in
+  let a = with_l3 ~lines:16384 ~assoc:8
+  and b = with_l3 ~lines:4096 ~assoc:4
+  and c = with_l3 ~lines:65536 ~assoc:16
+  and d = machine ~l3:false () in
+  let params = { Engine.default_params with total_instructions = 200_000 } in
+  let cell m =
+    let st, audit = Engine.run_audited ~params m small_app in
+    (st, Energy.system m small_app st, audit)
+  in
+  let first_a = cell a in
+  ignore (cell b);
+  let first_c = cell c in
+  ignore (cell d);
+  let check name first again =
+    let (st, sys, audit), (st', sys', audit') = (first, again) in
+    Alcotest.(check bool) (name ^ ": Stats.t") true (compare st st' = 0);
+    Alcotest.(check bool) (name ^ ": Energy.system") true (compare sys sys' = 0);
+    Alcotest.(check bool) (name ^ ": audit") true (compare audit audit' = 0)
+  in
+  check "A again" first_a (cell a);
+  check "C again" first_c (cell c)
 
 (* -------------------- dram extras -------------------- *)
 
@@ -883,6 +955,8 @@ let () =
             test_engine_golden_nol3;
           Alcotest.test_case "directory audit" `Quick
             test_engine_directory_audit;
+          Alcotest.test_case "recycled state does not leak" `Quick
+            test_engine_recycled_state_no_leak;
           QCheck_alcotest.to_alcotest prop_engine_instruction_conservation;
         ] );
       ( "energy",

@@ -222,7 +222,21 @@ let test_intmap_grow () =
   for k = 0 to 999 do
     if Intmap.get m (k * 7919) <> k + 1 then ok := false
   done;
-  Alcotest.(check bool) "all bindings survive growth" true !ok
+  Alcotest.(check bool) "all bindings survive growth" true !ok;
+  (* A cleared table keeps its grown capacity and holds nothing, though
+     its value slots are stale. *)
+  Intmap.clear m;
+  Alcotest.(check int) "length after clear" 0 (Intmap.length m);
+  let seen = ref 0 in
+  Intmap.iter (fun _ _ -> incr seen) m;
+  Alcotest.(check int) "no binding iterated after clear" 0 !seen;
+  for k = 0 to 999 do
+    if Intmap.get m (k * 7919) <> 0 then ok := false
+  done;
+  Alcotest.(check bool) "every key absent after clear" true !ok;
+  Intmap.set m 7919 5;
+  Alcotest.(check int) "reuse after clear" 5 (Intmap.get m 7919);
+  Alcotest.(check int) "one binding" 1 (Intmap.length m)
 
 (* Backward-shift deletion is the subtle part: interleave inserts and
    removes (many probe-chain collisions at small capacity) and require
