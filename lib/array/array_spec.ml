@@ -57,4 +57,4 @@ let capacity_bits t = t.n_rows * t.row_bits
 
 let addr_bits t =
   let words = capacity_bits t / t.output_bits in
-  Cacti_util.Floatx.clog2 (max 2 words)
+  Cacti_util.Floatx.clog2 (Int.max 2 words)

@@ -251,33 +251,29 @@ let check_metrics (m : Soa_kernel.metrics) =
    Every sweep and every mat re-derivation goes through these tables. *)
 let stage_memo_cap = 8192
 
-(* Memoize a sub-stage computation, storing the result so a raising
-   design re-raises identically on every hit (keeping per-candidate fault
-   counts equal between first and repeat encounters).  A table that
-   reaches [stage_memo_cap] entries is reset, which bounds it in a
-   long-lived process. *)
-let memoized mu tbl key compute =
-  match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl key) with
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-  | None -> (
-      let r =
-        try Ok (compute ())
-        with
-        | (Out_of_memory | Stack_overflow) as e -> raise e
-        | e -> Error e
-      in
-      Mutex.protect mu (fun () ->
-          if Hashtbl.length tbl >= stage_memo_cap then Hashtbl.reset tbl;
-          if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key r);
-      match r with Ok v -> v | Error e -> raise e)
+(* A stage-memo key: the spec's salt, its hash (both computed once per
+   sweep) and three dims.  Equality and hash are typed, so a lookup runs
+   no generic compare or [caml_hash]; [String.equal] is one pointer test
+   for the salt of the sweep that made the entry. *)
+type key = { salt : string; salt_hash : int; d0 : int; d1 : int; d2 : int }
 
-type 'a memo = {
-  mu : Mutex.t;
-  tbl : (string * (int * int * int), ('a, exn) result) Hashtbl.t;
-}
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
 
-let memo n = { mu = Mutex.create (); tbl = Hashtbl.create n }
+  let equal a b =
+    a.d0 = b.d0 && a.d1 = b.d1 && a.d2 = b.d2 && String.equal a.salt b.salt
+
+  (* The table indexes by the low bits, so fold the high bits of the
+     multiplicative mix back down. *)
+  let hash k =
+    let mix h x = (h lxor x) * 0x100000001b3 in
+    let h = mix (mix (mix k.salt_hash k.d0) k.d1) k.d2 in
+    h lxor (h lsr 32)
+end)
+
+type 'a memo = { mu : Mutex.t; tbl : ('a, exn) result Key_tbl.t }
+
+let memo n = { mu = Mutex.create (); tbl = Key_tbl.create n }
 
 (* Keyed by (rows, cols, deg), (rows, vert, 0) and (cols, horiz, 0). *)
 let g_sub : Subarray.t memo = memo 512
@@ -285,29 +281,51 @@ let g_pre : Decoder.predecode memo = memo 256
 let g_line : Decoder.line_driver memo = memo 256
 
 let reset_stage_memo () =
-  let reset m = Mutex.protect m.mu (fun () -> Hashtbl.reset m.tbl) in
+  let reset m = Mutex.protect m.mu (fun () -> Key_tbl.reset m.tbl) in
   reset g_sub;
   reset g_pre;
   reset g_line
+
+(* Memoize a sub-stage computation, [compute key arg], storing the result
+   so a raising design re-raises identically on every hit (keeping
+   per-candidate fault counts equal between first and repeat encounters).
+   A table that reaches [stage_memo_cap] entries is reset, which bounds
+   it in a long-lived process.  The lookup cannot raise, so a hit takes
+   the lock without [Mutex.protect]'s closure. *)
+let memoized m key compute arg =
+  Mutex.lock m.mu;
+  let hit = Key_tbl.find_opt m.tbl key in
+  Mutex.unlock m.mu;
+  match hit with
+  | Some (Ok v) -> v
+  | Some (Error e) -> raise e
+  | None -> (
+      let r =
+        try Ok (compute key arg)
+        with
+        | (Out_of_memory | Stack_overflow) as e -> raise e
+        | e -> Error e
+      in
+      Mutex.protect m.mu (fun () ->
+          if Key_tbl.length m.tbl >= stage_memo_cap then Key_tbl.reset m.tbl;
+          if not (Key_tbl.mem m.tbl key) then Key_tbl.add m.tbl key r);
+      match r with Ok v -> v | Error e -> raise e)
 
 (* The mat-base solver of one spec over the shared stage memo: a pure
    function of (effective degree, geometry), so the sweep and a later
    re-derivation of any of its candidates get bit-identical mats. *)
 let base_solver ~(staged : Staged.t) ~spec =
   let salt = Mat.fingerprint_salt ~spec in
-  let lookup m dims compute = memoized m.mu m.tbl (salt, dims) compute in
+  let salt_hash = String.hash salt in
+  let key d0 d1 d2 = { salt; salt_hash; d0; d1; d2 } in
+  let subarray k () = Mat.subarray_of ~staged ~rows:k.d0 ~cols:k.d1 ~deg:k.d2
+  and predecode k sub = Mat.predecode_of ~staged sub ~vert:k.d1
+  and line_driver k sub = Mat.line_driver_of ~staged sub ~horiz:k.d1 in
   let sub_of ~rows ~cols ~deg =
-    lookup g_sub (rows, cols, deg) (fun () ->
-        Mat.subarray_of ~staged ~rows ~cols ~deg)
+    memoized g_sub (key rows cols deg) subarray ()
   and dec_of (sub : Subarray.t) ~horiz ~vert =
-    let p =
-      lookup g_pre (sub.Subarray.rows, vert, 0) (fun () ->
-          Mat.predecode_of ~staged sub ~vert)
-    in
-    let l =
-      lookup g_line (sub.Subarray.cols, horiz, 0) (fun () ->
-          Mat.line_driver_of ~staged sub ~horiz)
-    in
+    let p = memoized g_pre (key sub.Subarray.rows vert 0) predecode sub in
+    let l = memoized g_line (key sub.Subarray.cols horiz 0) line_driver sub in
     Decoder.combine p l
   in
   fun ~deg g -> Mat.eval_base ~staged ~sub_of ~dec_of ~deg g
@@ -489,7 +507,7 @@ let run ?(pool = Cacti_util.Pool.serial) ?(cancel = Cacti_util.Cancel.never)
              in milliseconds. *)
           Cacti_util.Cancel.check cancel;
           let lo = c * chunk in
-          let hi = min n (lo + chunk) in
+          let hi = Int.min n (lo + chunk) in
           (match bounds_fn with
           | Some f ->
               for i = lo to hi - 1 do

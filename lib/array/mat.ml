@@ -62,7 +62,7 @@ let classify ~spec ~(org : Org.t) =
   if rows_sub < 16 || rows_sub > 4096 || cols_sub < 16 || cols_sub > 8192 then
     Error `Geometry
   else
-    let horiz = min org.ndwl 2 and vert = min org.ndbl 2 in
+    let horiz = Int.min org.ndwl 2 and vert = Int.min org.ndbl 2 in
     let mats_x = Org.mats_x org in
     let* bits_per_mat = exact_div output_bits mats_x in
     let* sensed =
@@ -168,8 +168,8 @@ let screen_tree ?(max_ndwl = 64) ?(max_ndbl = 64) ~spec () =
   let n_total = List.length ndwls * leaves_per_ndwl in
   let f_row_bits = float_of_int row_bits in
   let ndwl_entry ndwl =
-    let mats_x = max 1 (ndwl / 2) in
-    let horiz = min ndwl 2 in
+    let mats_x = Int.max 1 (ndwl / 2) in
+    let horiz = Int.min ndwl 2 in
     match exact_div output_bits mats_x with
     | None -> (ndwl, Ndwl_fail)
     | Some bits_per_mat ->
@@ -253,7 +253,7 @@ let screen_of_tree (tree : screen_tree) ~n_rows =
       | Ndwl { wn_nspds } ->
           Array.iter
             (fun ndbl ->
-              let vert = min ndbl 2 in
+              let vert = Int.min ndbl 2 in
               let f_ndbl = float_of_int ndbl in
               Array.iteri
                 (fun si nspd ->
@@ -431,7 +431,7 @@ let base ~(staged : Staged.t) ~deg (g : geometry) ~(subarray : Subarray.t)
      self-timed control block.  Modeled as inverter-equivalents. *)
   let ctl_inv = staged.Staged.ctl_inv in
   let wr_drv = staged.Staged.wr_drv in
-  let n_ctl = 60 + (2 * Cacti_util.Floatx.clog2 (max 2 n_wordlines)) in
+  let n_ctl = 60 + (2 * Cacti_util.Floatx.clog2 (Int.max 2 n_wordlines)) in
   let control_area =
     (float_of_int n_ctl *. ctl_inv.Gate.area)
     +. (float_of_int out_bits *. 2. *. wr_drv.Gate.area)

@@ -14,8 +14,8 @@ let pp ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-let mats_x t = max 1 (t.ndwl / 2)
-let mats_y t = max 1 (t.ndbl / 2)
+let mats_x t = Int.max 1 (t.ndwl / 2)
+let mats_y t = Int.max 1 (t.ndbl / 2)
 let n_mats t = mats_x t * mats_y t
 
 let pow2s upto =

@@ -85,6 +85,15 @@ type t = {
 
 let fcol n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
+(* [Array.of_list] stays on purpose.  When the first survivor is young
+   and the array is longer than 256 words, [caml_make_vect] forces a
+   minor collection, so one runs before each sweep.  A scratch build that
+   filled arrays made from an immediate instead cut a perfbench
+   solve_batch cycle from 475-484 minor collections to 71-74 and
+   solve_bench's promoted words per evaluated candidate from 29.3 to 23.5
+   (Gc.quick_stat, seed 1), but no cycle got faster and the process's
+   peak RSS rose from 39 to 46-49 MB: each collection then waits for the
+   16 MB minor heap to fill, so all of it gets touched. *)
 let build ?(cancel = Cacti_util.Cancel.never) ~is_dram survivors =
   let orgs = Array.of_list (List.map fst survivors) in
   let geos = Array.of_list (List.map snd survivors) in
@@ -108,8 +117,8 @@ let build ?(cancel = Cacti_util.Cancel.never) ~is_dram survivors =
       b_area = fcol n;
       b_time = fcol n;
       b_energy = fcol n;
-      res = Array.init n_metric_cols (fun _ -> fcol (max 1 n));
-      status = Bytes.make (max 1 n) st_pending;
+      res = Array.init n_metric_cols (fun _ -> fcol (Int.max 1 n));
+      status = Bytes.make (Int.max 1 n) st_pending;
     }
   in
   for i = 0 to n - 1 do
@@ -119,7 +128,7 @@ let build ?(cancel = Cacti_util.Cancel.never) ~is_dram survivors =
     (* Each value below is [float_of_int] of an exact integer expression
        over the candidate's organization and geometry. *)
     let n_wordlines = g.Mat.g_rows_sub * g.Mat.g_vert in
-    let n_ctl = 60 + (2 * Cacti_util.Floatx.clog2 (max 2 n_wordlines)) in
+    let n_ctl = 60 + (2 * Cacti_util.Floatx.clog2 (Int.max 2 n_wordlines)) in
     t.eff_deg.(i) <- (if is_dram then 1 else org.Org.deg_bl_mux);
     t.f_n_ctl.{i} <- float_of_int n_ctl;
     t.f_out_bits.{i} <- float_of_int g.Mat.g_out_bits;
@@ -229,7 +238,7 @@ let metrics_of_mat ~(staged : Staged.t) ~spec ~(org : Org.t) (mat : Mat.t) =
   let t_random_cycle = t_local_cycle in
   let t_htree_stage = (t_htree_in +. t_htree_out) /. 6. in
   let t_interleave =
-    max
+    Cacti_util.Floatx.max
       (mat.Mat.t_bitline +. mat.Mat.t_sense +. mat.Mat.t_column_out)
       t_htree_stage
   in

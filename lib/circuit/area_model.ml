@@ -17,14 +17,14 @@ let default_strip_height t = 32. *. t.feature_size
 
 let legs t ~max_height ~w =
   ignore t;
-  max 1 (int_of_float (Float.ceil (w /. max_height)))
+  Int.max 1 (int_of_float (Float.ceil (w /. max_height)))
 
 let transistor_area t ?max_height w =
   let max_height =
     match max_height with Some h -> h | None -> default_strip_height t
   in
   let n = legs t ~max_height ~w in
-  let leg_h = min w max_height in
+  let leg_h = Cacti_util.Floatx.min w max_height in
   float_of_int n *. t.contacted_pitch *. leg_h
 
 let gate_area t ?max_height widths =

@@ -27,14 +27,14 @@ let predecode ~periph ~area ~feature ~wire ~n_select ~strip_length
   assert (n_select >= 1);
   let d = periph in
   let vdd = d.Device.vdd in
-  let n_bits = Cacti_util.Floatx.clog2 (max 2 n_select) in
-  let n_groups = max 1 ((n_bits + 1) / 2) in
+  let n_bits = Cacti_util.Floatx.clog2 (Int.max 2 n_select) in
+  let n_groups = Int.max 1 ((n_bits + 1) / 2) in
   (* Final NAND per select line. *)
   let w_nand = 4. *. feature in
   let final_nand = Gate.nand ~area ~fan_in:n_groups d ~w_n:w_nand in
   (* Predecode line: each line feeds a quarter of the final NANDs (2-bit
      groups) plus its wire across the strip. *)
-  let fanout = max 1 (n_select / 4) in
+  let fanout = Int.max 1 (n_select / 4) in
   let c_predec_wire = wire.Wire.c_per_m *. strip_length in
   let r_predec_wire = wire.Wire.r_per_m *. strip_length in
   let c_predec_line =

@@ -15,7 +15,7 @@ let chain ~device ~area ~feature ?(beta = Gate.beta_default) ?(input_ramp = 0.)
   let w_first = match w_n_first with Some w -> w | None -> min_w_n ~feature in
   let c_total = c_wire +. c_load in
   let first = Gate.inverter ~beta ~area d ~w_n:w_first in
-  let path_effort = max 1.0 (c_total /. first.Gate.c_in) in
+  let path_effort = Cacti_util.Floatx.max 1.0 (c_total /. first.Gate.c_in) in
   let n = Logical_effort.n_stages ~path_effort in
   let f = Logical_effort.stage_effort ~path_effort ~n in
   (* Build the chain of widths: geometric ramp-up by f. *)

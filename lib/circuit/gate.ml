@@ -19,7 +19,8 @@ let inverter ?(beta = beta_default) ~area (d : Device.t) ~w_n =
   {
     device = d;
     c_in = (w_n +. w_p) *. d.c_gate;
-    r_drive = max (Device.r_sw_n d /. w_n) (Device.r_sw_p d /. w_p);
+    r_drive =
+      Cacti_util.Floatx.max (Device.r_sw_n d /. w_n) (Device.r_sw_p d /. w_p);
     c_self = (w_n +. w_p) *. d.c_drain;
     leakage = Device.leakage_power_inverter d ~w_n ~w_p;
     area = Area_model.gate_area area [ w_n; w_p ];
@@ -36,7 +37,8 @@ let nand ?(beta = beta_default) ~area ~fan_in (d : Device.t) ~w_n =
   {
     device = d;
     c_in = ((w_n_stack *. d.c_gate) +. (w_p *. d.c_gate));
-    r_drive = max (Device.r_sw_n d /. w_n) (Device.r_sw_p d /. w_p);
+    r_drive =
+      Cacti_util.Floatx.max (Device.r_sw_n d /. w_n) (Device.r_sw_p d /. w_p);
     c_self = ((w_n_stack +. (k *. w_p)) *. d.c_drain);
     leakage =
       Device.leakage_power_inverter d ~w_n:(w_n_stack /. k) ~w_p:(k *. w_p);

@@ -54,15 +54,16 @@ let design ~device ~area ~feature ?(max_delay_penalty = 0.) ~wire () =
       (fun fs ->
         List.map
           (fun fl ->
-            let w = max (3. *. feature) (s_opt *. fs) in
-            let spacing = max (20e-6) (l_opt *. fl) in
+            let w = Cacti_util.Floatx.max (3. *. feature) (s_opt *. fs) in
+            let spacing = Cacti_util.Floatx.max (20e-6) (l_opt *. fl) in
             metrics_of d area wire w spacing)
           [ 0.6; 0.8; 1.0; 1.3; 1.7; 2.2; 3.0; 4.0 ])
       [ 0.2; 0.35; 0.5; 0.7; 1.0; 1.4; 2.0 ]
   in
   let best_delay =
-    List.fold_left (fun acc c -> min acc c.delay_per_m) Float.infinity
-      candidates
+    List.fold_left
+      (fun acc c -> Cacti_util.Floatx.min acc c.delay_per_m)
+      Float.infinity candidates
   in
   let allowed = best_delay *. (1. +. max_delay_penalty) in
   let feasible = List.filter (fun c -> c.delay_per_m <= allowed) candidates in

@@ -36,7 +36,7 @@ let make ~device ~area ~feature ~cell_pitch ~deg_bl_mux () =
   let strip_height = float_of_int deg_bl_mux *. cell_pitch in
   let a =
     Area_model.gate_area area
-      ~max_height:(max strip_height (8. *. feature))
+      ~max_height:(Cacti_util.Floatx.max strip_height (8. *. feature))
       [ w_pair; w_pair; w_pair; w_pair; w_small; w_small ]
   in
   { c_input; c_latch; gm_eff; vdd; energy; leakage; area = a }

@@ -62,7 +62,7 @@ let make ~tech ~ram ~max_repeater_delay_penalty () =
   let degs = if is_dram then [ 1 ] else [ 1; 2; 4; 8 ] in
   (* Tables indexed by degree; [None] marks a degree outside the table. *)
   let table keys f =
-    let a = Array.make (List.fold_left max 0 keys + 1) None in
+    let a = Array.make (List.fold_left Int.max 0 keys + 1) None in
     List.iter (fun k -> a.(k) <- Some (f k)) keys;
     a
   in

@@ -53,12 +53,16 @@ let combine (s : Cache_spec.t) (data : Bank.t) (tag : Bank.t)
   let t_tag_path = tag.Bank.t_access +. comparator.Comparator.delay in
   let t_access =
     match s.Cache_spec.access_mode with
-    | Normal -> max data.Bank.t_access t_tag_path +. 2e-11
+    | Normal -> Cacti_util.Floatx.max data.Bank.t_access t_tag_path +. 2e-11
     | Sequential -> t_tag_path +. data.Bank.t_access
-    | Fast -> max data.Bank.t_access t_tag_path
+    | Fast -> Cacti_util.Floatx.max data.Bank.t_access t_tag_path
   in
-  let t_random_cycle = max data.Bank.t_random_cycle tag.Bank.t_random_cycle in
-  let t_interleave = max data.Bank.t_interleave tag.Bank.t_interleave in
+  let t_random_cycle =
+    Cacti_util.Floatx.max data.Bank.t_random_cycle tag.Bank.t_random_cycle
+  in
+  let t_interleave =
+    Cacti_util.Floatx.max data.Bank.t_interleave tag.Bank.t_interleave
+  in
   let e_compare = assoc *. comparator.Comparator.energy in
   (* Sequential access knows the way before touching data, so only the
      matched way's columns are activated: credit the way-dependent part of
@@ -103,7 +107,8 @@ let combine (s : Cache_spec.t) (data : Bank.t) (tag : Bank.t)
     area;
     area_per_bank;
     area_efficiency = cell_area /. area_per_bank;
-    pipeline_stages = max data.Bank.pipeline_stages tag.Bank.pipeline_stages;
+    pipeline_stages =
+      Int.max data.Bank.pipeline_stages tag.Bank.pipeline_stages;
   }
 
 let with_repeater_penalty params (spec : Array_spec.t) =
@@ -194,8 +199,9 @@ let solve_space ?jobs ?(params = Opt_params.default) s =
   if candidates = [] then []
   else
     let best_area =
-      List.fold_left (fun acc b -> min acc b.Bank.area) Float.infinity
-        candidates
+      List.fold_left
+        (fun acc b -> Cacti_util.Floatx.min acc b.Bank.area)
+        Float.infinity candidates
     in
     candidates
     |> List.filter (fun b ->

@@ -132,11 +132,13 @@ let assemble params (c : chip) (bank : Bank.t) =
   let t_ras = t_command +. d.Bank.t_ras in
   let t_rp = d.Bank.t_rp +. t_command in
   let t_rc = t_ras +. t_rp in
-  let t_rrd = max d.Bank.t_rrd (t_command *. 2.) in
+  let t_rrd = Cacti_util.Floatx.max d.Bank.t_rrd (t_command *. 2.) in
   (* Column accesses needed to satisfy one burst. *)
   let bits_per_burst = c.io_bits * c.burst in
   let col_accesses =
-    max 1 ((bits_per_burst + (c.io_bits * c.prefetch) - 1) / (c.io_bits * c.prefetch))
+    Int.max 1
+      ((bits_per_burst + (c.io_bits * c.prefetch) - 1)
+      / (c.io_bits * c.prefetch))
   in
   let e_col_read =
     bank.Bank.e_read -. bank.Bank.e_activate -. bank.Bank.e_precharge

@@ -66,7 +66,7 @@ let select_soa_result ?(what = "array") ~params (soa : Soa_kernel.t) =
     let col_min (c : Soa_kernel.col) =
       let acc = ref Float.infinity in
       for i = 0 to n - 1 do
-        if ok i && in_t i then acc := Stdlib.min !acc c.{i}
+        if ok i && in_t i then acc := Cacti_util.Floatx.min !acc c.{i}
       done;
       !acc
     in

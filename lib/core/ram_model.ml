@@ -61,7 +61,7 @@ let bank_spec params (s : spec) =
   (* Fold words into rows of ~8 words so the array is roughly square before
      partitioning; the optimizer reshapes from there. *)
   let row_bits = s.word_bits * 8 in
-  let n_rows = max 1 (bank_bytes * 8 / row_bits) in
+  let n_rows = Int.max 1 (bank_bytes * 8 / row_bits) in
   Array_spec.create ~ram:s.ram ~tech:s.tech ~sleep_tx:s.sleep_tx
     ~max_repeater_delay_penalty:params.Opt_params.max_repeater_delay_penalty
     ~n_rows ~row_bits ~output_bits:s.word_bits ()

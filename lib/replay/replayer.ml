@@ -420,9 +420,9 @@ let shard_plan cfg ~bits =
     in
     let b3 = match cfg.l3 with None -> max_int | Some lv -> level_bits lv in
     Ok
-      (min
-         (min bits Trace_io.max_shard_bits)
-         (min (level_bits cfg.l1) (min (level_bits cfg.l2) b3)))
+      (Int.min
+         (Int.min bits Trace_io.max_shard_bits)
+         (Int.min (level_bits cfg.l1) (Int.min (level_bits cfg.l2) b3)))
   end
 
 let flush_bytes = 1 lsl 16
@@ -471,7 +471,7 @@ let merge_rows bk outs n ~emit =
   if Buffer.length ob > 0 then emit (Buffer.contents ob)
 
 let resolve_jobs = function
-  | Some j -> max 1 j
+  | Some j -> Int.max 1 j
   | None -> Cacti_util.Pool.default_jobs ()
 
 let line_shift cfg = Cacti_util.Floatx.clog2 cfg.line_bytes

@@ -204,7 +204,7 @@ let status_of_body body =
                   | None -> 1)
               | None -> 1
             in
-            (429, [ ("Retry-After", string_of_int (max 1 retry_s)) ])
+            (429, [ ("Retry-After", string_of_int (Int.max 1 retry_s)) ])
         | Some "draining" -> (503, [])
         | _ -> (200, []))
 

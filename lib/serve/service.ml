@@ -209,7 +209,7 @@ let count_worker_fault t =
 let bucket_of_ms ms =
   let us = ms *. 1e3 in
   if us < 1. then 0
-  else min (n_buckets - 1) (int_of_float (Float.log2 us))
+  else Int.min (n_buckets - 1) (int_of_float (Float.log2 us))
 
 let record_latency t ms =
   Mutex.protect t.clock (fun () ->
@@ -259,7 +259,7 @@ let service_rate t =
   let now = Unix.gettimeofday () in
   Mutex.protect t.clock (fun () ->
       let c = t.counters in
-      let n = min c.comp_count comp_ring in
+      let n = Int.min c.comp_count comp_ring in
       let cutoff = now -. rate_window_s in
       (* Walk newest to oldest; stop at the window edge. *)
       let in_window = ref 0 and oldest = ref now in

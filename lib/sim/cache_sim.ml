@@ -91,7 +91,7 @@ let take ~reset len v =
 let give a =
   let fl = Domain.DLS.get free_key in
   if fl.n = Array.length fl.arrays then begin
-    let grown = Array.make (max 16 (2 * fl.n)) [||] in
+    let grown = Array.make (Int.max 16 (2 * fl.n)) [||] in
     Array.blit fl.arrays 0 grown 0 fl.n;
     fl.arrays <- grown
   end;

@@ -22,7 +22,7 @@ let memory_hierarchy p =
 let compute (cfg : Machine.t) (app : Workload.app) (st : Stats.t) =
   let open Machine in
   let t =
-    float_of_int (max 1 st.Stats.exec_cycles) /. cfg.clock_hz
+    float_of_int (Int.max 1 st.Stats.exec_cycles) /. cfg.clock_hz
   in
   let fi = float_of_int in
   let wr = app.Workload.write_ratio in
@@ -91,7 +91,7 @@ let compute (cfg : Machine.t) (app : Workload.app) (st : Stats.t) =
      interface clock can stop; 70% saving is the DDR3/4 fast-exit figure. *)
   let pd_fraction =
     float_of_int dram.Dram_sim.powerdown_cycles
-    /. float_of_int (max 1 (cfg.mem.n_channels * st.Stats.exec_cycles))
+    /. float_of_int (Int.max 1 (cfg.mem.n_channels * st.Stats.exec_cycles))
   in
   let mem_standby =
     channels *. cfg.mem.p_standby *. (1. -. (0.7 *. pd_fraction))
@@ -132,7 +132,7 @@ type system = {
 let system cfg app st =
   let power = compute cfg app st in
   let exec_seconds =
-    float_of_int (max 1 st.Stats.exec_cycles) /. cfg.Machine.clock_hz
+    float_of_int (Int.max 1 st.Stats.exec_cycles) /. cfg.Machine.clock_hz
   in
   let system_power = memory_hierarchy power +. cfg.Machine.core_power in
   let energy_joules = system_power *. exec_seconds in

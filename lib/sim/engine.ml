@@ -349,7 +349,7 @@ let take_directory () =
 let make_sim ?make_gen cfg app params =
   Workload.validate app;
   let n_threads = Machine.n_threads cfg in
-  let quota = max 1 (params.total_instructions / n_threads) in
+  let quota = Int.max 1 (params.total_instructions / n_threads) in
   let l1 = cfg.Machine.l1 and l2 = cfg.Machine.l2 in
   let l3_banks, l3_cfg =
     match cfg.Machine.l3 with
@@ -401,7 +401,7 @@ let make_sim ?make_gen cfg app params =
               Cache_sim.create ~assoc:p.Machine.bank.Machine.assoc
                 ~lines:p.Machine.bank.Machine.lines ())
       | None -> [||]);
-    l3_free = Array.make (max 1 l3_banks) 0;
+    l3_free = Array.make (Int.max 1 l3_banks) 0;
     dram =
       Dram_sim.create ~n_channels:cfg.Machine.mem.Machine.n_channels
         ~n_banks:cfg.Machine.mem.Machine.n_banks
@@ -409,7 +409,7 @@ let make_sim ?make_gen cfg app params =
         ~policy:cfg.Machine.mem.Machine.policy
         ~timing:cfg.Machine.mem.Machine.timing ();
     directory = take_directory ();
-    locks_free = Array.make (max 1 app.Workload.n_locks) 0;
+    locks_free = Array.make (Int.max 1 app.Workload.n_locks) 0;
     rng;
     residues = Array.make n_threads 0.;
     a = make_acc ();

@@ -5,7 +5,7 @@ type t = {
 }
 
 let create ~capacity =
-  let capacity = max 1 capacity in
+  let capacity = Int.max 1 capacity in
   { times = Array.make capacity 0; payloads = Array.make capacity 0; n = 0 }
 
 let capacity h = Array.length h.times

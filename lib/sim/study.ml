@@ -112,7 +112,7 @@ let solve_l3 ?jobs tech kind =
 
 let clock = Study_config.clock_hz
 
-let cycles_of_s t = max 1 (int_of_float (Float.ceil (t *. clock)))
+let cycles_of_s t = Int.max 1 (int_of_float (Float.ceil (t *. clock)))
 
 (* Latency quantization: the cache's access time in CPU cycles plus a cycle
    of control overhead (the paper quantizes the same way when deriving its
@@ -124,7 +124,7 @@ let cache_params_of ?(extra_latency = 1) ~lines ~assoc (m : Cache_model.t)
     Machine.lines;
     assoc;
     latency = cycles_of_s m.Cache_model.t_access + extra_latency;
-    cycle = max 1 (cycles_of_s m.Cache_model.t_interleave);
+    cycle = Int.max 1 (cycles_of_s m.Cache_model.t_interleave);
     e_read = m.Cache_model.e_read;
     e_write = m.Cache_model.e_write;
     p_leak = m.Cache_model.p_leakage /. fb;
@@ -187,7 +187,7 @@ let build ?jobs ?tech kind =
   let mem =
     {
       Machine.timing =
-        (let t_rrd = max (cycles_of_s mm.Mainmem.t_rrd) 4 in
+        (let t_rrd = Int.max (cycles_of_s mm.Mainmem.t_rrd) 4 in
          {
            Dram_sim.t_rcd = cycles_of_s mm.Mainmem.t_rcd;
            t_cas = cycles_of_s mm.Mainmem.t_cas;
@@ -195,7 +195,7 @@ let build ?jobs ?tech kind =
            t_rc = cycles_of_s mm.Mainmem.t_rc;
            t_rrd;
            (* DDR4 secondary constraints at 2 GHz CPU cycles. *)
-           t_faw = max (4 * t_rrd) 42 (* ~21 ns *);
+           t_faw = Int.max (4 * t_rrd) 42 (* ~21 ns *);
            t_wtr = 15 (* ~7.5 ns *);
            t_refi = 15_600 (* 7.8 us *);
            t_rfc = 700 (* ~350 ns for an 8Gb device *);

@@ -82,14 +82,14 @@ let gen a ~n_threads ~thread_id ~seed =
   let states =
     a.regions
     |> List.map (fun r ->
-           let region_lines = max n_threads (r.size_bytes / 64) in
+           let region_lines = Int.max n_threads (r.size_bytes / 64) in
            let base_line = !base in
            base := !base + region_lines + 1024 (* guard gap *);
            let slice_lines, slice_base =
              match r.sharing with
              | Shared -> (region_lines, base_line)
              | Private_slice ->
-                 let per = max 1 (region_lines / n_threads) in
+                 let per = Int.max 1 (region_lines / n_threads) in
                  (per, base_line + (thread_id * per))
            in
            {
@@ -152,7 +152,7 @@ let next_synth g =
         if st.burst_left = 0 then begin
           st.cursor_word <-
             Cacti_util.Rng.int g.rng (st.slice_lines * words_per_line);
-          st.burst_left <- max 1 burst
+          st.burst_left <- Int.max 1 burst
         end;
         let w = st.cursor_word in
         st.burst_left <- st.burst_left - 1;

@@ -25,8 +25,11 @@ let of_geometry kind g =
   let spacing = g.pitch -. width in
   (* Copper cross-section shrinks by the barrier on both sidewalls and the
      bottom. *)
-  let w_cu = max (width -. (2. *. g.barrier)) (0.3 *. width) in
-  let t_cu = max (thickness -. g.barrier) (0.3 *. thickness) in
+  let w_cu =
+    Cacti_util.Floatx.max (width -. (2. *. g.barrier)) (0.3 *. width)
+  in
+  let t_cu = Cacti_util.Floatx.max (thickness -. g.barrier) (0.3 *. thickness)
+  in
   let r_per_m = g.resistivity /. (w_cu *. t_cu) in
   (* Sidewall (coupling) capacitance to both neighbors, Miller-weighted, plus
      parallel-plate area capacitance to the layers above and below (ILD height

@@ -134,13 +134,14 @@ let solve ?(strict = false) ?tol ?max_iter t =
 
 let temperature t ~layer ~x ~y = t.temp.(idx t layer x y)
 
-let max_temperature t = Array.fold_left max neg_infinity t.temp
+let max_temperature t =
+  Array.fold_left Cacti_util.Floatx.max neg_infinity t.temp
 
 let max_in_layer t ~layer =
   let m = ref neg_infinity in
   for y = 0 to t.ny - 1 do
     for x = 0 to t.nx - 1 do
-      m := max !m (temperature t ~layer ~x ~y)
+      m := Cacti_util.Floatx.max !m (temperature t ~layer ~x ~y)
     done
   done;
   !m

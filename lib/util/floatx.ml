@@ -16,7 +16,13 @@ let pow2_ge n =
   let rec go v = if v >= n then v else go (v * 2) in
   go 1
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let clamp ~lo ~hi (x : float) =
+  if x < lo then lo else if x > hi then hi else x
+
+(* Stdlib's own bodies at type float: compiled to a float compare on
+   unboxed arguments instead of a call to the generic compare. *)
+let max (a : float) b = if a >= b then a else b
+let min (a : float) b = if a <= b then a else b
 
 let rel_err ~actual ~model =
   if actual = 0. then if model = 0. then 0. else Float.infinity

@@ -22,6 +22,16 @@ val pow2_ge : int -> int
 
 val clamp : lo:float -> hi:float -> float -> float
 
+val max : float -> float -> float
+(** [Stdlib.max] on floats, with the same result bits for every pair of
+    arguments: the second one when either is nan, and the first of two
+    equal ones ([max (-0.) 0.] is [-0.]).  [Float.max] differs on both
+    (it returns nan and [0.]).  lib/ uses this, never the generic
+    [Stdlib.max]; [tools/xref] fails on the latter. *)
+
+val min : float -> float -> float
+(** [Stdlib.min] on floats, bit for bit, as {!max}. *)
+
 val rel_err : actual:float -> model:float -> float
 (** [(model - actual) / actual]; the sign convention used by the paper's
     validation tables (negative = model underestimates). *)

@@ -11,7 +11,7 @@ let rec pow2_ge n x = if x >= n then x else pow2_ge n (x * 2)
 
 let create ?(capacity = 16) () =
   (* Size so the capacity hint fits under the 7/8 load ceiling. *)
-  let cap = pow2_ge (max 8 (capacity + (capacity / 4))) 8 in
+  let cap = pow2_ge (Int.max 8 (capacity + (capacity / 4))) 8 in
   {
     keys = Array.make cap empty_key;
     vals = Array.make cap 0;

@@ -1,9 +1,9 @@
 type t = { jobs : int }
 
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+let default_jobs () = Int.max 1 (Domain.recommended_domain_count () - 1)
 
 let create ?jobs () =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  let jobs = match jobs with Some j -> Int.max 1 j | None -> default_jobs () in
   { jobs }
 
 let serial = { jobs = 1 }
@@ -17,7 +17,7 @@ let serial = { jobs = 1 }
 let run_chunked ~chunk t n body =
   if n = 0 then ()
   else
-    let chunk = max 1 chunk in
+    let chunk = Int.max 1 chunk in
     let n_chunks = (n + chunk - 1) / chunk in
     let next = Atomic.make 0 in
     let worker () =
@@ -25,7 +25,7 @@ let run_chunked ~chunk t n body =
         let c = Atomic.fetch_and_add next 1 in
         if c < n_chunks then (
           let lo = c * chunk in
-          let hi = min n (lo + chunk) in
+          let hi = Int.min n (lo + chunk) in
           for i = lo to hi - 1 do
             body i
           done;
@@ -33,7 +33,7 @@ let run_chunked ~chunk t n body =
       in
       loop ()
     in
-    let n_helpers = min (t.jobs - 1) (n_chunks - 1) in
+    let n_helpers = Int.min (t.jobs - 1) (n_chunks - 1) in
     if n_helpers <= 0 then worker ()
     else
       let helpers = Array.init n_helpers (fun _ -> Domain.spawn worker) in

@@ -30,7 +30,8 @@ let render t =
   let widths = Array.make t.ncols 0 in
   let measure cells =
     List.iteri
-      (fun i c -> if i < t.ncols then widths.(i) <- max widths.(i) (String.length c))
+      (fun i c ->
+        if i < t.ncols then widths.(i) <- Int.max widths.(i) (String.length c))
       cells
   in
   measure t.headers;
@@ -44,7 +45,7 @@ let render t =
       (fun i c ->
         if i > 0 then Buffer.add_string buf "  ";
         let w = widths.(i) in
-        let pad = String.make (max 0 (w - String.length c)) ' ' in
+        let pad = String.make (Int.max 0 (w - String.length c)) ' ' in
         match align_at i with
         | Left -> Buffer.add_string buf (c ^ pad)
         | Right -> Buffer.add_string buf (pad ^ c))
@@ -52,7 +53,7 @@ let render t =
     Buffer.add_char buf '\n'
   in
   let total_width =
-    Array.fold_left ( + ) 0 widths + (2 * max 0 (t.ncols - 1))
+    Array.fold_left ( + ) 0 widths + (2 * Int.max 0 (t.ncols - 1))
   in
   let sep () = Buffer.add_string buf (String.make total_width '-' ^ "\n") in
   emit_cells t.headers;

@@ -768,6 +768,57 @@ let test_bench_batch_sweep_oracle () =
         arrays)
     [ 1; 2 ]
 
+(* Every result bit of a sweep: each candidate's status byte and, for
+   an evaluated one, its metric columns (the only rows they define). *)
+let sweep_bits (sw : Bank.sweep) =
+  let soa = sw.Bank.sw_soa in
+  List.init soa.Soa_kernel.n (fun i ->
+      let st = Bytes.get soa.Soa_kernel.status i in
+      ( st,
+        if st <> Soa_kernel.st_ok then [||]
+        else
+          Array.map (fun c -> Int64.bits_of_float c.{i}) soa.Soa_kernel.res ))
+
+let test_stage_memo_key () =
+  (* The cross-sweep stage memo is keyed by [Mat.fingerprint_salt] plus
+     the dims.  The two specs of each pair have equal array dims, so their
+     sweeps ask for the same (rows, cols, deg) subarrays and decoder
+     halves, and differ in one salt input.  A spec solved on the tables
+     the other one left must come out exactly as it does on an empty
+     memo; a key without that input hands it the other spec's designs. *)
+  Fun.protect ~finally:Solve_cache.clear @@ fun () ->
+  let ram ?(kind = Cacti_tech.Cell.Sram) tech =
+    Ram_model.create ~ram:kind ~tech ~capacity_bytes:(256 * 1024) ()
+  in
+  let solve spec =
+    let r = Ram_model.solve ~jobs:1 spec in
+    let sw = Bank.enumerate_soa r.Ram_model.bank.Bank.spec in
+    (Marshal.to_string r [], sweep_bits sw)
+  in
+  let cold spec =
+    Solve_cache.clear ();
+    solve spec
+  in
+  let check name a b =
+    let expect = cold b in
+    ignore (cold a);
+    if solve b <> expect then
+      Alcotest.failf "%s: solved after the other spec differs from cold" name
+  in
+  List.iter
+    (fun (name, a, b) ->
+      check name a b;
+      check name b a)
+    [
+      ("tech node", ram t32, ram (Cacti_tech.Technology.at_nm 45.));
+      ("ram kind", ram t32, ram ~kind:Cacti_tech.Cell.Lp_dram t32);
+      ( "wire projection",
+        ram t32,
+        ram
+          (Cacti_tech.Technology.at_nm
+             ~wire_projection:Cacti_tech.Wire.Aggressive 32.) );
+    ]
+
 let test_materialize_cold_stage_memo () =
   (* The sweep keeps metric columns, not mats: [Bank.sweep_bank]
      re-derives a candidate's mat through the stage memo.  With the memo
@@ -1163,6 +1214,8 @@ let () =
           Alcotest.test_case "kernel forced invalidation" `Slow
             test_kernel_forced_invalidation;
           QCheck_alcotest.to_alcotest prop_solve_oracle;
+          Alcotest.test_case "stage memo key names every input" `Slow
+            test_stage_memo_key;
         ] );
       ( "diagnostics",
         [

@@ -174,6 +174,36 @@ let prop_clamp =
       let v = Floatx.clamp ~lo ~hi x in
       v >= lo && v <= hi)
 
+(* Floatx.max/min stand in for Stdlib.max/min on floats across lib/, so
+   they must return the same bits for every pair, in both orders: nan
+   (the second argument wins), both zeros (the first wins), the
+   infinities, the extremes, a subnormal and random bit patterns.  Each
+   drawn value is also paired with every special one. *)
+let prop_float_max_min =
+  let specials =
+    [ Float.nan; 0.; -0.; Float.infinity; Float.neg_infinity;
+      Float.max_float; -.Float.max_float; Float.min_float;
+      -.Float.min_float; 0x1p-1074 (* smallest subnormal *); 1.; -1. ]
+  in
+  let value =
+    QCheck.make
+      ~print:(fun x -> Printf.sprintf "%h (%Lx)" x (Int64.bits_of_float x))
+      QCheck.Gen.(
+        oneof [ oneofl specials; map Int64.float_of_bits int64 ])
+  in
+  let same f g a b =
+    Int64.equal (Int64.bits_of_float (f a b)) (Int64.bits_of_float (g a b))
+  in
+  let agree a b =
+    same Floatx.max Stdlib.max a b
+    && same Floatx.max Stdlib.max b a
+    && same Floatx.min Stdlib.min a b
+    && same Floatx.min Stdlib.min b a
+  in
+  QCheck.Test.make ~name:"max/min = Stdlib, bit for bit" ~count:2000
+    (QCheck.pair value value)
+    (fun (a, b) -> agree a b && List.for_all (agree a) specials)
+
 (* -------------------- rng fast paths -------------------- *)
 
 let test_rng_bits53_matches_float () =
@@ -329,6 +359,7 @@ let () =
           Alcotest.test_case "pow2" `Quick test_pow2;
           Alcotest.test_case "rel_err" `Quick test_rel_err;
           QCheck_alcotest.to_alcotest prop_clamp;
+          QCheck_alcotest.to_alcotest prop_float_max_min;
         ] );
       ( "rng",
         [
