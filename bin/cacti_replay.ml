@@ -298,11 +298,12 @@ let run_cmd =
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for sharded replay (default: cores - 1).  \
-             File traces are partitioned on the set-index bits shared by \
-             every cache level, so results — summary and per-access \
-             stream — are byte-identical for any value.  Geometries \
-             whose line size or set counts are not powers of two fall \
+            "Worker domains for sharded replay (default: cores - 1), \
+             capped at the host's recommended domain count: more only \
+             contend for the same cores.  File traces are partitioned on \
+             the set-index bits shared by every cache level, so results \
+             — summary and per-access stream — are byte-identical for \
+             any value.  A line size that is not a power of two falls \
              back to serial replay with a warning; stdin always streams \
              serially.")
   in

@@ -294,8 +294,9 @@ let cmd =
          & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:"Worker domains for the CACTI solves and for fanning the \
                    app × configuration simulation matrix over a pool \
-                   (default: cores - 1). Any value returns identical \
-                   results.")
+                   (default: cores - 1); $(b,--replay) caps its replay \
+                   domains at the host's recommended domain count. Any \
+                   value returns identical results.")
   in
   let trace =
     Arg.(value & opt (some string) None

@@ -94,8 +94,8 @@ type acc = {
 
 (* Latencies are hoisted out of [cfg] as cumulative per-level costs and
    the core caches indexed with [Array.unsafe_get] ([core] is always
-   [tid mod n_cores]): [step] is the per-access hot loop of multi-hour
-   replays. *)
+   [tid mod n_cores], found without a division when [tid < n_cores]):
+   [step] is the per-access hot loop of multi-hour replays. *)
 type t = {
   cfg : config;
   line_shift : int;
@@ -238,7 +238,7 @@ let step t ~tid ~write ~addr =
   o.invalidations <- 0;
   o.c2c <- false;
   let line = addr lsr t.line_shift in
-  let core = tid mod t.n_cores in
+  let core = if tid < t.n_cores then tid else tid mod t.n_cores in
   a.accesses <- a.accesses + 1;
   if write then a.writes <- a.writes + 1 else a.reads <- a.reads + 1;
   let l1 = Array.unsafe_get t.l1s core and l2 = Array.unsafe_get t.l2s core in
@@ -386,6 +386,15 @@ let summary t =
     total_cycles = a.total_cycles;
   }
 
+(* The summary of a finished replay, whose caches then go back to the
+   calling domain's free list for the next replay's [create]. *)
+let finish t =
+  let s = summary t in
+  Array.iter Cache_sim.release t.l1s;
+  Array.iter Cache_sim.release t.l2s;
+  Option.iter Cache_sim.release t.l3c;
+  s
+
 (* ---------------- set-sharded parallel replay ----------------
 
    With power-of-two [line_bytes] ([Cache_sim] always builds a power-of-two
@@ -447,7 +456,7 @@ let run_serial ?render ?(emit = fun (_ : string) -> ()) cfg records =
             Buffer.clear buf
           end);
       if Buffer.length buf > 0 then emit (Buffer.contents buf));
-  summary r
+  finish r
 
 (* Merge per-shard row buffers back into original trace order: record [i]'s
    row is the next unconsumed row of shard [shard_of bk i] (each shard
@@ -470,8 +479,9 @@ let merge_rows bk outs n ~emit =
   done;
   if Buffer.length ob > 0 then emit (Buffer.contents ob)
 
+(* More domains than the host runs at once only add contention. *)
 let resolve_jobs = function
-  | Some j -> Int.max 1 j
+  | Some j -> Int.max 1 (Int.min j (Domain.recommended_domain_count ()))
   | None -> Cacti_util.Pool.default_jobs ()
 
 let line_shift cfg = Cacti_util.Floatx.clog2 cfg.line_bytes
@@ -499,7 +509,7 @@ let replay_summaries ~jobs ~bits cfgs source =
             Trace_io.iter_shard source bk ~shard:(i mod ns)
               ~f:(fun ~seq:_ ~tid ~write ~addr ->
                 ignore (step r ~tid ~write ~addr : outcome));
-            summary r));
+            finish r));
   Array.init (Array.length cfgs) (fun c ->
       Array.fold_left add_summary empty_summary (Array.sub sums (c * ns) ns))
 
@@ -555,6 +565,6 @@ let run_sharded ?jobs ?bits ?render ?(emit = fun (_ : string) -> ()) cfg
               ~f:(fun ~seq ~tid ~write ~addr ->
                 rd buf ~seq ~tid ~write ~addr (step r ~tid ~write ~addr));
             outs.(s) <- Buffer.contents buf;
-            sums.(s) <- summary r);
+            sums.(s) <- finish r);
         merge_rows bk outs (Trace_io.source_length source) ~emit;
         (Array.fold_left add_summary empty_summary sums, diags)

@@ -76,7 +76,9 @@ type t
 val create : config -> t
 (** Raises [Invalid_argument] on a bad geometry (non-positive sizes,
     [line_bytes] not a power of two, a Tree-PLRU level whose associativity
-    is not a power of two). *)
+    is not a power of two or above 32).  The caches' arrays come from the
+    calling domain's free list ({!Mcsim.Cache_sim.create}); the replays
+    below hand them back when they finish. *)
 
 val step : t -> tid:int -> write:bool -> addr:int -> outcome
 (** Replays one access and returns the per-access outcome.  The returned
@@ -145,7 +147,10 @@ val run_serial :
   summary
 (** Replays the records that the iterator passes to [f], in order, through
     one replayer; rendered rows are streamed through [emit] in ~64 KB
-    slabs.  This is the loop of {!run_sharded} at 0 shard bits, and the
+    slabs.  Its caches come from and, once the summary is taken, return to
+    the calling domain's free list ({!Mcsim.Cache_sim.release}), so
+    back-to-back replays on one domain allocate no cache arrays after the
+    first.  This is the loop of {!run_sharded} at 0 shard bits, and the
     way to replay a stream that is read once and never held in memory,
     such as [Trace_io.iter_channel] over stdin. *)
 
@@ -158,8 +163,12 @@ val run_sharded :
   Trace_io.source ->
   summary * Cacti_util.Diag.t list
 (** Replays the whole trace, sharded [2^bits] ways across a
-    [Cacti_util.Pool] of [jobs] domains ([bits] defaults to [clog2 jobs],
-    [jobs] to [Pool.default_jobs ()]).  Rendered rows are merged back into
+    [Cacti_util.Pool] of [jobs] domains ([jobs] defaults to
+    [Pool.default_jobs ()] and is capped at
+    [Domain.recommended_domain_count ()]; [bits] defaults to [clog2] of
+    the capped [jobs], and an explicit [bits] keeps its plan on any host).
+    Each shard's replayer recycles its caches through the free list of
+    the domain that runs it, as {!run_serial} does.  Rendered rows are merged back into
     original trace order and streamed through [emit] in ~64 KB slabs, so
     output is byte-identical to a serial replay for {e any} [jobs]/[bits].
     When the plan resolves to 0 bits (including the [shard_unsupported]
@@ -173,9 +182,9 @@ val run_configs :
 (** The summary of every config over the whole trace, as {!run_sharded}
     without rendering returns it for each one alone.  The trace is bucketed
     once on the finest shard plan that every config supports (from [clog2
-    jobs] bits), and the (config × shard) work items fan out over one
-    [Cacti_util.Pool] of [jobs] domains, so a single config still uses
-    every domain.  When the plan resolves to 0 bits each config replays
+    jobs] bits, [jobs] capped as in {!run_sharded}), and the (config ×
+    shard) work items fan out over one [Cacti_util.Pool] of [jobs]
+    domains, so a single config still uses every domain.  When the plan resolves to 0 bits each config replays
     serially; a [shard_unsupported] warning (also for configs of different
     [line_bytes]) is returned in the diag list.  Summaries are identical
     for any [jobs]. *)

@@ -16,8 +16,9 @@ let record_bytes = 11
 let max_tid = 0xFFFF
 let max_addr = (1 lsl 62) - 1
 
-(* Chunk sizing: bounds both the writer's buffering and the reader's
-   resident window, so multi-GB traces stream in constant memory. *)
+(* Chunk sizing: bounds the writer's buffering; the reader takes any
+   chunk up to the maximum a block at a time ([block_records]), so
+   multi-GB traces stream in constant memory. *)
 let chunk_records = 65536
 let max_chunk_records = 1 lsl 22
 
@@ -224,6 +225,39 @@ let iter_text ~path ic ~f =
   done;
   !count
 
+(* ---------------- record decoding ---------------- *)
+
+type bigbytes =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* A record's tid and address are read with one 16-bit and one 64-bit
+   load, unaligned and unchecked: every caller reads whole records inside
+   its buffer.  [big_endian ()] is a compile-time constant, so the swap
+   costs nothing on little-endian hosts. *)
+external big_endian : unit -> bool = "%big_endian"
+external bswap16 : int -> int = "%bswap16"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bytes_get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bigstring_get16u : bigbytes -> int -> int = "%caml_bigstring_get16u"
+external bigstring_get64u : bigbytes -> int -> int64 = "%caml_bigstring_get64u"
+
+let[@inline] le16 v = if big_endian () then bswap16 v else v
+let[@inline] le64 v = if big_endian () then bswap64 v else v
+
+(* Record [i] (0-based) holds [flags], which must be 0 or 1, and the
+   64-bit address [a], whose top two bits must be clear. *)
+let[@inline] check_flags path i flags =
+  if flags land lnot 1 <> 0 then
+    fail path (i + 1) "invalid flag byte 0x%02x" flags
+
+let[@inline] check_addr path i a =
+  if Int64.to_int (Int64.shift_right_logical a 62) <> 0 then
+    fail path (i + 1) "address 0x%Lx out of range [0, 2^62)" a
+
+let changed path n =
+  fail path 0 "the trace changed since it was loaded with %d records" n
+
 (* ---------------- binary reader ---------------- *)
 
 let read_u32 path ic what =
@@ -232,7 +266,7 @@ let read_u32 path ic what =
    with End_of_file -> fail path 0 "truncated stream: missing %s" what);
   Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF
 
-let iter_binary ~path ic ~f =
+let read_header path ic =
   let m = String.length magic in
   let hdr = Bytes.create m in
   (try really_input ic hdr 0 m
@@ -240,9 +274,17 @@ let iter_binary ~path ic ~f =
   if Bytes.to_string hdr <> magic then
     fail path 0 "bad magic (not a cacti-d binary trace)";
   let v = read_u32 path ic "version" in
-  if v <> version then fail path 0 "unsupported binary trace version %d" v;
-  let buf = Bytes.create (chunk_records * record_bytes) in
-  let buf = ref buf in
+  if v <> version then fail path 0 "unsupported binary trace version %d" v
+
+(* Records are read and decoded a block at a time, whatever the chunk
+   size, so the reader's buffer is 44 KiB. *)
+let block_records = 4096
+
+(* Streams a binary trace of at most [limit] records: a chunk that would
+   pass the limit raises before any of its records reach [f]. *)
+let iter_binary ~path ~limit ic ~f =
+  read_header path ic;
+  let buf = Bytes.create (block_records * record_bytes) in
   let count = ref 0 in
   let finished = ref false in
   while not !finished do
@@ -259,27 +301,26 @@ let iter_binary ~path ic ~f =
       if n > max_chunk_records then
         fail path 0 "oversized chunk (%d records, max %d)" n
           max_chunk_records;
-      let need = n * record_bytes in
-      if Bytes.length !buf < need then buf := Bytes.create need;
-      let b = !buf in
-      (try really_input ic b 0 need
-       with End_of_file ->
-         fail path (!count + 1) "truncated stream: incomplete chunk");
-      for i = 0 to n - 1 do
-        let off = i * record_bytes in
-        let flags = Bytes.get_uint8 b off in
-        if flags land lnot 1 <> 0 then
-          fail path (!count + i + 1) "invalid flag byte 0x%02x" flags;
-        let tid = Bytes.get_uint16_le b (off + 1) in
-        let addr64 = Bytes.get_int64_le b (off + 3) in
-        if Int64.compare addr64 0L < 0
-           || Int64.compare addr64 (Int64.of_int max_addr) > 0
-        then
-          fail path (!count + i + 1) "address 0x%Lx out of range [0, 2^62)"
-            addr64;
-        f ~tid ~write:(flags land 1 = 1) ~addr:(Int64.to_int addr64)
-      done;
-      count := !count + n
+      if n > limit - !count then changed path limit;
+      let first = !count in
+      let last = first + n in
+      while !count < last do
+        let k = Int.min (last - !count) block_records in
+        (try really_input ic buf 0 (k * record_bytes)
+         with End_of_file ->
+           fail path (first + 1) "truncated stream: incomplete chunk");
+        let c = !count in
+        for r = 0 to k - 1 do
+          let o = r * record_bytes in
+          let flags = Char.code (Bytes.unsafe_get buf o) in
+          check_flags path (c + r) flags;
+          let a = le64 (bytes_get64u buf (o + 3)) in
+          check_addr path (c + r) a;
+          f ~tid:(le16 (bytes_get16u buf (o + 1))) ~write:(flags = 1)
+            ~addr:(Int64.to_int a)
+        done;
+        count := c + k
+      done
     end
   done;
   !count
@@ -287,28 +328,30 @@ let iter_binary ~path ic ~f =
 let iter_channel ~path format ic ~f =
   match format with
   | Text -> iter_text ~path ic ~f
-  | Binary -> iter_binary ~path ic ~f
+  | Binary -> iter_binary ~path ~limit:max_int ic ~f
+
+let with_in path k =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> k ic)
 
 let iter_file ?format path ~f =
   let format =
     match format with Some fmt -> fmt | None -> detect_file path
   in
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> iter_channel ~path format ic ~f)
+  with_in path (fun ic -> iter_channel ~path format ic ~f)
 
 (* ---------------- sources ---------------- *)
 
-type bigbytes =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Every replayable trace is the binary layout's records: a binary file,
+   streamed on every full pass and mapped only for shard access, or an
+   in-memory image that a text file or [of_records] fills as one
+   chunk. *)
+type data =
+  | File of int  (** a binary file of this many bytes *)
+  | Image of bigbytes
 
-(* Every replayable trace is the binary layout's records in one char
-   Bigarray: a read-only mapping of a binary file (its chunk table read
-   from the file), or an in-memory image that a text file or
-   [of_records] fills as one chunk. *)
 type source = {
-  buf : bigbytes;
+  data : data;
   path : string;  (** labels validation errors *)
   n : int;
   chunk_first : int array;
@@ -317,68 +360,43 @@ type source = {
   chunk_off : int array;  (** byte offset of chunk [c]'s first record *)
 }
 
-let mbyte (buf : bigbytes) o = Char.code (Bigarray.Array1.unsafe_get buf o)
-
-(* Bounds-checked u32 read used only while walking the chunk table. *)
-let mu32 path (buf : bigbytes) size pos what =
-  if pos + 4 > size then fail path 0 "truncated stream: missing %s" what;
-  mbyte buf pos
-  lor (mbyte buf (pos + 1) lsl 8)
-  lor (mbyte buf (pos + 2) lsl 16)
-  lor (mbyte buf (pos + 3) lsl 24)
-
-(* Maps a binary trace file read-only and indexes its chunk table.  Only
-   framing is validated here, in O(chunks); records are validated by the
-   first full pass ([iter_source] or [bucket]). *)
-let map_binary path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  let size, buf =
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let size = (Unix.fstat fd).Unix.st_size in
-        if size = 0 then fail path 0 "truncated stream: missing magic";
-        let g =
-          Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |]
-        in
-        (size, Bigarray.array1_of_genarray g))
-  in
-  let m = String.length magic in
-  if size < m then fail path 0 "truncated stream: missing magic";
-  for i = 0 to m - 1 do
-    if Bigarray.Array1.get buf i <> magic.[i] then
-      fail path 0 "bad magic (not a cacti-d binary trace)"
-  done;
-  let v = mu32 path buf size m "version" in
-  if v <> version then fail path 0 "unsupported binary trace version %d" v;
-  (* Walk the chunk headers (O(chunks), no record is touched) to index
-     every chunk's record range and byte offset. *)
-  let firsts = ref [] and offs = ref [] in
-  let rec walk pos first =
-    let n = mu32 path buf size pos "chunk header" in
-    if n = 0 then begin
-      if pos + 4 <> size then
-        fail path 0 "trailing bytes after the stream terminator";
-      first
-    end
-    else begin
-      if n > max_chunk_records then
-        fail path 0 "oversized chunk (%d records, max %d)" n max_chunk_records;
-      if pos + 4 + (n * record_bytes) > size then
-        fail path (first + 1) "truncated stream: incomplete chunk";
-      firsts := first :: !firsts;
-      offs := (pos + 4) :: !offs;
-      walk (pos + 4 + (n * record_bytes)) (first + n)
-    end
-  in
-  let n = walk (m + 4) 0 in
-  {
-    buf;
-    path;
-    n;
-    chunk_first = Array.of_list (List.rev (n :: !firsts));
-    chunk_off = Array.of_list (List.rev !offs);
-  }
+(* Walks a binary trace's chunk headers through a channel, seeking over
+   the records, to index every chunk's record range and byte offset.
+   Only framing is validated here, in O(chunks); records are validated by
+   every full pass ([iter_source]). *)
+let index_binary path =
+  with_in path (fun ic ->
+      let size = in_channel_length ic in
+      read_header path ic;
+      let firsts = ref [] and offs = ref [] in
+      let rec walk pos first =
+        let n = read_u32 path ic "chunk header" in
+        if n = 0 then begin
+          if pos + 4 <> size then
+            fail path 0 "trailing bytes after the stream terminator";
+          first
+        end
+        else begin
+          if n > max_chunk_records then
+            fail path 0 "oversized chunk (%d records, max %d)" n
+              max_chunk_records;
+          let next = pos + 4 + (n * record_bytes) in
+          if next > size then
+            fail path (first + 1) "truncated stream: incomplete chunk";
+          firsts := first :: !firsts;
+          offs := (pos + 4) :: !offs;
+          seek_in ic next;
+          walk next (first + n)
+        end
+      in
+      let n = walk (String.length magic + 4) 0 in
+      {
+        data = File size;
+        path;
+        n;
+        chunk_first = Array.of_list (List.rev (n :: !firsts));
+        chunk_off = Array.of_list (List.rev !offs);
+      })
 
 let check_record tid write addr =
   ignore write;
@@ -403,7 +421,7 @@ let set_record buf o ~tid ~write ~addr =
   done
 
 let one_chunk path buf n =
-  { buf; path; n; chunk_first = [| 0; n |]; chunk_off = [| 0 |] }
+  { data = Image buf; path; n; chunk_first = [| 0; n |]; chunk_off = [| 0 |] }
 
 (* A text file parsed into an image that doubles as it fills. *)
 let load_text path =
@@ -435,52 +453,39 @@ let load_source ?format path =
   let format =
     match format with Some fmt -> fmt | None -> detect_file path
   in
-  match format with Binary -> map_binary path | Text -> load_text path
+  match format with Binary -> index_binary path | Text -> load_text path
 
 let source_length src = src.n
 
-(* Validate-and-decode the record at byte offset [o] (index [i] labels
-   errors), mirroring [iter_binary]'s diagnostics. *)
-let checked_flags src i o =
-  let flags = mbyte src.buf o in
-  if flags land lnot 1 <> 0 then
-    fail src.path (i + 1) "invalid flag byte 0x%02x" flags;
+(* The validated fields of the record at byte [o] of an image; [i] labels
+   errors. *)
+let[@inline] image_flags path (buf : bigbytes) i o =
+  let flags = Char.code (Bigarray.Array1.unsafe_get buf o) in
+  check_flags path i flags;
   flags
 
-let checked_addr src i o =
-  let b7 = mbyte src.buf (o + 10) in
-  if b7 land 0xC0 <> 0 then begin
-    (* out of [0, 2^62): render the full 64-bit value for the message *)
-    let a = ref 0L in
-    for k = 10 downto 3 do
-      let byte = Int64.of_int (mbyte src.buf (o + k)) in
-      a := Int64.logor (Int64.shift_left !a 8) byte
-    done;
-    fail src.path (i + 1) "address 0x%Lx out of range [0, 2^62)" !a
-  end;
-  mbyte src.buf (o + 3)
-  lor (mbyte src.buf (o + 4) lsl 8)
-  lor (mbyte src.buf (o + 5) lsl 16)
-  lor (mbyte src.buf (o + 6) lsl 24)
-  lor (mbyte src.buf (o + 7) lsl 32)
-  lor (mbyte src.buf (o + 8) lsl 40)
-  lor (mbyte src.buf (o + 9) lsl 48)
-  lor (b7 lsl 56)
+let[@inline] image_addr path buf i o =
+  let a = le64 (bigstring_get64u buf (o + 3)) in
+  check_addr path i a;
+  Int64.to_int a
+
+let[@inline] image_tid buf o = le16 (bigstring_get16u buf (o + 1))
 
 let iter_source src ~f =
-  for c = 0 to Array.length src.chunk_off - 1 do
-    let first = src.chunk_first.(c) in
-    let count = src.chunk_first.(c + 1) - first in
-    let o = ref src.chunk_off.(c) in
-    for k = 0 to count - 1 do
-      let i = first + k in
-      let flags = checked_flags src i !o in
-      let addr = checked_addr src i !o in
-      let tid = mbyte src.buf (!o + 1) lor (mbyte src.buf (!o + 2) lsl 8) in
-      f ~tid ~write:(flags land 1 = 1) ~addr;
-      o := !o + record_bytes
-    done
-  done
+  match src.data with
+  | File _ ->
+      let n = with_in src.path (iter_binary ~path:src.path ~limit:src.n ~f) in
+      if n <> src.n then changed src.path src.n
+  | Image buf ->
+      for c = 0 to Array.length src.chunk_off - 1 do
+        let first = src.chunk_first.(c) and o = src.chunk_off.(c) in
+        for i = first to src.chunk_first.(c + 1) - 1 do
+          let o = o + ((i - first) * record_bytes) in
+          let flags = image_flags src.path buf i o in
+          let addr = image_addr src.path buf i o in
+          f ~tid:(image_tid buf o) ~write:(flags = 1) ~addr
+        done
+      done
 
 (* ---------------- engine streams ---------------- *)
 
@@ -507,6 +512,8 @@ let thread_gens src =
     let shift = Cacti_util.Floatx.clog2 Mcsim.Study_config.line_bytes in
     iter_source src ~f:(fun ~tid ~write ~addr ->
         let k = rank.(tid) in
+        (* a file rewritten between the passes cannot overrun an array *)
+        if fill.(k) = counts.(tid) then changed src.path src.n;
         refs.(k).(fill.(k)) <- ((addr lsr shift) lsl 1) lor Bool.to_int write;
         fill.(k) <- fill.(k) + 1);
     let d = Array.length refs in
@@ -516,11 +523,26 @@ let thread_gens src =
 (* ---------------- shard bucketing ---------------- *)
 
 type buckets = {
+  src : source;
+  image : bigbytes;  (** [src]'s records at its chunk table's offsets *)
   shard_ids : Bytes.t;  (** shard id of record [i] *)
   seqs : int array array;  (** per shard, ascending record indices *)
 }
 
 let max_shard_bits = 8
+
+(* The records of [src] for random access: a binary file is mapped
+   read-only, once it is known to have the size it was loaded with, so
+   every chunk offset lies inside the mapping. *)
+let image_of src =
+  match src.data with
+  | Image buf -> buf
+  | File size ->
+      with_in src.path (fun ic ->
+          if in_channel_length ic <> size then changed src.path src.n;
+          Bigarray.array1_of_genarray
+            (Unix.map_file (Unix.descr_of_in_channel ic) Bigarray.char
+               Bigarray.c_layout false [| size |]))
 
 let bucket src ~line_shift ~bits =
   if bits < 1 || bits > max_shard_bits then
@@ -531,6 +553,7 @@ let bucket src ~line_shift ~bits =
   let seqs = Array.init ns (fun _ -> Array.make 16 0) in
   let len = Array.make ns 0 in
   let i = ref 0 in
+  (* [iter_source] passes at most [src.n] records *)
   iter_source src ~f:(fun ~tid:_ ~write:_ ~addr ->
       let s = (addr lsr line_shift) land mask in
       Bytes.unsafe_set shard_ids !i (Char.unsafe_chr s);
@@ -547,16 +570,23 @@ let bucket src ~line_shift ~bits =
       Array.unsafe_set a l !i;
       len.(s) <- l + 1;
       incr i);
-  { shard_ids; seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 len.(s)) }
+  {
+    src;
+    image = image_of src;
+    shard_ids;
+    seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 len.(s));
+  }
 
 let shard_of bk i = Char.code (Bytes.get bk.shard_ids i)
 
 (* A shard's indices ascend, so its byte offsets are found by walking the
-   chunk table forward alongside them.  The length check keeps every
-   offset inside [src]: [bk]'s indices are below its record count. *)
+   chunk table forward alongside them.  Only [bk]'s own source is
+   accepted: its indices and chunk table are what keep every offset
+   inside [bk.image]. *)
 let iter_shard src bk ~shard ~f =
-  if Bytes.length bk.shard_ids <> src.n then
+  if src != bk.src then
     invalid_arg "Trace_io.iter_shard: buckets of another source";
+  let buf = bk.image in
   let idx = bk.seqs.(shard) in
   let c = ref 0 in
   for k = 0 to Array.length idx - 1 do
@@ -566,10 +596,9 @@ let iter_shard src bk ~shard ~f =
       Array.unsafe_get src.chunk_off !c
       + ((i - Array.unsafe_get src.chunk_first !c) * record_bytes)
     in
-    let flags = checked_flags src i o in
-    let addr = checked_addr src i o in
-    let tid = mbyte src.buf (o + 1) lor (mbyte src.buf (o + 2) lsl 8) in
-    f ~seq:i ~tid ~write:(flags land 1 = 1) ~addr
+    let flags = image_flags src.path buf i o in
+    let addr = image_addr src.path buf i o in
+    f ~seq:i ~tid:(image_tid buf o) ~write:(flags = 1) ~addr
   done
 
 (* ---------------- writers ---------------- *)

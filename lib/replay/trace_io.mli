@@ -30,9 +30,9 @@
               addr  u64 LE (must be < 2^62)
     v}
 
-    Both readers stream in fixed-size chunks (64 KiB blocks of text, grown
-    only to hold a longer line), so a trace of any length is parsed in
-    constant memory.  {!iter_channel} allocates nothing per record beyond
+    Both readers stream in fixed-size blocks (64 KiB of text, grown only to
+    hold a longer line; 4096 binary records, whatever the chunk size), so
+    a trace of any length is parsed in constant memory.  {!iter_channel} allocates nothing per record beyond
     the closure call for binary records and for text records whose tokens
     are canonical: [0x]/[0X] and 1-15 hex digits or 1-18 decimal digits
     for the address, 1-5 decimal digits for the thread id.  Other spellings
@@ -40,12 +40,12 @@
     thread ids are bounded by 65535.
 
     A trace loaded for replay ({!source}) has one form whatever its
-    encoding: the binary records above in a char Bigarray — a binary file
-    mapped as it is, a text file parsed into an in-memory image of the
-    same layout.  Consumers iterate it ({!iter_source}), bucket it into
-    shards and iterate one shard ({!bucket}, {!iter_shard}), or split it
-    into per-thread streams for the study engine ({!thread_gens}); the
-    record layout never leaves this module. *)
+    encoding: the binary records above — a binary file as it is on disk,
+    a text file parsed into an in-memory image of the same layout.
+    Consumers iterate it ({!iter_source}), bucket it into shards and
+    iterate one shard ({!bucket}, {!iter_shard}), or split it into
+    per-thread streams for the study engine ({!thread_gens}); the record
+    layout never leaves this module. *)
 
 exception Parse_error of { path : string; line : int; msg : string }
 (** Malformed input, typed: bad op/address/tid on a text line, bad magic,
@@ -91,20 +91,31 @@ val iter_file :
 
     A replayable trace, for consumers that replay the same trace several
     times (sharded replay, the study's config matrix, benchmarks).  Every
-    source holds the binary layout's 11-byte records: a binary file is
-    memory-mapped read-only and replayed straight out of the page cache
-    (only framing — magic, version, chunk table — is validated when it is
-    mapped, records by the first full pass); a text file or
-    {!of_records} fills an in-memory image of the same layout as one
-    chunk. *)
+    source holds the binary layout's 11-byte records.  A text file or
+    {!of_records} fills an in-memory image of that layout as one chunk.
+    A binary file stays on disk: loading it reads only its framing (magic,
+    version, chunk table), every full pass ({!iter_source}, and so
+    {!bucket}, {!thread_gens} and serial replay) streams it through the
+    channel reader, validating every record, and only {!bucket} maps it,
+    read-only, for the random access of {!iter_shard}.
+
+    A binary file that changes after it is loaded is refused: a pass that
+    finds it truncated, or holding another record count, raises
+    {!Parse_error} before passing more records than were loaded.  The
+    sharded path is the exception while it runs: the file must not change
+    between {!bucket} and the last {!iter_shard}, since a mapping read
+    past the end of a file that has shrunk kills the process
+    ([SIGBUS]).  The mapping is unmapped only when the GC finalizes the
+    buckets. *)
 
 type source
 
 val load_source : ?format:format -> string -> source
-(** Maps a binary file or parses a text file ({!detect_file} when [format]
-    is omitted).  Raises {!Parse_error} on malformed text or binary framing
+(** Indexes a binary file's chunk table, seeking from chunk header to
+    chunk header, or parses a text file ({!detect_file} when [format] is
+    omitted).  Raises {!Parse_error} on malformed text or binary framing
     (bad magic/version, truncated or oversized chunks, trailing bytes),
-    [Unix.Unix_error] or [Sys_error] if the file cannot be opened. *)
+    [Sys_error] if the file cannot be opened. *)
 
 val of_records : (int * bool * int) array -> source
 (** [(tid, write, addr)] records, validated against the encodable bounds
@@ -116,7 +127,10 @@ val iter_source :
   source -> f:(tid:int -> write:bool -> addr:int -> unit) -> unit
 (** Streams every record through [f] in trace order, validating flags and
     address range exactly like the channel reader ({!Parse_error} labels
-    the 1-based record index). *)
+    the 1-based record index); a binary file is read through
+    {!iter_channel}'s reader, and a record count other than the loaded
+    one raises {!Parse_error} (see above).  Allocates nothing per
+    record. *)
 
 (** {1 Driving the study engine} *)
 
@@ -144,8 +158,10 @@ val max_shard_bits : int
 
 val bucket : source -> line_shift:int -> bits:int -> buckets
 (** One validating pass over [source] (errors as in {!iter_source})
-    assigning record [i] to shard [(addr lsr line_shift) land (2^bits - 1)].
-    [bits] must be in [1 .. max_shard_bits]. *)
+    assigning record [i] to shard [(addr lsr line_shift) land (2^bits - 1)],
+    then, for a binary file, a read-only mapping of it ({!Parse_error}
+    when its size is no longer the loaded one).  [bits] must be in
+    [1 .. max_shard_bits]. *)
 
 val shard_of : buckets -> int -> int
 (** The shard of record [i]. *)
@@ -158,8 +174,7 @@ val iter_shard :
   unit
 (** Passes the records of one shard to [f] in ascending index order;
     [seq] is the record's 0-based index in the trace.  [buckets] must come
-    from {!bucket} on the same source ([Invalid_argument] when its record
-    count differs). *)
+    from {!bucket} on this same source ([Invalid_argument] otherwise). *)
 
 (** {1 Writing} *)
 

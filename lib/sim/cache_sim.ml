@@ -15,7 +15,6 @@ type t = {
       (** per-set policy metadata: Tree-PLRU direction bits (bit index =
           heap node index, 1-based) / QLRU R1 round-robin pointer *)
   kind : int;  (** [Policy.kind_int policy], hoisted for dispatch *)
-  log2_assoc : int;  (** Tree-PLRU tree depth; -1 for other policies *)
   q_h2 : int;
   q_h3 : int;
   q_m : int;
@@ -103,6 +102,10 @@ let release t =
   give t.stamps;
   give t.setmeta
 
+(* A Tree-PLRU set word holds node bits 1 .. ways - 1 (see below): 32
+   ways use bits 1..31, and 64 would need bit 63, which an int lacks. *)
+let plru_max_ways = 32
+
 let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
   let sets = set_count ~assoc ~lines in
   let assoc = lines / sets in
@@ -112,13 +115,18 @@ let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
       (Printf.sprintf
          "Cache_sim.create: Tree-PLRU needs a power-of-two associativity \
           (got %d)" assoc);
+  if kind = 1 && assoc > plru_max_ways then
+    invalid_arg
+      (Printf.sprintf
+         "Cache_sim.create: Tree-PLRU supports at most %d ways (got %d)"
+         plru_max_ways assoc);
   let q_h2, q_h3, q_m, q_r, q_u = Policy.qlru_params policy in
   (* Only the used prefix of a taken array is reset; [stamps] is not,
      since every policy reads a way's stamp only while the way is valid
      and writes it when the way is filled.  Fresh arrays are allocated in
      the order the record literal allocated them (last field first): with
-     [ways] first, a process that creates many caches and never releases
-     them (the replayer) peaked 3.4 MB higher. *)
+     [ways] first, a process that created many caches and never released
+     them peaked 3.4 MB higher. *)
   let setmeta = take ~reset:true sets 0 in
   let stamps = take ~reset:false (sets * assoc) 0 in
   let ways = take ~reset:true (sets * assoc) invalid in
@@ -130,7 +138,6 @@ let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
     stamps;
     setmeta;
     kind;
-    log2_assoc = (if kind = 1 then Cacti_util.Floatx.clog2 assoc else -1);
     q_h2;
     q_h3;
     q_m;
@@ -182,17 +189,35 @@ let lru_victim t b last =
    index (root = 1, children of [n] = [2n], [2n+1]).  Bit value 0 steers the
    victim walk left, 1 right. *)
 
-(* Flip the root-path bits to point away from the way just touched. *)
-let plru_point_away t set rel =
-  let m = ref t.setmeta.(set) in
-  let n = ref 1 in
-  for lvl = t.log2_assoc - 1 downto 0 do
-    let side = (rel lsr lvl) land 1 in
-    if side = 0 then m := !m lor (1 lsl !n)
-    else m := !m land lnot (1 lsl !n);
-    n := (2 * !n) + side
+(* Touching way [rel] of an [assoc]-way tree points its root path away
+   from it: the set word becomes [(m land keep) lor set], with the pair
+   at [2 * (assoc - 1 + rel)] (the trees of 1, 2, 4, ... 32 ways lie one
+   after another). *)
+let plru_masks =
+  let tbl = Array.make (2 * ((2 * plru_max_ways) - 1)) 0 in
+  let assoc = ref 1 and depth = ref 0 in
+  while !assoc <= plru_max_ways do
+    for rel = 0 to !assoc - 1 do
+      let keep = ref (-1) and set = ref 0 and n = ref 1 in
+      for lvl = !depth - 1 downto 0 do
+        let side = (rel lsr lvl) land 1 in
+        keep := !keep land lnot (1 lsl !n);
+        if side = 0 then set := !set lor (1 lsl !n);
+        n := (2 * !n) + side
+      done;
+      tbl.(2 * (!assoc - 1 + rel)) <- !keep;
+      tbl.((2 * (!assoc - 1 + rel)) + 1) <- !set
+    done;
+    assoc := 2 * !assoc;
+    incr depth
   done;
-  t.setmeta.(set) <- !m
+  tbl
+
+let plru_touch t set rel =
+  let j = 2 * (t.assoc - 1 + rel) in
+  Array.unsafe_set t.setmeta set
+    ((Array.unsafe_get t.setmeta set land Array.unsafe_get plru_masks j)
+    lor Array.unsafe_get plru_masks (j + 1))
 
 let plru_victim t set =
   let m = t.setmeta.(set) in
@@ -306,7 +331,7 @@ let access_int t ~line ~write =
         Array.unsafe_set t.stamps i t.clock
     | 1 ->
         let set = line land t.set_mask in
-        plru_point_away t set (i - (set * t.assoc))
+        plru_touch t set (i - (set * t.assoc))
     | 2 ->
         let b = base t line in
         qlru_hit t b (b + t.assoc - 1) i
@@ -361,7 +386,7 @@ let fill_packed t ~line ~state_int =
   | 0 ->
       t.clock <- t.clock + 1;
       Array.unsafe_set stamps i t.clock
-  | 1 -> plru_point_away t (line land t.set_mask) (i - b)
+  | 1 -> plru_touch t (line land t.set_mask) (i - b)
   | 2 -> qlru_insert t b last i
   | _ -> mru_mark_and_reset t b last i);
   evicted

@@ -25,7 +25,8 @@ val create : ?assoc:int -> ?policy:Policy.t -> lines:int -> unit -> t
     [lines] when [sets] does not divide [lines] (e.g. [~lines:20 ~assoc:2]
     builds 8 sets of 2 ways).  [policy] (default {!Policy.Lru}) selects
     the replacement policy; [Tree_plru] additionally requires the (possibly
-    widened) associativity to be a power of two, else [Invalid_argument].
+    widened) associativity to be a power of two and at most 32 (a set's
+    tree bits live in one int), else [Invalid_argument].
 
     The state arrays come from the calling domain's free list when one
     fits (the smallest that does), else are allocated; a fresh cache is

@@ -18,7 +18,8 @@
     - {b LRU} — true least-recently-used via per-way recency stamps: the
       victim is the way whose last fill or hit is oldest.  The default
       policy of {!Cache_sim}.
-    - {b TREE_PLRU} — tree pseudo-LRU over a power-of-two associativity:
+    - {b TREE_PLRU} — tree pseudo-LRU over a power-of-two associativity
+      of at most 32 ways ({!Cache_sim.create} refuses wider sets):
       one direction bit per internal node of a balanced binary tree; an
       access flips the bits on its root path to point away from the
       accessed way; the victim is found by following the bits from the

@@ -44,6 +44,8 @@ let create ?(assoc = 8) ?(policy = Policy.Lru) ~lines () =
   let assoc = lines / sets in
   if policy = Policy.Tree_plru && pow2_floor 1 assoc <> assoc then
     invalid_arg "Policy_naive.create: Tree-PLRU needs 2^k ways";
+  if policy = Policy.Tree_plru && assoc > 32 then
+    invalid_arg "Policy_naive.create: Tree-PLRU takes at most 32 ways";
   let empty_set () =
     { ways = List.init assoc (fun _ -> invalid); recency = []; right = [];
       pointer = 0 }

@@ -708,6 +708,105 @@ let test_map_malformed () =
       | () -> Alcotest.failf "%s: accepted" name)
     cases
 
+(* The three binary decoders against a model: a file of random records,
+   in chunks of 1-3, read by the source stream ([iter_source]), the
+   channel reader ([iter_file]) and the mapped shard reader ([bucket] +
+   [iter_shard] over every shard) must give the generated records, or
+   the [Parse_error] (path, line and message) of its first bad record.
+   Bad records have a flag byte other than 0 or 1, or an address with
+   bit 62 or 63 set (the top two bits of byte 10). *)
+let gen_binary_record =
+  QCheck.Gen.(
+    let* flags = frequency [ (8, int_bound 1); (1, int_range 2 255) ]
+    and* tid =
+      frequency [ (1, return 0); (1, return 65535); (3, int_bound 65535) ]
+    and* hi = int_bound 0x7FFFFFFF
+    and* lo = int_bound 0x7FFFFFFF
+    and* top = frequency [ (12, return 0); (1, int_range 1 3) ] in
+    let addr = Int64.of_int ((hi lsl 31) lor lo) in
+    return
+      (flags, tid, Int64.logor addr (Int64.shift_left (Int64.of_int top) 62)))
+
+let binary_model chunks =
+  let recs = List.concat chunks in
+  let rec first i = function
+    | [] ->
+        Ok (List.map (fun (fl, tid, a) -> (tid, fl = 1, Int64.to_int a)) recs)
+    | (fl, _, a) :: rest ->
+        if fl > 1 then
+          Error (i + 1, Printf.sprintf "invalid flag byte 0x%02x" fl)
+        else if Int64.shift_right_logical a 62 <> 0L then
+          Error
+            (i + 1, Printf.sprintf "address 0x%Lx out of range [0, 2^62)" a)
+        else first (i + 1) rest
+  in
+  first 0 recs
+
+let binary_file_of chunks =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "CACTIRPB";
+  Buffer.add_int32_le b 1l;
+  List.iter
+    (fun chunk ->
+      Buffer.add_int32_le b (Int32.of_int (List.length chunk));
+      List.iter
+        (fun (fl, tid, a) ->
+          Buffer.add_uint8 b fl;
+          Buffer.add_uint16_le b tid;
+          Buffer.add_int64_le b a)
+        chunk)
+    chunks;
+  Buffer.add_int32_le b 0l;
+  Buffer.contents b
+
+let prop_binary_decoders =
+  let path = lazy (tmp_file ".crtb") in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 12) (list_size (int_range 1 3) gen_binary_record))
+  in
+  let show (fl, tid, a) = Printf.sprintf "%d/%d/0x%Lx" fl tid a in
+  let print chunks =
+    String.concat " | "
+      (List.map (fun chunk -> String.concat " " (List.map show chunk)) chunks)
+  in
+  QCheck.Test.make ~name:"binary decoders = record model" ~count:500
+    (QCheck.make ~print gen) (fun chunks ->
+      let path = Lazy.force path in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (binary_file_of chunks));
+      let outcome read =
+        match read () with
+        | recs -> Ok recs
+        | exception Trace_io.Parse_error { path = p; line; msg } ->
+            if p <> path then Error (-1, "path " ^ p) else Error (line, msg)
+      in
+      let collect iter =
+        let acc = ref [] in
+        iter ~f:(fun ~tid ~write ~addr -> acc := (tid, write, addr) :: !acc);
+        List.rev !acc
+      in
+      let stream () =
+        collect (Trace_io.iter_source (Trace_io.load_source path))
+      in
+      let channel () =
+        collect (fun ~f ->
+            ignore (Trace_io.iter_file ~format:Trace_io.Binary path ~f : int))
+      in
+      let shards () =
+        let src = Trace_io.load_source path in
+        let bk = Trace_io.bucket src ~line_shift:6 ~bits:2 in
+        let recs = Array.make (Trace_io.source_length src) (0, false, 0) in
+        for shard = 0 to 3 do
+          Trace_io.iter_shard src bk ~shard ~f:(fun ~seq ~tid ~write ~addr ->
+              recs.(seq) <- (tid, write, addr))
+        done;
+        Array.to_list recs
+      in
+      let expected = binary_model chunks in
+      outcome stream = expected && outcome channel = expected
+      && outcome shards = expected)
+
 let prop_records_roundtrip =
   QCheck.Test.make ~name:"of_records/iter_source roundtrips" ~count:100
     gen_records (fun recs ->
@@ -1130,6 +1229,87 @@ let test_uneven_chunks () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "buckets of another source accepted"
 
+(* A binary trace that changes after [load_source] is refused with a
+   [Parse_error] by every pass over it, serial or sharded: cut to 4 KiB
+   (a pass used to read a mapping past the end of the file and die of
+   SIGBUS), grown to twice its records, or shrunk to half of them. *)
+let test_changed_after_load () =
+  let recs = synthetic_records 20_000 in
+  let cfg = with_policy Mcsim.Policy.Tree_plru 2 small_config in
+  let contents recs =
+    In_channel.with_open_bin (write_binary_trace recs) In_channel.input_all
+  in
+  let full = contents recs in
+  List.iter
+    (fun (change, bytes) ->
+      let path = write_binary_trace recs in
+      let src = Trace_io.load_source path in
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      List.iter
+        (fun (pass, run) ->
+          match run src with
+          | exception Trace_io.Parse_error { path = p; _ } ->
+              Alcotest.(check string) (change ^ ": " ^ pass ^ " path") path p
+          | () -> Alcotest.failf "%s: %s passed" change pass)
+        [
+          ( "iter_source",
+            fun src ->
+              Trace_io.iter_source src ~f:(fun ~tid:_ ~write:_ ~addr:_ -> ())
+          );
+          ( "run_sharded jobs 1",
+            fun src -> ignore (Replayer.run_sharded ~jobs:1 cfg src) );
+          ( "run_sharded 4 shards",
+            fun src -> ignore (Replayer.run_sharded ~jobs:2 ~bits:2 cfg src) );
+          ("thread_gens", fun src -> ignore (Trace_io.thread_gens src));
+        ])
+    [
+      ("cut to 4 KiB", String.sub full 0 4096);
+      ("grown", contents (Array.append recs recs));
+      ("shrunk", contents (Array.sub recs 0 10_000));
+    ]
+
+(* Replays hand their caches back to the domain's free list, and the next
+   replay's caches are built from those stale arrays.  On one domain,
+   configs A (skl, 4 cores), B (all LRU, 1 core) and C (nhm with its MRU
+   L3, 2 cores), each of its own geometry, run in the order A, B, C, A,
+   C, serially and in two shards with CSV rendering: every repeat equals
+   its first run, summary and CSV bytes. *)
+let test_recycled_replay_caches () =
+  let preset name cfg =
+    match Mcsim.Policy.preset_of_string name with
+    | Ok p -> Replayer.with_preset p cfg
+    | Error d -> Alcotest.fail d.Cacti_util.Diag.message
+  in
+  let lv lines assoc latency =
+    { Replayer.lines; assoc; latency; policy = Mcsim.Policy.Lru }
+  in
+  let geometry l1 l2 l3 n_cores =
+    { small_config with Replayer.l1; l2; l3 = Some l3; n_cores }
+  in
+  let a = preset "skl" (geometry (lv 64 8 4) (lv 256 8 12) (lv 512 8 40) 4)
+  and b = geometry (lv 32 4 3) (lv 128 4 10) (lv 1024 16 30) 1
+  and c = preset "nhm" (geometry (lv 32 8 4) (lv 512 8 12) (lv 256 16 40) 2) in
+  let src = Trace_io.of_records (synthetic_records 20_000) in
+  List.iter
+    (fun (mode, bits) ->
+      let run cfg =
+        let csv, s, diags = run_sharded_csv ~jobs:1 ~bits cfg src in
+        Alcotest.(check int) (mode ^ " diagnostics") 0 (List.length diags);
+        (csv, s)
+      in
+      let first_a = run a in
+      ignore (run b);
+      let first_c = run c in
+      let check name (csv, s) (csv', s') =
+        Alcotest.(check bool) (mode ^ ": " ^ name ^ " summary") true (s = s');
+        Alcotest.(check bool)
+          (mode ^ ": " ^ name ^ " CSV")
+          true (String.equal csv csv')
+      in
+      check "A again" first_a (run a);
+      check "C again" first_c (run c))
+    [ ("serial", 0); ("2 shards", 1) ]
+
 (* [of_machine]: the machine's geometry, LRU at every level. *)
 let test_of_machine () =
   let cfg = Replayer.of_machine test_machine in
@@ -1179,8 +1359,10 @@ let test_run_configs () =
         let name = Printf.sprintf "%s jobs %d" name jobs in
         let sums, diags = Replayer.run_configs ~jobs cfgs src in
         Alcotest.(check bool) (name ^ " summaries") true (sums = expected);
+        (* replay domains are capped at the host's count *)
+        let domains = Int.min jobs (Domain.recommended_domain_count ()) in
         Alcotest.(check (list string)) (name ^ " diagnostics")
-          (if warns && jobs > 1 then [ "shard_unsupported" ] else [])
+          (if warns && domains > 1 then [ "shard_unsupported" ] else [])
           (List.map (fun d -> d.Cacti_util.Diag.reason) diags))
       [ 1; 2; 4; 8 ]
   in
@@ -1603,6 +1785,7 @@ let () =
           Alcotest.test_case "mapped parity (multi-chunk)" `Quick
             test_map_binary;
           Alcotest.test_case "mapped malformed" `Quick test_map_malformed;
+          QCheck_alcotest.to_alcotest prop_binary_decoders;
           Alcotest.test_case "convert missing output dir" `Quick
             test_convert_output_dir;
           QCheck_alcotest.to_alcotest
@@ -1631,6 +1814,10 @@ let () =
           Alcotest.test_case "all policies, all core counts" `Quick
             test_sharded_all_policies;
           Alcotest.test_case "uneven chunk tables" `Quick test_uneven_chunks;
+          Alcotest.test_case "trace changed after load" `Quick
+            test_changed_after_load;
+          Alcotest.test_case "recycled caches do not leak" `Quick
+            test_recycled_replay_caches;
           Alcotest.test_case "of_machine geometry" `Quick test_of_machine;
           Alcotest.test_case "run_configs = run_sharded per config" `Quick
             test_run_configs;

@@ -233,10 +233,12 @@ let cache_matches_oracle ~stale policy ~lines ~assoc ops =
 
 (* Power-of-two geometries, and ones [create] rounds down to fewer sets
    of more ways (non-power-of-two ways refuse Tree-PLRU; [~lines:20
-   ~assoc:2] builds 16 lines). *)
+   ~assoc:2] builds 16 lines); 32 ways, the widest Tree-PLRU, and 64,
+   which it refuses. *)
 let oracle_geometries =
   [ (1, 1); (4, 4); (8, 2); (16, 4); (32, 8); (16, 16); (6, 2); (12, 2);
-    (12, 4); (24, 4); (40, 8); (48, 4); (10, 5); (20, 2); (3, 1) ]
+    (12, 4); (24, 4); (40, 8); (48, 4); (10, 5); (20, 2); (3, 1); (64, 32);
+    (64, 64) ]
 
 (* All 4 * 4 * 4 * 2 * 3 = 384 parameter tuples, one per bit pattern of
    [i]: h2, h3 and m take two bits each, r one, u the rest (0..2). *)
