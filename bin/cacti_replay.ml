@@ -104,7 +104,7 @@ let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
         let replay =
           match trace with
           | "-" ->
-              (* stdin cannot be mapped or re-read: stream serially. *)
+              (* stdin is read once: it streams serially. *)
               let records ~f =
                 ignore
                   (Trace_io.iter_channel ~path:"<stdin>"
@@ -114,8 +114,10 @@ let run_replay trace format cpu l1 l2 l3 cores line_bytes mem_latency
               in
               fun ~emit -> (Replayer.run_serial ?render ~emit cfg records, [])
           | path ->
-              (* Files replay sharded on the low set-index bits: output
-                 is byte-identical to serial for any --jobs. *)
+              (* Without per-access output a file replays sharded on
+                 the low set-index bits, each shard streaming it; rows
+                 replay serially.  Output is byte-identical for any
+                 --jobs. *)
               let source = Trace_io.load_source ?format path in
               fun ~emit -> Replayer.run_sharded ?jobs ?render ~emit cfg source
         in
@@ -298,14 +300,14 @@ let run_cmd =
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for sharded replay (default: cores - 1), \
-             capped at the host's recommended domain count: more only \
-             contend for the same cores.  File traces are partitioned on \
-             the set-index bits shared by every cache level, so results \
-             — summary and per-access stream — are byte-identical for \
-             any value.  A line size that is not a power of two falls \
-             back to serial replay with a warning; stdin always streams \
-             serially.")
+            "Worker domains for sharded replay with $(b,--output none) \
+             (default: cores - 1), capped at the host's recommended \
+             domain count: more only contend for the same cores.  The \
+             file trace is partitioned on the set-index bits shared by \
+             every cache level, each shard streaming the whole file, so \
+             the summary is byte-identical for any value.  Per-access \
+             output (csv, jsonl) always replays serially, as does \
+             stdin.")
   in
   let term =
     Term.(

@@ -73,8 +73,8 @@ let write_csv csv header rows =
 (* Real-trace replay (--replay): re-run the study's configurations
    against a recorded memory-access trace with real CPU replacement
    policies (lib/replay), instead of the timed synthetic engine.
-   [Replayer.run_configs] buckets the trace once and fans the (config ×
-   shard) work items out over one pool; results are identical for any
+   [Replayer.run_configs] fans the (config × shard) work items out over
+   one pool, each streaming the trace; results are identical for any
    --jobs value. *)
 let run_replay_mode ?jobs ~cpu kinds path csv =
   let policies_r =

@@ -408,11 +408,17 @@ let finish t =
    only ever compares stamps within one set, and the per-set access order is
    preserved inside a shard), the timing model is additive with no
    cross-access contention, and all counters are sums — so the per-shard runs
-   compose to bit-identical summaries, and merging the per-access rows back
-   in original trace order reproduces the serial CSV/JSONL byte for byte. *)
+   compose to bit-identical summaries.  A shard is the serial loop over the
+   trace's stream, filtered to its records, so it holds nothing per
+   record. *)
 
 type render =
   Buffer.t -> seq:int -> tid:int -> write:bool -> addr:int -> outcome -> unit
+
+(* Every shard decodes the whole trace to find its records, so the shard
+   count multiplies the decoding; 256 shards is far more than the domains
+   of any host. *)
+let max_shard_bits = 8
 
 let shard_plan cfg ~bits =
   if bits <= 0 then Ok 0
@@ -430,11 +436,15 @@ let shard_plan cfg ~bits =
     let b3 = match cfg.l3 with None -> max_int | Some lv -> level_bits lv in
     Ok
       (Int.min
-         (Int.min bits Trace_io.max_shard_bits)
+         (Int.min bits max_shard_bits)
          (Int.min (level_bits cfg.l1) (Int.min (level_bits cfg.l2) b3)))
   end
 
-let flush_bytes = 1 lsl 16
+(* A slab is flushed once it holds [flush_bytes], so it is under
+   [flush_bytes] plus one row (at most 337 bytes for [Report]'s rows): its
+   copy for [emit] stays under [Max_young_wosize] (256 words, 2 KiB) and
+   dies in the minor heap. *)
+let flush_bytes = 1024
 
 (* One replayer over [records] in trace order; rendered rows are buffered
    and flushed through [emit] in [flush_bytes] slabs. *)
@@ -458,65 +468,42 @@ let run_serial ?render ?(emit = fun (_ : string) -> ()) cfg records =
       if Buffer.length buf > 0 then emit (Buffer.contents buf));
   finish r
 
-(* Merge per-shard row buffers back into original trace order: record [i]'s
-   row is the next unconsumed row of shard [shard_of bk i] (each shard
-   rendered its records in ascending [i], so a per-shard cursor suffices). *)
-let merge_rows bk outs n ~emit =
-  let ns = Array.length outs in
-  let cur = Array.make ns 0 in
-  let ob = Buffer.create flush_bytes in
-  for i = 0 to n - 1 do
-    let s = Trace_io.shard_of bk i in
-    let rows = Array.unsafe_get outs s in
-    let c = Array.unsafe_get cur s in
-    let j = String.index_from rows c '\n' in
-    Buffer.add_substring ob rows c (j - c + 1);
-    Array.unsafe_set cur s (j + 1);
-    if Buffer.length ob >= flush_bytes then begin
-      emit (Buffer.contents ob);
-      Buffer.clear ob
-    end
-  done;
-  if Buffer.length ob > 0 then emit (Buffer.contents ob)
-
 (* More domains than the host runs at once only add contention. *)
 let resolve_jobs = function
   | Some j -> Int.max 1 (Int.min j (Domain.recommended_domain_count ()))
   | None -> Cacti_util.Pool.default_jobs ()
 
-let line_shift cfg = Cacti_util.Floatx.clog2 cfg.line_bytes
+(* The records of shard [shard] of [2^bits], in trace order: at 0 bits the
+   unfiltered stream. *)
+let shard_records source ~line_shift ~bits ~shard ~f =
+  if bits = 0 then Trace_io.iter_source source ~f
+  else
+    let mask = (1 lsl bits) - 1 in
+    Trace_io.iter_source source ~f:(fun ~tid ~write ~addr ->
+        if (addr lsr line_shift) land mask = shard then f ~tid ~write ~addr)
 
-(* Summary-only replay of every config in [cfgs] (all of one line size)
-   over one pool: at [bits] > 0 the trace is bucketed once and the
-   (config × shard) work items fan out, so even a single config uses
-   every domain; at 0 bits each config replays serially.  A config's
+(* Summary-only replay of every config in [cfgs] in [2^bits] shards
+   each: the (config × shard) work items fan out over
+   one pool, so even a single config uses every domain, and a config's
    shard summaries add up in fixed shard order. *)
 let replay_summaries ~jobs ~bits cfgs source =
   let ns = 1 lsl bits in
-  let bk =
-    if bits = 0 || Array.length cfgs = 0 then None
-    else Some (Trace_io.bucket source ~line_shift:(line_shift cfgs.(0)) ~bits)
-  in
   let sums = Array.make (Array.length cfgs * ns) empty_summary in
   let pool = Cacti_util.Pool.create ~jobs () in
   Cacti_util.Pool.run_chunked ~chunk:1 pool (Array.length sums) (fun i ->
       let cfg = cfgs.(i / ns) in
       sums.(i) <-
-        (match bk with
-        | None -> run_serial cfg (Trace_io.iter_source source)
-        | Some bk ->
-            let r = create cfg in
-            Trace_io.iter_shard source bk ~shard:(i mod ns)
-              ~f:(fun ~seq:_ ~tid ~write ~addr ->
-                ignore (step r ~tid ~write ~addr : outcome));
-            finish r));
+        run_serial cfg
+          (shard_records source
+             ~line_shift:(Cacti_util.Floatx.clog2 cfg.line_bytes)
+             ~bits ~shard:(i mod ns)));
   Array.init (Array.length cfgs) (fun c ->
       Array.fold_left add_summary empty_summary (Array.sub sums (c * ns) ns))
 
 let run_configs ?jobs cfgs source =
   let jobs = resolve_jobs jobs in
   (* One shard count for every config: the finest plan all of them
-     support, so a single bucketing pass serves them all. *)
+     support. *)
   let plan (bits, diags) cfg =
     if bits > 0 && cfg.line_bytes <> cfgs.(0).line_bytes then
       ( 0,
@@ -536,35 +523,17 @@ let run_configs ?jobs cfgs source =
   in
   (replay_summaries ~jobs ~bits cfgs source, diags)
 
-let run_sharded ?jobs ?bits ?render ?(emit = fun (_ : string) -> ()) cfg
-    source =
-  let jobs = resolve_jobs jobs in
-  let requested =
-    match bits with Some b -> b | None -> Cacti_util.Floatx.clog2 jobs
-  in
-  let m, diags =
-    match shard_plan cfg ~bits:requested with
-    | Ok m -> (m, [])
-    | Error d -> (0, [ d ])
-  in
-  if m = 0 then
-    (run_serial ?render ~emit cfg (Trace_io.iter_source source), diags)
-  else
-    match render with
-    | None -> ((replay_summaries ~jobs ~bits:m [| cfg |] source).(0), diags)
-    | Some rd ->
-        let ns = 1 lsl m in
-        let bk = Trace_io.bucket source ~line_shift:(line_shift cfg) ~bits:m in
-        let sums = Array.make ns empty_summary in
-        let outs = Array.make ns "" in
-        let pool = Cacti_util.Pool.create ~jobs () in
-        Cacti_util.Pool.run_chunked ~chunk:1 pool ns (fun s ->
-            let r = create cfg in
-            let buf = Buffer.create flush_bytes in
-            Trace_io.iter_shard source bk ~shard:s
-              ~f:(fun ~seq ~tid ~write ~addr ->
-                rd buf ~seq ~tid ~write ~addr (step r ~tid ~write ~addr));
-            outs.(s) <- Buffer.contents buf;
-            sums.(s) <- finish r);
-        merge_rows bk outs (Trace_io.source_length source) ~emit;
-        (Array.fold_left add_summary empty_summary sums, diags)
+let run_sharded ?jobs ?bits ?render ?emit cfg source =
+  match render with
+  | Some _ -> (run_serial ?render ?emit cfg (Trace_io.iter_source source), [])
+  | None ->
+      let jobs = resolve_jobs jobs in
+      let requested =
+        match bits with Some b -> b | None -> Cacti_util.Floatx.clog2 jobs
+      in
+      let m, diags =
+        match shard_plan cfg ~bits:requested with
+        | Ok m -> (m, [])
+        | Error d -> (0, [ d ])
+      in
+      ((replay_summaries ~jobs ~bits:m [| cfg |] source).(0), diags)

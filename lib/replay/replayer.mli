@@ -119,19 +119,22 @@ val empty_summary : summary
     those bits gives each worker a disjoint slice of every cache level — all
     evictions, inclusion kills, writeback cascades, peer invalidations and
     c2c transfers stay inside one shard — so per-shard replays compose to
-    {b bit-identical} summaries, and an original-index merge reproduces the
-    serial per-access stream byte for byte (see DESIGN.md). *)
+    {b bit-identical} summaries (see DESIGN.md).  A shard is {!run_serial}
+    over the trace's stream filtered to its records, so a sharded replay
+    holds nothing per record, and each shard decodes the whole trace.
+    Per-access output is never sharded: rendered rows come from one
+    serial replay. *)
 
 val shard_plan : config -> bits:int -> (int, Cacti_util.Diag.t) result
 (** The shard bit-count actually usable for [cfg]: [min] of the request,
     the set bits of every level as {!Mcsim.Cache_sim.set_count} builds it
     (a geometry whose set count is not a power of two shards on the
-    rounded-down count), and {!Trace_io.max_shard_bits}.  [Ok 0] for
-    [bits <= 0] (serial).  [Error] (warning severity, reason
-    ["shard_unsupported"]) when [line_bytes] is not a power of two —
-    callers fall back to serial replay.  Raises [Invalid_argument], as
-    {!Mcsim.Cache_sim.create} does, when a level's [lines] is not a
-    positive multiple of its [assoc]. *)
+    rounded-down count), and 8 (256 shards, each of which decodes the
+    whole trace).  [Ok 0] for [bits <= 0] (serial).  [Error] (warning
+    severity, reason ["shard_unsupported"]) when [line_bytes] is not a
+    power of two — callers fall back to serial replay.  Raises
+    [Invalid_argument], as {!Mcsim.Cache_sim.create} does, when a level's
+    [lines] is not a positive multiple of its [assoc]. *)
 
 type render =
   Buffer.t -> seq:int -> tid:int -> write:bool -> addr:int -> outcome -> unit
@@ -146,13 +149,15 @@ val run_serial :
   (f:(tid:int -> write:bool -> addr:int -> unit) -> unit) ->
   summary
 (** Replays the records that the iterator passes to [f], in order, through
-    one replayer; rendered rows are streamed through [emit] in ~64 KB
-    slabs.  Its caches come from and, once the summary is taken, return to
-    the calling domain's free list ({!Mcsim.Cache_sim.release}), so
-    back-to-back replays on one domain allocate no cache arrays after the
-    first.  This is the loop of {!run_sharded} at 0 shard bits, and the
-    way to replay a stream that is read once and never held in memory,
-    such as [Trace_io.iter_channel] over stdin. *)
+    one replayer; rendered rows are streamed through [emit] in slabs of
+    about 1 KiB, short enough that each slab passed to [emit] is a
+    minor-heap string.  Its caches come from and, once the summary is
+    taken, return to the calling domain's free list
+    ({!Mcsim.Cache_sim.release}), so back-to-back replays on one domain
+    allocate no cache arrays after the first.  This is the one replay
+    loop: {!run_sharded} and {!run_configs} run it once per shard, and it
+    replays a stream that is read once and never held in memory, such as
+    [Trace_io.iter_channel] over stdin. *)
 
 val run_sharded :
   ?jobs:int ->
@@ -162,17 +167,18 @@ val run_sharded :
   config ->
   Trace_io.source ->
   summary * Cacti_util.Diag.t list
-(** Replays the whole trace, sharded [2^bits] ways across a
-    [Cacti_util.Pool] of [jobs] domains ([jobs] defaults to
-    [Pool.default_jobs ()] and is capped at
+(** Replays the whole trace.  With [render], serially through
+    {!run_serial}, whatever [jobs] and [bits]: rows are streamed through
+    [emit] in trace order, and the diag list is empty.  Without, sharded
+    [2^bits] ways ({!shard_plan}) across a [Cacti_util.Pool] of [jobs]
+    domains ([jobs] defaults to [Pool.default_jobs ()] and is capped at
     [Domain.recommended_domain_count ()]; [bits] defaults to [clog2] of
-    the capped [jobs], and an explicit [bits] keeps its plan on any host).
+    the capped [jobs], and an explicit [bits] keeps its plan on any
+    host); the summary equals the serial one for {e any} [jobs]/[bits].
     Each shard's replayer recycles its caches through the free list of
-    the domain that runs it, as {!run_serial} does.  Rendered rows are merged back into
-    original trace order and streamed through [emit] in ~64 KB slabs, so
-    output is byte-identical to a serial replay for {e any} [jobs]/[bits].
-    When the plan resolves to 0 bits (including the [shard_unsupported]
-    fallback, returned in the diag list) {!run_serial} replays the trace. *)
+    the domain that runs it, as {!run_serial} does.  A plan of 0 bits
+    (including the [shard_unsupported] fallback, returned in the diag
+    list) replays the unfiltered stream once. *)
 
 val run_configs :
   ?jobs:int ->
@@ -180,11 +186,12 @@ val run_configs :
   Trace_io.source ->
   summary array * Cacti_util.Diag.t list
 (** The summary of every config over the whole trace, as {!run_sharded}
-    without rendering returns it for each one alone.  The trace is bucketed
-    once on the finest shard plan that every config supports (from [clog2
+    without rendering returns it for each one alone.  Every config is
+    sharded on the finest plan that all of them support (from [clog2
     jobs] bits, [jobs] capped as in {!run_sharded}), and the (config ×
     shard) work items fan out over one [Cacti_util.Pool] of [jobs]
-    domains, so a single config still uses every domain.  When the plan resolves to 0 bits each config replays
-    serially; a [shard_unsupported] warning (also for configs of different
+    domains, so a single config still uses every domain.  When the plan
+    resolves to 0 bits each config replays serially; a
+    [shard_unsupported] warning (also for configs of different
     [line_bytes]) is returned in the diag list.  Summaries are identical
     for any [jobs]. *)

@@ -225,13 +225,10 @@ let iter_text ~path ic ~f =
   done;
   !count
 
-(* ---------------- record decoding ---------------- *)
-
-type bigbytes =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* ---------------- record coding ---------------- *)
 
 (* A record's tid and address are read with one 16-bit and one 64-bit
-   load, unaligned and unchecked: every caller reads whole records inside
+   load, unaligned and unchecked: [decode] reads whole records inside
    its buffer.  [big_endian ()] is a compile-time constant, so the swap
    costs nothing on little-endian hosts. *)
 external big_endian : unit -> bool = "%big_endian"
@@ -239,21 +236,32 @@ external bswap16 : int -> int = "%bswap16"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 external bytes_get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external bigstring_get16u : bigbytes -> int -> int = "%caml_bigstring_get16u"
-external bigstring_get64u : bigbytes -> int -> int64 = "%caml_bigstring_get64u"
 
 let[@inline] le16 v = if big_endian () then bswap16 v else v
 let[@inline] le64 v = if big_endian () then bswap64 v else v
 
-(* Record [i] (0-based) holds [flags], which must be 0 or 1, and the
-   64-bit address [a], whose top two bits must be clear. *)
-let[@inline] check_flags path i flags =
-  if flags land lnot 1 <> 0 then
-    fail path (i + 1) "invalid flag byte 0x%02x" flags
+(* The one record decoder: passes the [k] records at the start of [buf]
+   to [f], each checked for a flag byte of 0 or 1 and an address whose
+   top two bits are clear.  [first], the 0-based trace index of the first
+   record, labels errors. *)
+let decode path buf ~first k ~f =
+  for r = 0 to k - 1 do
+    let o = r * record_bytes in
+    let flags = Char.code (Bytes.unsafe_get buf o) in
+    if flags land lnot 1 <> 0 then
+      fail path (first + r + 1) "invalid flag byte 0x%02x" flags;
+    let a = le64 (bytes_get64u buf (o + 3)) in
+    if Int64.to_int (Int64.shift_right_logical a 62) <> 0 then
+      fail path (first + r + 1) "address 0x%Lx out of range [0, 2^62)" a;
+    f ~tid:(le16 (bytes_get16u buf (o + 1))) ~write:(flags = 1)
+      ~addr:(Int64.to_int a)
+  done
 
-let[@inline] check_addr path i a =
-  if Int64.to_int (Int64.shift_right_logical a 62) <> 0 then
-    fail path (i + 1) "address 0x%Lx out of range [0, 2^62)" a
+(* Encodes one record at byte offset [o], as [decode] reads it. *)
+let set_record buf o ~tid ~write ~addr =
+  Bytes.set_uint8 buf o (Bool.to_int write);
+  Bytes.set_uint16_le buf (o + 1) tid;
+  Bytes.set_int64_le buf (o + 3) (Int64.of_int addr)
 
 let changed path n =
   fail path 0 "the trace changed since it was loaded with %d records" n
@@ -309,17 +317,8 @@ let iter_binary ~path ~limit ic ~f =
         (try really_input ic buf 0 (k * record_bytes)
          with End_of_file ->
            fail path (first + 1) "truncated stream: incomplete chunk");
-        let c = !count in
-        for r = 0 to k - 1 do
-          let o = r * record_bytes in
-          let flags = Char.code (Bytes.unsafe_get buf o) in
-          check_flags path (c + r) flags;
-          let a = le64 (bytes_get64u buf (o + 3)) in
-          check_addr path (c + r) a;
-          f ~tid:(le16 (bytes_get16u buf (o + 1))) ~write:(flags = 1)
-            ~addr:(Int64.to_int a)
-        done;
-        count := c + k
+        decode path buf ~first:!count k ~f;
+        count := !count + k
       done
     end
   done;
@@ -343,32 +342,25 @@ let iter_file ?format path ~f =
 (* ---------------- sources ---------------- *)
 
 (* Every replayable trace is the binary layout's records: a binary file,
-   streamed on every full pass and mapped only for shard access, or an
-   in-memory image that a text file or [of_records] fills as one
-   chunk. *)
+   streamed on every pass, or an in-memory image of them that a text file
+   or [of_records] fills. *)
 type data =
-  | File of int  (** a binary file of this many bytes *)
-  | Image of bigbytes
+  | File  (** a binary file *)
+  | Image of Bytes.t  (** [n] records from byte 0 *)
 
 type source = {
   data : data;
   path : string;  (** labels validation errors *)
   n : int;
-  chunk_first : int array;
-      (** record index of chunk [c]'s first record; length [n_chunks + 1],
-          last entry = [n] *)
-  chunk_off : int array;  (** byte offset of chunk [c]'s first record *)
 }
 
 (* Walks a binary trace's chunk headers through a channel, seeking over
-   the records, to index every chunk's record range and byte offset.
-   Only framing is validated here, in O(chunks); records are validated by
-   every full pass ([iter_source]). *)
-let index_binary path =
+   the records, to count them.  Only framing is validated here, in
+   O(chunks); records are validated by every pass ([iter_source]). *)
+let count_binary path =
   with_in path (fun ic ->
       let size = in_channel_length ic in
       read_header path ic;
-      let firsts = ref [] and offs = ref [] in
       let rec walk pos first =
         let n = read_u32 path ic "chunk header" in
         if n = 0 then begin
@@ -383,20 +375,11 @@ let index_binary path =
           let next = pos + 4 + (n * record_bytes) in
           if next > size then
             fail path (first + 1) "truncated stream: incomplete chunk";
-          firsts := first :: !firsts;
-          offs := (pos + 4) :: !offs;
           seek_in ic next;
           walk next (first + n)
         end
       in
-      let n = walk (String.length magic + 4) 0 in
-      {
-        data = File size;
-        path;
-        n;
-        chunk_first = Array.of_list (List.rev (n :: !firsts));
-        chunk_off = Array.of_list (List.rev !offs);
-      })
+      { data = File; path; n = walk (String.length magic + 4) 0 })
 
 let check_record tid write addr =
   ignore write;
@@ -405,87 +388,42 @@ let check_record tid write addr =
   if addr < 0 || addr > max_addr then
     invalid_arg (Printf.sprintf "Trace_io: address 0x%x out of range" addr)
 
-let create_image bytes =
-  Bigarray.Array1.create Bigarray.char Bigarray.c_layout bytes
-
-let set_byte (buf : bigbytes) o v =
-  Bigarray.Array1.unsafe_set buf o (Char.unsafe_chr v)
-
-(* Encodes one record at byte offset [o] as the binary writer does. *)
-let set_record buf o ~tid ~write ~addr =
-  set_byte buf o (Bool.to_int write);
-  set_byte buf (o + 1) (tid land 0xFF);
-  set_byte buf (o + 2) (tid lsr 8);
-  for k = 0 to 7 do
-    set_byte buf (o + 3 + k) ((addr lsr (8 * k)) land 0xFF)
-  done
-
-let one_chunk path buf n =
-  { data = Image buf; path; n; chunk_first = [| 0; n |]; chunk_off = [| 0 |] }
-
 (* A text file parsed into an image that doubles as it fills. *)
 let load_text path =
-  let buf = ref (create_image (4096 * record_bytes)) in
+  let buf = ref (Bytes.create (4096 * record_bytes)) in
   let n = ref 0 in
   let push ~tid ~write ~addr =
     let o = !n * record_bytes in
-    if o = Bigarray.Array1.dim !buf then begin
-      let b = create_image (2 * o) in
-      Bigarray.Array1.blit !buf (Bigarray.Array1.sub b 0 o);
-      buf := b
-    end;
+    if o = Bytes.length !buf then buf := Bytes.extend !buf 0 o;
     set_record !buf o ~tid ~write ~addr;
     incr n
   in
   ignore (iter_file ~format:Text path ~f:push : int);
-  one_chunk path !buf !n
+  { data = Image !buf; path; n = !n }
 
 let of_records recs =
-  let buf = create_image (Array.length recs * record_bytes) in
+  let buf = Bytes.create (Array.length recs * record_bytes) in
   Array.iteri
     (fun i (tid, write, addr) ->
       check_record tid write addr;
       set_record buf (i * record_bytes) ~tid ~write ~addr)
     recs;
-  one_chunk "<records>" buf (Array.length recs)
+  { data = Image buf; path = "<records>"; n = Array.length recs }
 
 let load_source ?format path =
   let format =
     match format with Some fmt -> fmt | None -> detect_file path
   in
-  match format with Binary -> index_binary path | Text -> load_text path
+  match format with Binary -> count_binary path | Text -> load_text path
 
 let source_length src = src.n
 
-(* The validated fields of the record at byte [o] of an image; [i] labels
-   errors. *)
-let[@inline] image_flags path (buf : bigbytes) i o =
-  let flags = Char.code (Bigarray.Array1.unsafe_get buf o) in
-  check_flags path i flags;
-  flags
-
-let[@inline] image_addr path buf i o =
-  let a = le64 (bigstring_get64u buf (o + 3)) in
-  check_addr path i a;
-  Int64.to_int a
-
-let[@inline] image_tid buf o = le16 (bigstring_get16u buf (o + 1))
-
 let iter_source src ~f =
   match src.data with
-  | File _ ->
+  | File ->
       let n = with_in src.path (iter_binary ~path:src.path ~limit:src.n ~f) in
       if n <> src.n then changed src.path src.n
-  | Image buf ->
-      for c = 0 to Array.length src.chunk_off - 1 do
-        let first = src.chunk_first.(c) and o = src.chunk_off.(c) in
-        for i = first to src.chunk_first.(c + 1) - 1 do
-          let o = o + ((i - first) * record_bytes) in
-          let flags = image_flags src.path buf i o in
-          let addr = image_addr src.path buf i o in
-          f ~tid:(image_tid buf o) ~write:(flags = 1) ~addr
-        done
-      done
+  | Image buf -> decode src.path buf ~first:0 src.n ~f
 
 (* ---------------- engine streams ---------------- *)
 
@@ -519,87 +457,6 @@ let thread_gens src =
     let d = Array.length refs in
     Ok (fun ~thread_id -> Mcsim.Workload.replay refs.(thread_id mod d))
   end
-
-(* ---------------- shard bucketing ---------------- *)
-
-type buckets = {
-  src : source;
-  image : bigbytes;  (** [src]'s records at its chunk table's offsets *)
-  shard_ids : Bytes.t;  (** shard id of record [i] *)
-  seqs : int array array;  (** per shard, ascending record indices *)
-}
-
-let max_shard_bits = 8
-
-(* The records of [src] for random access: a binary file is mapped
-   read-only, once it is known to have the size it was loaded with, so
-   every chunk offset lies inside the mapping. *)
-let image_of src =
-  match src.data with
-  | Image buf -> buf
-  | File size ->
-      with_in src.path (fun ic ->
-          if in_channel_length ic <> size then changed src.path src.n;
-          Bigarray.array1_of_genarray
-            (Unix.map_file (Unix.descr_of_in_channel ic) Bigarray.char
-               Bigarray.c_layout false [| size |]))
-
-let bucket src ~line_shift ~bits =
-  if bits < 1 || bits > max_shard_bits then
-    invalid_arg "Trace_io.bucket: bits must be in 1..8";
-  let ns = 1 lsl bits in
-  let mask = ns - 1 in
-  let shard_ids = Bytes.create src.n in
-  let seqs = Array.init ns (fun _ -> Array.make 16 0) in
-  let len = Array.make ns 0 in
-  let i = ref 0 in
-  (* [iter_source] passes at most [src.n] records *)
-  iter_source src ~f:(fun ~tid:_ ~write:_ ~addr ->
-      let s = (addr lsr line_shift) land mask in
-      Bytes.unsafe_set shard_ids !i (Char.unsafe_chr s);
-      let a = seqs.(s) and l = len.(s) in
-      let a =
-        if l = Array.length a then begin
-          let b = Array.make (2 * l) 0 in
-          Array.blit a 0 b 0 l;
-          seqs.(s) <- b;
-          b
-        end
-        else a
-      in
-      Array.unsafe_set a l !i;
-      len.(s) <- l + 1;
-      incr i);
-  {
-    src;
-    image = image_of src;
-    shard_ids;
-    seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 len.(s));
-  }
-
-let shard_of bk i = Char.code (Bytes.get bk.shard_ids i)
-
-(* A shard's indices ascend, so its byte offsets are found by walking the
-   chunk table forward alongside them.  Only [bk]'s own source is
-   accepted: its indices and chunk table are what keep every offset
-   inside [bk.image]. *)
-let iter_shard src bk ~shard ~f =
-  if src != bk.src then
-    invalid_arg "Trace_io.iter_shard: buckets of another source";
-  let buf = bk.image in
-  let idx = bk.seqs.(shard) in
-  let c = ref 0 in
-  for k = 0 to Array.length idx - 1 do
-    let i = Array.unsafe_get idx k in
-    while Array.unsafe_get src.chunk_first (!c + 1) <= i do incr c done;
-    let o =
-      Array.unsafe_get src.chunk_off !c
-      + ((i - Array.unsafe_get src.chunk_first !c) * record_bytes)
-    in
-    let flags = image_flags src.path buf i o in
-    let addr = image_addr src.path buf i o in
-    f ~seq:i ~tid:(image_tid buf o) ~write:(flags = 1) ~addr
-  done
 
 (* ---------------- writers ---------------- *)
 

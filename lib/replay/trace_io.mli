@@ -42,10 +42,9 @@
     A trace loaded for replay ({!source}) has one form whatever its
     encoding: the binary records above — a binary file as it is on disk,
     a text file parsed into an in-memory image of the same layout.
-    Consumers iterate it ({!iter_source}), bucket it into shards and
-    iterate one shard ({!bucket}, {!iter_shard}), or split it into
-    per-thread streams for the study engine ({!thread_gens}); the record
-    layout never leaves this module. *)
+    Consumers stream it ({!iter_source}) or split it into per-thread
+    streams for the study engine ({!thread_gens}); the record layout
+    never leaves this module. *)
 
 exception Parse_error of { path : string; line : int; msg : string }
 (** Malformed input, typed: bad op/address/tid on a text line, bad magic,
@@ -91,28 +90,22 @@ val iter_file :
 
     A replayable trace, for consumers that replay the same trace several
     times (sharded replay, the study's config matrix, benchmarks).  Every
-    source holds the binary layout's 11-byte records.  A text file or
-    {!of_records} fills an in-memory image of that layout as one chunk.
-    A binary file stays on disk: loading it reads only its framing (magic,
-    version, chunk table), every full pass ({!iter_source}, and so
-    {!bucket}, {!thread_gens} and serial replay) streams it through the
-    channel reader, validating every record, and only {!bucket} maps it,
-    read-only, for the random access of {!iter_shard}.
+    source holds the binary layout's 11-byte records.  A binary file stays
+    on disk: loading it reads only its framing (magic, version, chunk
+    headers), and every pass ({!iter_source}, and so {!thread_gens} and
+    every replay) streams it through the channel reader, validating every
+    record.  A text file or {!of_records} fills an in-memory image of the
+    same layout, which every pass decodes with the same checks.
 
     A binary file that changes after it is loaded is refused: a pass that
     finds it truncated, or holding another record count, raises
-    {!Parse_error} before passing more records than were loaded.  The
-    sharded path is the exception while it runs: the file must not change
-    between {!bucket} and the last {!iter_shard}, since a mapping read
-    past the end of a file that has shrunk kills the process
-    ([SIGBUS]).  The mapping is unmapped only when the GC finalizes the
-    buckets. *)
+    {!Parse_error} before passing more records than were loaded. *)
 
 type source
 
 val load_source : ?format:format -> string -> source
-(** Indexes a binary file's chunk table, seeking from chunk header to
-    chunk header, or parses a text file ({!detect_file} when [format] is
+(** Counts a binary file's records, seeking from chunk header to chunk
+    header, or parses a text file ({!detect_file} when [format] is
     omitted).  Raises {!Parse_error} on malformed text or binary framing
     (bad magic/version, truncated or oversized chunks, trailing bytes),
     [Sys_error] if the file cannot be opened. *)
@@ -129,8 +122,9 @@ val iter_source :
     address range exactly like the channel reader ({!Parse_error} labels
     the 1-based record index); a binary file is read through
     {!iter_channel}'s reader, and a record count other than the loaded
-    one raises {!Parse_error} (see above).  Allocates nothing per
-    record. *)
+    one raises {!Parse_error} (see above).  Allocates nothing per record:
+    a pass over a binary file allocates its 44 KiB block buffer and a few
+    words per chunk. *)
 
 (** {1 Driving the study engine} *)
 
@@ -146,35 +140,6 @@ val thread_gens :
     {!Mcsim.Workload.replay} over its array, so it can serve every cell
     of a study.  [Error] (reason ["empty_trace"]) when the trace has no
     records. *)
-
-(** {1 Shard bucketing} *)
-
-type buckets
-(** Per shard, the ascending indices of its records, and the shard id of
-    every record. *)
-
-val max_shard_bits : int
-(** 8 — shard ids must fit a byte. *)
-
-val bucket : source -> line_shift:int -> bits:int -> buckets
-(** One validating pass over [source] (errors as in {!iter_source})
-    assigning record [i] to shard [(addr lsr line_shift) land (2^bits - 1)],
-    then, for a binary file, a read-only mapping of it ({!Parse_error}
-    when its size is no longer the loaded one).  [bits] must be in
-    [1 .. max_shard_bits]. *)
-
-val shard_of : buckets -> int -> int
-(** The shard of record [i]. *)
-
-val iter_shard :
-  source ->
-  buckets ->
-  shard:int ->
-  f:(seq:int -> tid:int -> write:bool -> addr:int -> unit) ->
-  unit
-(** Passes the records of one shard to [f] in ascending index order;
-    [seq] is the record's 0-based index in the trace.  [buckets] must come
-    from {!bucket} on this same source ([Invalid_argument] otherwise). *)
 
 (** {1 Writing} *)
 

@@ -630,7 +630,7 @@ let test_convert_output_dir () =
       Alcotest.(check bool) "severity" true
         (d.Cacti_util.Diag.severity = Cacti_util.Diag.Error)
 
-(* ---------------------- zero-copy mapped traces -------------------- *)
+(* ----------------------- loaded binary traces ---------------------- *)
 
 let write_trace format recs =
   let path =
@@ -648,8 +648,8 @@ let write_trace format recs =
 let write_binary_trace = write_trace Trace_io.Binary
 
 let test_map_binary () =
-  (* more records than one writer chunk (65536), so the chunk table has
-     several entries *)
+  (* more records than one writer chunk (65536), so the file has several
+     chunks *)
   let n = 70_000 in
   let recs =
     Array.init n (fun i ->
@@ -708,11 +708,10 @@ let test_map_malformed () =
       | () -> Alcotest.failf "%s: accepted" name)
     cases
 
-(* The three binary decoders against a model: a file of random records,
-   in chunks of 1-3, read by the source stream ([iter_source]), the
-   channel reader ([iter_file]) and the mapped shard reader ([bucket] +
-   [iter_shard] over every shard) must give the generated records, or
-   the [Parse_error] (path, line and message) of its first bad record.
+(* The binary readers against a model: a file of random records, in
+   chunks of 1-3, read by the source stream ([iter_source]) and the
+   channel reader ([iter_file]) must give the generated records, or the
+   [Parse_error] (path, line and message) of its first bad record.
    Bad records have a flag byte other than 0 or 1, or an address with
    bit 62 or 63 set (the top two bits of byte 10). *)
 let gen_binary_record =
@@ -793,19 +792,8 @@ let prop_binary_decoders =
         collect (fun ~f ->
             ignore (Trace_io.iter_file ~format:Trace_io.Binary path ~f : int))
       in
-      let shards () =
-        let src = Trace_io.load_source path in
-        let bk = Trace_io.bucket src ~line_shift:6 ~bits:2 in
-        let recs = Array.make (Trace_io.source_length src) (0, false, 0) in
-        for shard = 0 to 3 do
-          Trace_io.iter_shard src bk ~shard ~f:(fun ~seq ~tid ~write ~addr ->
-              recs.(seq) <- (tid, write, addr))
-        done;
-        Array.to_list recs
-      in
       let expected = binary_model chunks in
-      outcome stream = expected && outcome channel = expected
-      && outcome shards = expected)
+      outcome stream = expected && outcome channel = expected)
 
 let prop_records_roundtrip =
   QCheck.Test.make ~name:"of_records/iter_source roundtrips" ~count:100
@@ -987,6 +975,17 @@ let run_sharded_csv ~jobs ~bits cfg source =
   in
   (Buffer.contents b, s, diags)
 
+(* [small_config] with twice the lines at every level: 8 / 8 / 16 sets,
+   so it shards on up to 3 bits. *)
+let shard_config =
+  let lv (l : Replayer.level) = { l with Replayer.lines = 2 * l.Replayer.lines } in
+  {
+    small_config with
+    Replayer.l1 = lv small_config.Replayer.l1;
+    l2 = lv small_config.Replayer.l2;
+    l3 = Option.map lv small_config.Replayer.l3;
+  }
+
 let test_shard_plan () =
   (* small_config: 4 / 4 / 8 sets, so at most 2 shared set-index bits *)
   (match Replayer.shard_plan small_config ~bits:8 with
@@ -1026,9 +1025,9 @@ let test_shard_plan () =
 
 (* A level whose requested set count [lines / assoc] is not a power of
    two is built with the count rounded down (ways widened), so its set
-   index is still the line's low bits: the replay shards, with no
-   warning, and equals the serial replay for every policy whose widened
-   ways it accepts, every core count and 1 to 3 shard bits. *)
+   index is still the line's low bits: the summary-only replay shards,
+   with no warning, and equals the serial summary for every policy whose
+   widened ways it accepts, every core count and 1 to 3 shard bits. *)
 let test_rounded_sets_shard () =
   let lv lines assoc latency =
     { Replayer.lines; assoc; latency; policy = Mcsim.Policy.Lru }
@@ -1052,21 +1051,20 @@ let test_rounded_sets_shard () =
               let cfg =
                 with_policy p cores { small_config with Replayer.l1; l2; l3 }
               in
-              let serial_csv, serial_sum = replay_csv cfg recs in
+              let _, serial_sum = replay_csv cfg recs in
               List.iter
                 (fun bits ->
                   let name =
                     Printf.sprintf "%s %s/%d-core bits %d" gname
                       (Mcsim.Policy.to_string p) cores bits
                   in
-                  let csv, sum, diags =
-                    run_sharded_csv ~jobs:4 ~bits cfg source
+                  let sum, diags =
+                    Replayer.run_sharded ~jobs:4 ~bits cfg source
                   in
                   Alcotest.(check (list string)) (name ^ " no warning") []
                     (List.map (fun d -> d.Cacti_util.Diag.reason) diags);
                   Alcotest.(check bool) (name ^ " summary") true
-                    (sum = serial_sum);
-                  Alcotest.(check string) (name ^ " stream") serial_csv csv)
+                    (sum = serial_sum))
                 [ 1; 2; 3 ])
             [ 1; 2; 4 ])
         (* Tree-PLRU needs power-of-two ways, which widening breaks *)
@@ -1074,7 +1072,7 @@ let test_rounded_sets_shard () =
     geometries
 
 (* The same records from each origin of a source: a text file, a binary
-   file (mapped) and [of_records]. *)
+   file and [of_records]. *)
 let sources_of recs =
   [
     ("text", Trace_io.load_source (write_trace Trace_io.Text recs));
@@ -1082,8 +1080,10 @@ let sources_of recs =
     ("of_records", Trace_io.of_records recs);
   ]
 
-(* Sharded replay is bit-identical to serial for every policy kind and
-   core count, from every origin of a source. *)
+(* A summary-only sharded replay equals the serial summary for every
+   policy kind, core count and 1 to 3 shard bits, from every origin of a
+   source; a rendered replay asked for 4 jobs and 2 bits returns the
+   serial CSV bytes. *)
 let test_sharded_all_policies () =
   let recs = synthetic_records 3_000 in
   let sources = sources_of recs in
@@ -1091,7 +1091,7 @@ let test_sharded_all_policies () =
     (fun p ->
       List.iter
         (fun cores ->
-          let cfg = with_policy p cores small_config in
+          let cfg = with_policy p cores shard_config in
           let name =
             Printf.sprintf "%s/%d-core" (Mcsim.Policy.to_string p) cores
           in
@@ -1099,8 +1099,15 @@ let test_sharded_all_policies () =
           List.iter
             (fun (origin, source) ->
               let name = name ^ " " ^ origin in
+              List.iter
+                (fun bits ->
+                  let sum, _ = Replayer.run_sharded ~jobs:4 ~bits cfg source in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s bits %d summary" name bits)
+                    true (sum = serial_sum))
+                [ 1; 2; 3 ];
               let csv, sum, _ = run_sharded_csv ~jobs:4 ~bits:2 cfg source in
-              Alcotest.(check bool) (name ^ " summary") true
+              Alcotest.(check bool) (name ^ " rendered summary") true
                 (sum = serial_sum);
               Alcotest.(check string) (name ^ " stream") serial_csv csv)
             sources)
@@ -1120,16 +1127,14 @@ let prop_sharded_identity =
     (fun (pidx, cidx, recs) ->
       let p = List.nth all_policies pidx in
       let cores = [| 1; 2; 4 |].(cidx) in
-      let cfg = with_policy p cores small_config in
+      let cfg = with_policy p cores shard_config in
       let recs = Array.of_list recs in
-      let serial_csv, serial_sum = replay_csv cfg recs in
+      let _, serial_sum = replay_csv cfg recs in
       let source = Trace_io.of_records recs in
       List.for_all
         (fun jobs ->
           List.for_all
-            (fun bits ->
-              let csv, sum, _ = run_sharded_csv ~jobs ~bits cfg source in
-              sum = serial_sum && String.equal csv serial_csv)
+            (fun bits -> fst (Replayer.run_sharded ~jobs ~bits cfg source) = serial_sum)
             [ 0; 1; 2; 3 ])
         [ 1; 2; 4 ])
 
@@ -1164,14 +1169,16 @@ let write_chunked_trace recs sizes =
   close_out oc;
   path
 
-(* For every shard count, [bucket] + [iter_shard] visit each record
-   exactly once, in ascending index order within its shard, with the
-   record [iter_source] yields at that index — whatever the chunk table,
-   including a text file's one chunk, grown while it was parsed. *)
+(* Whatever the chunk sizes of a binary file, and from a text file's
+   image (grown while it was parsed), [iter_source] yields the records,
+   and a summary-only replay sharded on 1 to 3 bits, each shard
+   streaming the file, equals the serial summary. *)
 let test_uneven_chunks () =
   let sizes = [ 1; 2; 3; 65_536; 70_000 ] in
   let n = List.fold_left ( + ) 0 sizes in
   let recs = synthetic_records n in
+  let cfg = with_policy Mcsim.Policy.Tree_plru 2 shard_config in
+  let _, serial_sum = replay_csv cfg recs in
   let chunked sizes =
     ( String.concat "," (List.map string_of_int sizes),
       Trace_io.load_source (write_chunked_trace recs sizes) )
@@ -1188,51 +1195,27 @@ let test_uneven_chunks () =
           incr k);
       Alcotest.(check bool) (layout ^ " iter_source = records") true
         (Array.init n (fun i -> (tids.(i), writes.(i), addrs.(i))) = recs);
-      for bits = 1 to Trace_io.max_shard_bits do
-        let bk = Trace_io.bucket src ~line_shift:6 ~bits in
-        let seen = Bytes.make n '0' in
-        for shard = 0 to (1 lsl bits) - 1 do
-          let last = ref (-1) in
-          Trace_io.iter_shard src bk ~shard ~f:(fun ~seq ~tid ~write ~addr ->
-              if seq <= !last || Bytes.get seen seq <> '0' then
-                Alcotest.failf "%s bits %d shard %d: record %d after %d"
-                  layout bits shard seq !last;
-              last := seq;
-              Bytes.set seen seq '1';
-              if tid <> tids.(seq) || write <> writes.(seq)
-                 || addr <> addrs.(seq)
-              then
-                Alcotest.failf "%s bits %d: record %d differs" layout bits
-                  seq;
-              if (addr lsr 6) land ((1 lsl bits) - 1) <> shard
-                 || Trace_io.shard_of bk seq <> shard
-              then
-                Alcotest.failf "%s bits %d: record %d in shard %d" layout
-                  bits seq shard)
-        done;
-        Alcotest.(check string)
-          (Printf.sprintf "%s bits %d: every record visited" layout bits)
-          (String.make n '1') (Bytes.to_string seen)
+      for bits = 1 to 3 do
+        let sum, diags = Replayer.run_sharded ~jobs:2 ~bits cfg src in
+        Alcotest.(check int)
+          (Printf.sprintf "%s bits %d diagnostics" layout bits)
+          0 (List.length diags);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s bits %d summary" layout bits)
+          true (sum = serial_sum)
       done)
     [
       chunked sizes;
       chunked (List.rev sizes);
       chunked [ 70_000; 3; 65_536; 1; 2 ];
       ("text", Trace_io.load_source (write_trace Trace_io.Text recs));
-    ];
-  let other = Trace_io.of_records (Array.sub recs 0 10) in
-  let bk = Trace_io.bucket other ~line_shift:6 ~bits:1 in
-  match
-    Trace_io.iter_shard (Trace_io.of_records recs) bk ~shard:0
-      ~f:(fun ~seq:_ ~tid:_ ~write:_ ~addr:_ -> ())
-  with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "buckets of another source accepted"
+    ]
 
 (* A binary trace that changes after [load_source] is refused with a
-   [Parse_error] by every pass over it, serial or sharded: cut to 4 KiB
-   (a pass used to read a mapping past the end of the file and die of
-   SIGBUS), grown to twice its records, or shrunk to half of them. *)
+   [Parse_error] by every pass over it, serial or sharded, and by
+   [run_configs] ([llc_study --replay]): cut to 4 KiB (a pass used to
+   read a mapping past the end of the file and die of SIGBUS), grown to
+   twice its records, or shrunk to half of them. *)
 let test_changed_after_load () =
   let recs = synthetic_records 20_000 in
   let cfg = with_policy Mcsim.Policy.Tree_plru 2 small_config in
@@ -1260,6 +1243,9 @@ let test_changed_after_load () =
             fun src -> ignore (Replayer.run_sharded ~jobs:1 cfg src) );
           ( "run_sharded 4 shards",
             fun src -> ignore (Replayer.run_sharded ~jobs:2 ~bits:2 cfg src) );
+          ( "run_configs jobs 2",
+            fun src -> ignore (Replayer.run_configs ~jobs:2 [| cfg; cfg |] src)
+          );
           ("thread_gens", fun src -> ignore (Trace_io.thread_gens src));
         ])
     [
@@ -1272,8 +1258,8 @@ let test_changed_after_load () =
    replay's caches are built from those stale arrays.  On one domain,
    configs A (skl, 4 cores), B (all LRU, 1 core) and C (nhm with its MRU
    L3, 2 cores), each of its own geometry, run in the order A, B, C, A,
-   C, serially and in two shards with CSV rendering: every repeat equals
-   its first run, summary and CSV bytes. *)
+   C, serially with CSV rendering and in two summary-only shards: every
+   repeat equals its first run, summary and CSV bytes. *)
 let test_recycled_replay_caches () =
   let preset name cfg =
     match Mcsim.Policy.preset_of_string name with
@@ -1293,7 +1279,12 @@ let test_recycled_replay_caches () =
   List.iter
     (fun (mode, bits) ->
       let run cfg =
-        let csv, s, diags = run_sharded_csv ~jobs:1 ~bits cfg src in
+        let csv, s, diags =
+          if bits = 0 then run_sharded_csv ~jobs:1 ~bits cfg src
+          else
+            let s, diags = Replayer.run_sharded ~jobs:1 ~bits cfg src in
+            ("", s, diags)
+        in
         Alcotest.(check int) (mode ^ " diagnostics") 0 (List.length diags);
         (csv, s)
       in
@@ -1309,6 +1300,28 @@ let test_recycled_replay_caches () =
       check "A again" first_a (run a);
       check "C again" first_c (run c))
     [ ("serial", 0); ("2 shards", 1) ]
+
+(* A summary-only sharded replay holds nothing per record: 4 shards on
+   the calling domain allocate the same words (minor, plus major less
+   promoted) over a binary trace of 200k records as over one of 50k,
+   within 256 words.  Each shard's stream allocates its block buffer and
+   a few words per chunk. *)
+let test_sharded_no_alloc () =
+  let cfg = with_policy Mcsim.Policy.Tree_plru 2 shard_config in
+  let words n =
+    let src = Trace_io.load_source (write_binary_trace (synthetic_records n)) in
+    (* the first replay on the domain fills its cache free list *)
+    ignore (Replayer.run_sharded ~jobs:1 ~bits:2 cfg src);
+    let minor0, promoted0, major0 = Gc.counters () in
+    let s, diags = Replayer.run_sharded ~jobs:1 ~bits:2 cfg src in
+    let minor1, promoted1, major1 = Gc.counters () in
+    Alcotest.(check int) (Printf.sprintf "%d accesses" n) n s.Replayer.accesses;
+    Alcotest.(check int) "diagnostics" 0 (List.length diags);
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let w1 = words 50_000 and w2 = words 200_000 in
+  if Float.abs (w2 -. w1) > 256. then
+    Alcotest.failf "%.0f words over 50k records, %.0f over 200k" w1 w2
 
 (* [of_machine]: the machine's geometry, LRU at every level. *)
 let test_of_machine () =
@@ -1818,6 +1831,8 @@ let () =
             test_changed_after_load;
           Alcotest.test_case "recycled caches do not leak" `Quick
             test_recycled_replay_caches;
+          Alcotest.test_case "allocates nothing per record"
+            `Quick test_sharded_no_alloc;
           Alcotest.test_case "of_machine geometry" `Quick test_of_machine;
           Alcotest.test_case "run_configs = run_sharded per config" `Quick
             test_run_configs;
